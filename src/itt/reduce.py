@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import convert as _convert
@@ -31,7 +32,7 @@ from .env import Context, GlobalEnv, ctx_extend
 from .rules import Fuel, FuelExhausted, RuleSet
 from .syntax import (
     PROP,
-    App, Cast, EqRec, Global, J, Lam, Pi, SortT, Term, Eq, Refl, Var,
+    CHILDREN, Cast, EqRec, Global, J, Lam, SortT, Term,
     alpha_eq, build_apps, canonical_key, pretty, subst, unwind_apps,
 )
 
@@ -59,11 +60,34 @@ def delta(name: str) -> StepKind:
     return StepKind("Delta", name)
 
 
-@dataclass(frozen=True)
+# Where a spine subterm sits in the whole term: (parent node, field the
+# subterm replaces, the parent's own frame); None at the root.
+Frame = tuple[Term, str, "Frame"] | None
+
+
+def _plug(sub: Term, frame: Frame) -> Term:
+    """The whole term with ``sub`` in the hole that ``frame`` describes."""
+    while frame is not None:
+        node, attr, frame = frame
+        sub = dataclasses.replace(node, **{attr: sub})
+    return sub
+
+
+@dataclass(frozen=True, eq=False)
 class TraceStep:
+    """One step: its kind and the contracted spine subterm in its frame.  The
+    whole-term snapshot and its key are built on first access."""
     kind: StepKind
-    term: Term
-    key: str
+    sub: Term
+    frame: Frame
+
+    @cached_property
+    def term(self) -> Term:
+        return _plug(self.sub, self.frame)
+
+    @cached_property
+    def key(self) -> str:
+        return canonical_key(self.term)
 
 
 @dataclass(frozen=True)
@@ -163,22 +187,6 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
     return t
 
 
-# Subterm positions in left-to-right surface order; the second element names
-# the field whose binder the child sits under (None if not under a binder).
-_CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
-    Var: (), SortT: (), Global: (),
-    Pi: (("domain", False), ("codomain", True)),
-    Lam: (("domain", False), ("body", True)),
-    App: (("fn", False), ("arg", False)),
-    Eq: (("ty", False), ("lhs", False), ("rhs", False)),
-    Refl: (("ty", False), ("val", False)),
-    EqRec: (("ty", False), ("motive", False), ("lhs", False), ("rhs", False),
-            ("base", False), ("proof", False)),
-    Cast: (("src", False), ("dst", False), ("proof", False), ("val", False)),
-    J: (("src", False), ("dst", False), ("val", False)),
-}
-
-
 def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
          budget: Fuel | None = None) -> tuple[Term, StepKind] | None:
     """Contract the leftmost-outermost redex, or None if ``t`` is in normal
@@ -188,7 +196,7 @@ def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
     r = head_step(env, ctx, t, rules, budget)
     if r is not None:
         return r
-    for attr, under_binder in _CHILDREN[type(t)]:
+    for attr, under_binder in CHILDREN[type(t)]:
         child = getattr(t, attr)
         child_ctx = ctx_extend(ctx, t.domain) if under_binder else ctx  # type: ignore[attr-defined]
         sub = step(env, child_ctx, child, rules, budget)
@@ -198,79 +206,72 @@ def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
     return None
 
 
-def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-         budget: Fuel | None = None) -> Trace:
-    """Head reduction only: never under binders, never into arguments except
-    as conversion side conditions demand."""
-    if budget is None:
-        budget = rules.new_budget()
-    steps: list[TraceStep] = []
-    trace = Trace(t, steps, "whnf")
-    detector = CycleDetector()
-    detector.observe(0, t)
-    cur = t
-    try:
-        while (r := head_step(env, ctx, cur, rules, budget)) is not None:
-            cur, kind = r
-            key = canonical_key(cur)
-            steps.append(TraceStep(kind, cur, key))
-            report = detector.observe(len(steps), cur, key)
-            if report is not None:
-                trace.status = CYCLE_DETECTED
-                trace.cycle = report
-                return trace
-    except FuelExhausted:
-        trace.status = FUEL_EXHAUSTED
-    return trace
+def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame,
+           rules: RuleSet, budget: Fuel, steps: list[TraceStep]) -> Term:
+    """Head-reduce the spine ``sub`` in place at ``frame``, recording each step.
 
-
-def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-              budget: Fuel | None = None) -> Trace:
-    """Strong normalization: head-reduce, then recurse under binders and into
-    arguments.  Every recorded snapshot is the whole term, so consecutive
-    snapshots are related by exactly one step.
-
-    Cycle detection restarts per reduction spine: a repeat on one spine is
-    already a divergence proof, while repeats across spines are not cycles.
+    The detector is keyed on the spine subterm: the frame is fixed while the
+    spine runs, so plugging is injective in ``sub`` and a repeat of the whole
+    term is exactly a repeat of the subterm.  Only the reported witness is
+    plugged back into the whole term.
     """
-    if budget is None:
-        budget = rules.new_budget()
-    steps: list[TraceStep] = []
-    trace = Trace(t, steps, "nf")
+    detector = CycleDetector()
+    detector.observe(len(steps), sub)
+    while (r := head_step(env, ctx, sub, rules, budget)) is not None:
+        sub, kind = r
+        steps.append(TraceStep(kind, sub, frame))
+        report = detector.observe(len(steps), sub)
+        if report is not None:
+            raise _CycleFound(dataclasses.replace(
+                report, witness=_plug(report.witness, frame)))
+    return sub
 
-    def spine(sub: Term, rebuild: Callable[[Term], Term], sctx: Context) -> Term:
-        detector = CycleDetector()
-        detector.observe(len(steps), rebuild(sub))
-        while (r := head_step(env, sctx, sub, rules, budget)) is not None:
-            sub, kind = r
-            whole = rebuild(sub)
-            key = canonical_key(whole)
-            steps.append(TraceStep(kind, whole, key))
-            report = detector.observe(len(steps), whole, key)
-            if report is not None:
-                raise _CycleFound(report)
-        return sub
 
-    def rec(sub: Term, rebuild: Callable[[Term], Term], sctx: Context) -> Term:
-        cur = spine(sub, rebuild, sctx)
-        for attr, under_binder in _CHILDREN[type(cur)]:
-            child_ctx = ctx_extend(sctx, cur.domain) if under_binder else sctx  # type: ignore[attr-defined]
-
-            def rb(c: Term, cur: Term = cur, attr: str = attr) -> Term:
-                return rebuild(dataclasses.replace(cur, **{attr: c}))
-
-            new_child = rec(getattr(cur, attr), rb, child_ctx)
-            cur = dataclasses.replace(cur, **{attr: new_child})
-        return cur
-
+def _traced(trace: Trace, run: Callable[[], object]) -> Trace:
+    """Run a reduction, recording a found cycle or an exhausted budget."""
     try:
-        rec(t, lambda x: x, ctx)
+        run()
     except _CycleFound as found:
         trace.status = CYCLE_DETECTED
         trace.cycle = found.report
     except FuelExhausted:
         trace.status = FUEL_EXHAUSTED
     return trace
+
+
+def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
+         budget: Fuel | None = None) -> Trace:
+    """Head reduction only: never under binders, never into arguments except
+    as conversion side conditions demand."""
+    fuel = rules.new_budget() if budget is None else budget
+    trace = Trace(t, [], "whnf")
+    return _traced(trace, lambda: _spine(env, ctx, t, None, rules, fuel,
+                                         trace.steps))
+
+
+def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
+              budget: Fuel | None = None) -> Trace:
+    """Strong normalization: head-reduce, then recurse under binders and into
+    arguments.  Every snapshot is the whole term, so consecutive snapshots
+    are related by exactly one step.
+
+    Cycle detection restarts per reduction spine: a repeat on one spine is
+    already a divergence proof, while repeats across spines are not cycles.
+    """
+    fuel = rules.new_budget() if budget is None else budget
+    trace = Trace(t, [], "nf")
+
+    def rec(sub: Term, frame: Frame, sctx: Context) -> Term:
+        cur = _spine(env, sctx, sub, frame, rules, fuel, trace.steps)
+        for attr, under_binder in CHILDREN[type(cur)]:
+            child_ctx = ctx_extend(sctx, cur.domain) if under_binder else sctx  # type: ignore[attr-defined]
+            child = getattr(cur, attr)
+            new_child = rec(child, (cur, attr, frame), child_ctx)
+            if new_child is not child:
+                cur = dataclasses.replace(cur, **{attr: new_child})
+        return cur
+
+    return _traced(trace, lambda: rec(t, None, ctx))
 
 
 def reduce_with(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,

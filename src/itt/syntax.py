@@ -33,9 +33,6 @@ PROP = Sort("Prop")
 TYPE = Sort("Type")
 KIND = Sort("Kind")
 
-# Display order only; there is no cumulativity between sorts.
-SORT_LADDER = (PROP, TYPE, KIND)
-
 
 @dataclass(frozen=True)
 class Term:
@@ -198,27 +195,25 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     return t1 == t2
 
 
+# Subterm fields of each node in left-to-right surface order, each flagged
+# when the child sits under the node's binder.
+CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
+    Var: (), SortT: (), Global: (),
+    Pi: (("domain", False), ("codomain", True)),
+    Lam: (("domain", False), ("body", True)),
+    App: (("fn", False), ("arg", False)),
+    Eq: (("ty", False), ("lhs", False), ("rhs", False)),
+    Refl: (("ty", False), ("val", False)),
+    EqRec: (("ty", False), ("motive", False), ("lhs", False), ("rhs", False),
+            ("base", False), ("proof", False)),
+    Cast: (("src", False), ("dst", False), ("proof", False), ("val", False)),
+    J: (("src", False), ("dst", False), ("val", False)),
+}
+
+
 def subterms(t: Term) -> Iterator[Term]:
     """All subterm children of ``t`` (not recursive)."""
-    match t:
-        case Var() | SortT() | Global():
-            return
-        case Pi(d, c) | Lam(d, c):
-            yield d
-            yield c
-        case App(f, a):
-            yield f
-            yield a
-        case Eq(ty, l, r):
-            yield from (ty, l, r)
-        case Refl(ty, v):
-            yield from (ty, v)
-        case EqRec(ty, p, l, r, b, e):
-            yield from (ty, p, l, r, b, e)
-        case Cast(s, d, e, v):
-            yield from (s, d, e, v)
-        case J(s, d, v):
-            yield from (s, d, v)
+    return (getattr(t, attr) for attr, _ in CHILDREN[type(t)])
 
 
 def collect_globals(t: Term) -> set[str]:
@@ -244,37 +239,40 @@ def uses_var(t: Term, index: int) -> bool:
 
 
 _TAGS = {
-    "Var": b"V", "SortT": b"S", "Pi": b"P", "Lam": b"L", "App": b"A",
-    "Global": b"G", "Eq": b"E", "Refl": b"R", "EqRec": b"Q", "Cast": b"C",
-    "J": b"J",
+    Var: b"V", SortT: b"S", Pi: b"P", Lam: b"L", App: b"A", Global: b"G",
+    Eq: b"E", Refl: b"R", EqRec: b"Q", Cast: b"C", J: b"J",
 }
-
-
-def _serialize(t: Term, out: list[bytes]) -> None:
-    out.append(_TAGS[type(t).__name__])
-    match t:
-        case Var(i):
-            out.append(str(i).encode())
-        case SortT(s):
-            out.append(s.tag.encode())
-        case Global(n):
-            out.append(str(len(n)).encode())
-            out.append(n.encode())
-        case _:
-            for sub in subterms(t):
-                _serialize(sub, out)
-    out.append(b";")
+_DIGEST = "_digest"  # memo slot in a node's __dict__, outside its fields
 
 
 def canonical_key(t: Term) -> str:
     """Fixed-width digest equal for alpha-equal terms.
 
-    Collisions across distinct terms are astronomically unlikely but callers
-    that act on key equality (cycle detection) must confirm with alpha_eq.
+    A Merkle digest of each node's tag, payload and child digests, memoized in
+    the node's ``__dict__`` outside the dataclass fields: equality and hashing
+    are unchanged, a node built by ``dataclasses.replace`` starts without one,
+    and a key costs only the nodes not keyed before.  Collisions are
+    astronomically unlikely, but callers that act on key equality (cycle
+    detection) must confirm with alpha_eq.
     """
-    parts: list[bytes] = []
-    _serialize(t, parts)
-    return hashlib.sha256(b"".join(parts)).hexdigest()
+    todo: list[tuple[Term, tuple[Term, ...] | None]] = [(t, None)]
+    while todo:
+        cur, kids = todo.pop()
+        if _DIGEST in cur.__dict__:
+            continue
+        if kids is None:  # first visit: digest the children first
+            kids = tuple(subterms(cur))
+            todo.append((cur, kids))
+            todo.extend((c, None) for c in kids if _DIGEST not in c.__dict__)
+            continue
+        h = hashlib.sha256(_TAGS[type(cur)])
+        match cur:
+            case Var(x) | SortT(x) | Global(x):  # index, sort or name
+                h.update(str(x).encode())
+        for c in kids:
+            h.update(c.__dict__[_DIGEST])
+        cur.__dict__[_DIGEST] = h.digest()
+    return t.__dict__[_DIGEST].hex()
 
 
 # --- pretty printing -------------------------------------------------------

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pytest
+
 from itt import (
-    CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED,
-    App, Cast, CycleDetector, Global, Lam, RuleSet, Var,
-    alpha_eq, elaborate, head_step, load_example, normalize, parse_term,
-    replay_trace, step, trace_to_json_lines, trace_to_text, unwind_apps, whnf,
+    CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
+    App, Cast, CycleDetector, Global, Lam, Pi, RuleSet, SortT, Var,
+    alpha_eq, canonical_key, elaborate, head_step, load_example, normalize,
+    parse_program, parse_term, pretty, replay_trace, step, trace_to_json_lines,
+    trace_to_text, unwind_apps, whnf,
 )
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, parse_trace_json
 
@@ -113,6 +116,12 @@ def test_normalize_detects_cycle_under_binder():
     assert trace.cycle.period == 6
     # the loop starts only after reduction moves under the hypothesis binder
     assert isinstance(trace.steps[0].term, Lam)
+    # the witness is the whole term, not the spine the cycle was found on
+    first, period = trace.cycle.first_index, trace.cycle.period
+    snaps = trace.snapshots()
+    assert isinstance(trace.cycle.witness, Lam)
+    assert alpha_eq(trace.cycle.witness, snaps[first])
+    assert alpha_eq(snaps[first], snaps[first + period])
 
 
 def test_normalize_open_body_cycles_with_literal_witnesses():
@@ -250,3 +259,54 @@ def test_trace_json_lines_parse_and_replay():
         assert alpha_eq(parse_term(record["term"], scope), snap.term)
         assert record["key"] == snap.key
         assert record["kind"] == str(snap.kind)
+
+
+def _numeral(k):
+    body = Var(0)
+    for _ in range(k):
+        body = App(Var(1), body)
+    return Lam(SortT(PROP), Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))
+
+
+@pytest.mark.parametrize(("m", "n", "steps"), [(2, 9, 2049), (3, 6, 1461)])
+def test_deep_church_exponentiation_normalizes(m, n, steps):
+    # the normal form is m**n applications deep; keys must not recurse on it
+    assert _numeral(2) == parse_term(
+        "fun (A : Prop), fun (s : A -> A), fun (x : A), s (s x)")
+    src = ("def Nat : Prop := forall (A : Prop), (A -> A) -> A -> A.\n"
+           f"def m : Nat := {pretty(_numeral(m))}.\n"
+           f"def n : Nat := {pretty(_numeral(n))}.\n"
+           "def exp : Nat -> Nat -> Nat :=\n"
+           "  fun (m : Nat), fun (n : Nat), fun (A : Prop), n (A -> A) (m A).\n"
+           "#reduce exp m n.\n")
+    _, results = elaborate(parse_program(src), reduce_strategy="nf")
+    trace = results[-1].trace
+    assert trace.status == NORMAL_FORM and len(trace.steps) == steps
+    assert canonical_key(trace.final) == canonical_key(_numeral(m ** n))
+
+
+RULE_VARIANTS = ({}, {"cast_rule": False},
+                 {"cast_rule": False, "eqrec_rule": False},
+                 {"proof_irrelevance": False})
+
+
+@pytest.mark.parametrize("flags", RULE_VARIANTS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_snapshots_built_on_demand_match_a_fresh_run(name, flags):
+    case, env, rules, traces = _reduce_trace(name, **flags)
+    scope = env.names()
+    for trace in traces:
+        # no whole-term snapshot exists until a consumer asks for one
+        assert not any("term" in vars(s) or "key" in vars(s)
+                       for s in trace.steps)
+        snaps = trace.snapshots()
+        for s, before, after in zip(trace.steps, snaps, snaps[1:]):
+            assert s.term is after
+            fresh = parse_term(pretty(after), scope)  # nothing memoized
+            assert s.key == canonical_key(fresh)
+            budget = rules.new_budget()
+            got = (head_step(env, (), before, rules, budget)
+                   if trace.strategy == "whnf" else
+                   step(env, (), before, rules, budget))
+            assert got is not None and got[1] == s.kind
+            assert alpha_eq(got[0], after)

@@ -63,6 +63,8 @@ def test_alpha_distinguishes_eq_components():
     from itt import Eq
     top, bot = Global("Top"), Global("Bot")
     assert not alpha_eq(Eq(PROP_T, top, top), Eq(PROP_T, top, bot))
+    # a key depends on the order of the children, not just on their set
+    assert canonical_key(Eq(PROP_T, top, bot)) != canonical_key(Eq(PROP_T, bot, top))
 
 
 def test_cycle_snapshots_pairwise_distinct():
@@ -107,6 +109,23 @@ def test_key_respects_alpha(t):
     renamed = _rename_binders(t, "q")
     assert alpha_eq(t, renamed)
     assert canonical_key(t) == canonical_key(renamed)
+
+
+@given(closed_terms, closed_terms)
+def test_key_equal_exactly_when_alpha_equal(a, b):
+    assert (canonical_key(a) == canonical_key(b)) == alpha_eq(a, b)
+
+
+def test_key_memo_is_not_carried_by_replace():
+    t = App(Global("f"), Var(0))
+    before = canonical_key(t)
+    changed = dataclasses.replace(t, arg=Var(1))
+    assert canonical_key(changed) == canonical_key(App(Global("f"), Var(1)))
+    assert canonical_key(changed) != before
+    # the memo sits outside the fields: equality and hashing are unchanged
+    assert t == App(Global("f"), Var(0))
+    assert hash(t) == hash(App(Global("f"), Var(0)))
+    assert canonical_key(t) == before
 
 
 @given(closed_terms)
