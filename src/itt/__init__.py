@@ -31,7 +31,7 @@ from .reduce import (
 )
 from .convert import convert, is_proposition
 from .typecheck import (
-    JDisabledError, PragmaResult, PtsRules, STANDARD_PTS, TypeCheckError,
+    JDisabledError, PragmaResult, TypeCheckError,
     check, closed_over_axioms, elaborate, infer,
 )
 from .corpus import CASE_NAMES, ExampleCase, load_example, run_all, ruleset_label

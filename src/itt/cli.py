@@ -6,6 +6,7 @@
 
 Exit codes: 0 success / all NormalForm / expectations met; 1 parse or type
 error; 2 usage error; 3 fuel exhaustion; 4 a detected cycle (dominates 3);
+5 input nested too deeply for the recursive parser, checker or reducer;
 70 internal invariant violation.  ITT_MAX_STEPS overrides the default step
 budget; an explicit --max-steps wins over the environment.
 """
@@ -30,6 +31,7 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_FUEL = 3
 EXIT_CYCLE = 4
+EXIT_DEPTH = 5
 EXIT_INTERNAL = 70
 
 
@@ -189,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhausted as exc:
         print(f"fuel exhausted: {exc}", file=sys.stderr)
         return EXIT_FUEL
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
+        return EXIT_DEPTH
     except (ScopeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -22,7 +22,7 @@ from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet  # re-exported
 from .syntax import (
     PROP,
     App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    build_apps, unwind_apps,
+    unwind_apps,
 )
 
 __all__ = ["convert", "is_proposition", "RuleSet", "Fuel", "FuelExhausted",
@@ -34,20 +34,6 @@ def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, rules: RuleSet,
     """True iff the type of ``type_`` weak-head reduces to the sort Prop."""
     ty = _typecheck.infer(env, ctx, type_, rules, budget)
     return _reduce.whnf_term(env, ctx, ty, rules, budget) == SortT(PROP)
-
-
-def _unfold_spine_head(env: GlobalEnv, t: Term, rules: RuleSet,
-                       budget: Fuel) -> Term | None:
-    """Replace a defined global heading the spine by its body, or None."""
-    if not rules.delta:
-        return None
-    head, args = unwind_apps(t)
-    if isinstance(head, Global):
-        entry = env.lookup(head.name)
-        if entry is not None and entry.body is not None:
-            budget.spend()
-            return build_apps(entry.body, args)
-    return None
 
 
 def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
@@ -72,11 +58,11 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     while True:
         if type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, rules, budget):
             return True
-        u1 = _unfold_spine_head(env, w1, rules, budget)
+        u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
         if u1 is not None:
             w1 = _reduce.whnf_term(env, ctx, u1, rules, budget, unfold_heads=False)
             continue
-        u2 = _unfold_spine_head(env, w2, rules, budget)
+        u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
         if u2 is not None:
             w2 = _reduce.whnf_term(env, ctx, u2, rules, budget, unfold_heads=False)
             continue

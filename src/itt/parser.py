@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .syntax import (
     KIND, PROP, TYPE,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var, shift,
+    CHILDREN, PRIMITIVES, App, Global, Lam, Pi, SortT, Term, Var, shift,
 )
 
 
@@ -83,12 +83,9 @@ class Program:
     declarations: tuple[Declaration, ...]
 
 
-KEYWORDS = {
-    "def", "axiom", "assume", "forall", "fun",
-    "Prop", "Type", "Kind", "Eq", "refl", "Eq_rec", "cast", "J",
-}
-
-PRIM_ARITY = {"Eq": 3, "refl": 2, "Eq_rec": 6, "cast": 4, "J": 3}
+_SORTS = {s.tag: s for s in (PROP, TYPE, KIND)}
+_ATOM_KEYWORDS = {*_SORTS, *PRIMITIVES}
+KEYWORDS = {"def", "axiom", "assume", "forall", "fun", *_ATOM_KEYWORDS}
 
 _ALIASES = {"∀": "forall", "λ": "fun"}
 
@@ -177,7 +174,6 @@ def tokenize(src: str) -> list[Token]:
 
 
 _ATOM_START = {"NAME", "LPAREN"}
-_ATOM_KEYWORDS = {"Prop", "Type", "Kind", "Eq", "refl", "Eq_rec", "cast", "J"}
 
 
 class _Parser:
@@ -257,29 +253,18 @@ class _Parser:
             self.bump()
             return self.resolve(tok)
         if tok.kind == "KEYWORD":
-            if tok.value in ("Prop", "Type", "Kind"):
+            if tok.value in _SORTS:
                 self.bump()
-                return SortT({"Prop": PROP, "Type": TYPE, "Kind": KIND}[tok.value])
-            if tok.value in PRIM_ARITY:
+                return SortT(_SORTS[tok.value])
+            if tok.value in PRIMITIVES:
                 self.bump()
-                args = self.parse_prim_args(tok)
-                match tok.value:
-                    case "Eq":
-                        return Eq(*args)
-                    case "refl":
-                        return Refl(*args)
-                    case "Eq_rec":
-                        return EqRec(*args)
-                    case "cast":
-                        return Cast(*args)
-                    case "J":
-                        return J(*args)
+                return PRIMITIVES[tok.value](*self.parse_prim_args(tok))
         raise ParseError(
             f"expected a term, found {tok.value or 'end of input'!r}",
             tok.line, tok.col)
 
     def parse_prim_args(self, kw: Token) -> list[Term]:
-        want = PRIM_ARITY[kw.value]
+        want = len(CHILDREN[PRIMITIVES[kw.value]])
         args: list[Term] = []
         for _ in range(want):
             if not self.at_atom_start():

@@ -1,7 +1,7 @@
 """Small-step reduction: single steps, weak-head and strong drivers, step
 tracing, and online cycle detection.
 
-Reduction rules (gated by the active RuleSet):
+Reduction rules (the three firings are gated by the active RuleSet):
 
     App(Lam(_, b), a)       |> subst(b, 0, a)                        Beta
     Global(n) with a body   |> body                                  Delta
@@ -154,7 +154,7 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
     """
     head, args = unwind_apps(t)
     match head:
-        case Lam(_, body) if args and rules.beta:
+        case Lam(_, body) if args:
             budget.spend()
             return build_apps(subst(body, 0, args[0]), args[1:]), BETA
         case Cast(src, dst, _, val) if rules.cast_rule:
@@ -171,11 +171,22 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             if _convert.convert(env, ctx, src, dst, rules=rules, budget=budget):
                 budget.spend()
                 return build_apps(val, args), J_FIRE
-        case Global(name) if rules.delta and unfold_heads:
-            entry = env.lookup(name)
-            if entry is not None and entry.body is not None:
-                budget.spend()
-                return build_apps(entry.body, args), delta(name)
+        case Global(name) if unfold_heads:
+            unfolded = unfold(env, head, args, budget)
+            if unfolded is not None:
+                return unfolded, delta(name)
+    return None
+
+
+def unfold(env: GlobalEnv, head: Term, args: list[Term],
+           budget: Fuel) -> Term | None:
+    """Delta: the spine ``head args`` with a defined global head replaced by
+    its body, or None when the head is not a defined global."""
+    if isinstance(head, Global):
+        entry = env.lookup(head.name)
+        if entry is not None and entry.body is not None:
+            budget.spend()
+            return build_apps(entry.body, args)
     return None
 
 

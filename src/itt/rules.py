@@ -34,8 +34,6 @@ class Fuel:
 
 @dataclass(frozen=True)
 class RuleSet:
-    beta: bool = True
-    delta: bool = True
     cast_rule: bool = True
     eqrec_rule: bool = True
     j_rule: bool = False

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class ScopeError(Exception):
@@ -129,74 +129,15 @@ def build_apps(head: Term, args: Sequence[Term]) -> Term:
     return head
 
 
-def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
-    """Adjust free indices >= cutoff by ``amount``; bound structure unchanged."""
-    match t:
-        case Var(i):
-            if i < cutoff:
-                return t
-            if i + amount < 0:
-                raise ScopeError(f"shift would send index {i} below zero")
-            return Var(i + amount)
-        case SortT() | Global():
-            return t
-        case Pi(d, c, name=n):
-            return Pi(shift(d, cutoff, amount), shift(c, cutoff + 1, amount), name=n)
-        case Lam(d, b, name=n):
-            return Lam(shift(d, cutoff, amount), shift(b, cutoff + 1, amount), name=n)
-        case App(f, a):
-            return App(shift(f, cutoff, amount), shift(a, cutoff, amount))
-        case Eq(ty, l, r):
-            return Eq(shift(ty, cutoff, amount), shift(l, cutoff, amount), shift(r, cutoff, amount))
-        case Refl(ty, v):
-            return Refl(shift(ty, cutoff, amount), shift(v, cutoff, amount))
-        case EqRec(ty, p, l, r, b, e):
-            return EqRec(*(shift(x, cutoff, amount) for x in (ty, p, l, r, b, e)))
-        case Cast(s, d, e, v):
-            return Cast(*(shift(x, cutoff, amount) for x in (s, d, e, v)))
-        case J(s, d, v):
-            return J(*(shift(x, cutoff, amount) for x in (s, d, v)))
-    raise ScopeError(f"shift: unknown node {t!r}")
-
-
-def subst(t: Term, target: int, value: Term) -> Term:
-    """Replace ``Var(target)`` by ``value``; indices above ``target`` drop by one."""
-    match t:
-        case Var(i):
-            if i == target:
-                return value
-            return Var(i - 1) if i > target else t
-        case SortT() | Global():
-            return t
-        case Pi(d, c, name=n):
-            return Pi(subst(d, target, value),
-                      subst(c, target + 1, shift(value, 0, 1)), name=n)
-        case Lam(d, b, name=n):
-            return Lam(subst(d, target, value),
-                       subst(b, target + 1, shift(value, 0, 1)), name=n)
-        case App(f, a):
-            return App(subst(f, target, value), subst(a, target, value))
-        case Eq(ty, l, r):
-            return Eq(subst(ty, target, value), subst(l, target, value), subst(r, target, value))
-        case Refl(ty, v):
-            return Refl(subst(ty, target, value), subst(v, target, value))
-        case EqRec(ty, p, l, r, b, e):
-            return EqRec(*(subst(x, target, value) for x in (ty, p, l, r, b, e)))
-        case Cast(s, d, e, v):
-            return Cast(*(subst(x, target, value) for x in (s, d, e, v)))
-        case J(s, d, v):
-            return J(*(subst(x, target, value) for x in (s, d, v)))
-    raise ScopeError(f"subst: unknown node {t!r}")
-
-
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Alpha-equivalence.  Literal structural equality under de Bruijn
     representation; display names are excluded from dataclass comparison."""
     return t1 == t2
 
 
-# Subterm fields of each node in left-to-right surface order, each flagged
-# when the child sits under the node's binder.
+# Subterm fields of each node in declaration order, which is also surface
+# order, each flagged when the child sits under the node's binder.  Rebuilding
+# passes children positionally, so the order must match the dataclass.
 CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
     Var: (), SortT: (), Global: (),
     Pi: (("domain", False), ("codomain", True)),
@@ -210,10 +151,79 @@ CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
     J: (("src", False), ("dst", False), ("val", False)),
 }
 
+# Surface keyword of each saturated primitive form; its arity is the number
+# of the node's children.
+PRIMITIVES: dict[str, type] = {
+    "Eq": Eq, "refl": Refl, "Eq_rec": EqRec, "cast": Cast, "J": J,
+}
+_KEYWORD = {cls: kw for kw, cls in PRIMITIVES.items()}
+
 
 def subterms(t: Term) -> Iterator[Term]:
     """All subterm children of ``t`` (not recursive)."""
     return (getattr(t, attr) for attr, _ in CHILDREN[type(t)])
+
+
+def _map_vars(t: Term, depth: int, on_var: Callable[[Var, int], Term]) -> Term:
+    """``t`` with each ``Var`` whose index is at least ``depth`` replaced by
+    ``on_var(var, depth)``, where ``depth`` starts at the given value and
+    grows by one under each binder.  A node none of whose children changed
+    is returned itself, not a copy."""
+    cls = type(t)
+    if cls is Var:
+        return on_var(t, depth) if t.index >= depth else t
+    kids = []
+    changed = False
+    for attr, under in CHILDREN[cls]:
+        old = getattr(t, attr)
+        new = _map_vars(old, depth + under, on_var)
+        changed = changed or new is not old
+        kids.append(new)
+    if not changed:
+        return t
+    if cls is Pi or cls is Lam:
+        return cls(*kids, name=t.name)
+    return cls(*kids)
+
+
+def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
+    """Adjust free indices >= cutoff by ``amount``; bound structure unchanged."""
+    def moved(v: Var, depth: int) -> Term:
+        if v.index + amount < 0:
+            raise ScopeError(f"shift would send index {v.index} below zero")
+        return Var(v.index + amount)
+
+    return _map_vars(t, cutoff, moved)
+
+
+def subst(t: Term, target: int, value: Term) -> Term:
+    """Replace ``Var(target)`` by ``value``; indices above ``target`` drop by one.
+
+    ``value`` is shifted across the binders above each occurrence, once per
+    binder depth that has one."""
+    shifted: dict[int, Term] = {target: value}
+
+    def replaced(v: Var, depth: int) -> Term:
+        if v.index > depth:
+            return Var(v.index - 1)
+        if depth not in shifted:
+            shifted[depth] = shift(value, 0, depth - target)
+        return shifted[depth]
+
+    return _map_vars(t, target, replaced)
+
+
+def has_free_var(t: Term, lo: int = 0, hi: int | None = None) -> bool:
+    """Does a free index in ``[lo, hi)`` occur in ``t``?  No ``hi``: no bound."""
+    todo = [(t, 0)]
+    while todo:
+        cur, depth = todo.pop()
+        if type(cur) is Var:
+            if lo <= cur.index - depth and (hi is None or cur.index - depth < hi):
+                return True
+        else:
+            todo.extend((getattr(cur, a), depth + u) for a, u in CHILDREN[type(cur)])
+    return False
 
 
 def collect_globals(t: Term) -> set[str]:
@@ -225,17 +235,6 @@ def collect_globals(t: Term) -> set[str]:
             out.add(cur.name)
         stack.extend(subterms(cur))
     return out
-
-
-def uses_var(t: Term, index: int) -> bool:
-    """Does ``Var(index)`` occur free in ``t``?"""
-    match t:
-        case Var(i):
-            return i == index
-        case Pi(d, c) | Lam(d, c):
-            return uses_var(d, index) or uses_var(c, index + 1)
-        case _:
-            return any(uses_var(s, index) for s in subterms(t))
 
 
 _TAGS = {
@@ -316,7 +315,7 @@ def pretty(t: Term, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str
             case Global(n):
                 return n
             case Pi(d, c, name=n):
-                if not uses_var(c, 0):
+                if not has_free_var(c, 0, 1):
                     dom = go(d, _APP)
                     stack.append("_")  # codomain sits under the unused binder
                     try:
@@ -331,17 +330,11 @@ def pretty(t: Term, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str
             case App(f, a):
                 s = f"{go(f, _APP)} {go(a, _ATOM)}"
                 return f"({s})" if pos > _APP else s
-            case Eq(ty, l, r):
-                return prim("Eq", (ty, l, r), pos)
-            case Refl(ty, v):
-                return prim("refl", (ty, v), pos)
-            case EqRec(ty, p, l, r, b, e):
-                return prim("Eq_rec", (ty, p, l, r, b, e), pos)
-            case Cast(src, dst, e, v):
-                return prim("cast", (src, dst, e, v), pos)
-            case J(src, dst, v):
-                return prim("J", (src, dst, v), pos)
-        raise ScopeError(f"pretty: unknown node {t!r}")
+        kw = _KEYWORD.get(type(t))
+        if kw is None:
+            raise ScopeError(f"pretty: unknown node {t!r}")
+        s = " ".join([kw, *(go(a, _ATOM) for a in subterms(t))])
+        return f"({s})" if pos > _APP else s
 
     def binder(kw: str, name: str, d: Term, body: Term, pos: int) -> str:
         shown = _fresh_name(name or "_", taken)
@@ -354,9 +347,5 @@ def pretty(t: Term, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str
             stack.pop()
             taken.discard(shown)
         return f"({s})" if pos > _TERM else s
-
-    def prim(kw: str, args: tuple[Term, ...], pos: int) -> str:
-        s = " ".join([kw, *(go(a, _ATOM) for a in args)])
-        return f"({s})" if pos > _APP else s
 
     return go(t, _TERM)

@@ -1,5 +1,6 @@
 """Bidirectional type checking for the three-sort system.
 
+The sort ladder is fixed, given once by ``SORT_OF`` and ``PI_RULES`` below.
 Sort axioms: Prop : Type and Type : Kind.  Pi-formation rules:
 
     (Prop, Prop, Prop)   (Type, Prop, Prop)   (Prop, Type, Type)   (Type, Type, Type)
@@ -35,11 +36,11 @@ from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
 from .parser import (
     Assume, Axiom, Def, PragmaCheck, PragmaReduce, Program,
 )
-from .rules import DEFAULT_RULES, Fuel, RuleSet
+from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     KIND, PROP, TYPE,
     App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Sort, SortT, Term, Var,
-    pretty, subst,
+    collect_globals, has_free_var, pretty, subst,
 )
 
 
@@ -51,30 +52,15 @@ class JDisabledError(TypeCheckError):
     pass
 
 
-@dataclass(frozen=True)
-class PtsRules:
-    axioms: tuple[tuple[Sort, Sort], ...] = ((PROP, TYPE), (TYPE, KIND))
-    pi_rules: tuple[tuple[Sort, Sort, Sort], ...] = (
-        (PROP, PROP, PROP),
-        (TYPE, PROP, PROP),  # impredicativity
-        (PROP, TYPE, TYPE),
-        (TYPE, TYPE, TYPE),
-    )
-
-    def sort_of(self, s: Sort) -> Sort | None:
-        for lo, hi in self.axioms:
-            if lo == s:
-                return hi
-        return None
-
-    def pi_rule(self, s1: Sort, s2: Sort) -> Sort | None:
-        for a, b, c in self.pi_rules:
-            if a == s1 and b == s2:
-                return c
-        return None
-
-
-STANDARD_PTS = PtsRules()
+# The sort ladder: the type of each typed sort, and the sort of a Pi-type
+# from the sorts of its domain and codomain.
+SORT_OF = {PROP: TYPE, TYPE: KIND}
+PI_RULES = {
+    (PROP, PROP): PROP,
+    (TYPE, PROP): PROP,  # impredicativity
+    (PROP, TYPE): TYPE,
+    (TYPE, TYPE): TYPE,
+}
 
 
 def _sort_of_type(env: GlobalEnv, ctx: Context, ty: Term, rules: RuleSet,
@@ -97,7 +83,7 @@ def _expect_sort(env: GlobalEnv, ctx: Context, term: Term, expected: Sort,
 
 
 def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
-          budget: Fuel | None = None, pts: PtsRules = STANDARD_PTS) -> Term:
+          budget: Fuel | None = None) -> Term:
     if budget is None:
         budget = rules.new_budget()
     match t:
@@ -106,7 +92,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
                 raise TypeCheckError(f"unbound variable index {i}")
             return ctx_lookup(ctx, i)
         case SortT(s):
-            above = pts.sort_of(s)
+            above = SORT_OF.get(s)
             if above is None:
                 raise TypeCheckError(f"sort {s} has no type")
             return SortT(above)
@@ -119,7 +105,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             s1 = _sort_of_type(env, ctx, dom, rules, budget, "Pi domain")
             s2 = _sort_of_type(env, ctx_extend(ctx, dom), cod, rules, budget,
                                "Pi codomain")
-            s3 = pts.pi_rule(s1, s2)
+            s3 = PI_RULES.get((s1, s2))
             if s3 is None:
                 raise TypeCheckError(f"no Pi-formation rule for ({s1}, {s2})")
             return SortT(s3)
@@ -128,29 +114,29 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             # against the formation table so that type-level functions such
             # as Eq_rec motives (T -> Type) stay expressible.
             _sort_of_type(env, ctx, dom, rules, budget, "lambda domain")
-            body_ty = infer(env, ctx_extend(ctx, dom), body, rules, budget, pts)
+            body_ty = infer(env, ctx_extend(ctx, dom), body, rules, budget)
             return Pi(dom, body_ty, name=n)
         case App(f, a):
-            fty = infer(env, ctx, f, rules, budget, pts)
+            fty = infer(env, ctx, f, rules, budget)
             w = _reduce.whnf_term(env, ctx, fty, rules, budget)
             if not isinstance(w, Pi):
                 raise TypeCheckError(
                     f"applied term is not a function: {pretty(f)} : {pretty(w)}")
-            check(env, ctx, a, w.domain, rules, budget, pts)
+            check(env, ctx, a, w.domain, rules, budget)
             return subst(w.codomain, 0, a)
         case Eq(ty, lhs, rhs):
             _expect_sort(env, ctx, ty, TYPE, rules, budget, "Eq carrier")
-            check(env, ctx, lhs, ty, rules, budget, pts)
-            check(env, ctx, rhs, ty, rules, budget, pts)
+            check(env, ctx, lhs, ty, rules, budget)
+            check(env, ctx, rhs, ty, rules, budget)
             return SortT(PROP)
         case Refl(ty, val):
             _expect_sort(env, ctx, ty, TYPE, rules, budget, "refl carrier")
-            check(env, ctx, val, ty, rules, budget, pts)
+            check(env, ctx, val, ty, rules, budget)
             return Eq(ty, val, val)
         case EqRec(ty, motive, lhs, rhs, base, proof):
             _expect_sort(env, ctx, ty, TYPE, rules, budget, "Eq_rec carrier")
             mty = _reduce.whnf_term(
-                env, ctx, infer(env, ctx, motive, rules, budget, pts),
+                env, ctx, infer(env, ctx, motive, rules, budget),
                 rules, budget)
             if not isinstance(mty, Pi):
                 raise TypeCheckError(
@@ -165,16 +151,16 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             if cod != SortT(TYPE):
                 raise TypeCheckError(
                     f"Eq_rec motive must land in Type, found {pretty(cod)}")
-            check(env, ctx, lhs, ty, rules, budget, pts)
-            check(env, ctx, rhs, ty, rules, budget, pts)
-            check(env, ctx, base, App(motive, lhs), rules, budget, pts)
-            check(env, ctx, proof, Eq(ty, lhs, rhs), rules, budget, pts)
+            check(env, ctx, lhs, ty, rules, budget)
+            check(env, ctx, rhs, ty, rules, budget)
+            check(env, ctx, base, App(motive, lhs), rules, budget)
+            check(env, ctx, proof, Eq(ty, lhs, rhs), rules, budget)
             return App(motive, rhs)
         case Cast(src, dst, proof, val):
             _expect_sort(env, ctx, src, PROP, rules, budget, "cast source")
             _expect_sort(env, ctx, dst, PROP, rules, budget, "cast target")
-            check(env, ctx, proof, Eq(SortT(PROP), src, dst), rules, budget, pts)
-            check(env, ctx, val, src, rules, budget, pts)
+            check(env, ctx, proof, Eq(SortT(PROP), src, dst), rules, budget)
+            check(env, ctx, val, src, rules, budget)
             return dst
         case J(src, dst, val):
             if not rules.j_rule:
@@ -182,17 +168,16 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
                     "J is not part of the active rule set (enable j_rule)")
             _expect_sort(env, ctx, src, PROP, rules, budget, "J source")
             _expect_sort(env, ctx, dst, PROP, rules, budget, "J target")
-            check(env, ctx, val, src, rules, budget, pts)
+            check(env, ctx, val, src, rules, budget)
             return dst
     raise TypeCheckError(f"cannot infer a type for {t!r}")
 
 
 def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
-          rules: RuleSet = DEFAULT_RULES, budget: Fuel | None = None,
-          pts: PtsRules = STANDARD_PTS) -> None:
+          rules: RuleSet = DEFAULT_RULES, budget: Fuel | None = None) -> None:
     if budget is None:
         budget = rules.new_budget()
-    actual = infer(env, ctx, t, rules, budget, pts)
+    actual = infer(env, ctx, t, rules, budget)
     if not _convert.convert(env, ctx, actual, expected, rules=rules, budget=budget):
         raise TypeCheckError(
             f"type mismatch: expected {pretty(expected)}, inferred {pretty(actual)}"
@@ -208,12 +193,13 @@ class PragmaResult:
 
 
 def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
-              reduce_strategy: str = "nf", run_reduce: bool = True,
-              pts: PtsRules = STANDARD_PTS) -> tuple[GlobalEnv, list[PragmaResult]]:
+              reduce_strategy: str = "nf",
+              run_reduce: bool = True) -> tuple[GlobalEnv, list[PragmaResult]]:
     """Process declarations in order against a growing global environment.
 
     Each declaration gets a fresh budget of ``rules.fuel`` steps.  The first
-    failing declaration aborts with its error, prefixed by its index.
+    failing declaration aborts with its TypeCheckError or FuelExhausted, of
+    the same class and with the message prefixed by its index and name.
     """
     env = GlobalEnv()
     results: list[PragmaResult] = []
@@ -225,10 +211,10 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                     if stated is not None:
                         _sort_of_type(env, (), stated, rules, budget,
                                       f"stated type of {name}")
-                        check(env, (), body, stated, rules, budget, pts)
+                        check(env, (), body, stated, rules, budget)
                         ty = stated
                     else:
-                        ty = infer(env, (), body, rules, budget, pts)
+                        ty = infer(env, (), body, rules, budget)
                     env.add(EnvEntry(name, ty, body, "def"))
                 case Axiom(name, ty) | Assume(name, ty):
                     _sort_of_type(env, (), ty, rules, budget,
@@ -236,39 +222,26 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                     kind = "axiom" if isinstance(decl, Axiom) else "assume"
                     env.add(EnvEntry(name, ty, None, kind))
                 case PragmaCheck(term):
-                    ty = infer(env, (), term, rules, budget, pts)
+                    ty = infer(env, (), term, rules, budget)
                     results.append(PragmaResult("check", term, type_=ty))
                 case PragmaReduce(term, strategy):
-                    infer(env, (), term, rules, budget, pts)
+                    infer(env, (), term, rules, budget)
                     if run_reduce:
                         trace = _reduce.reduce_with(
                             env, (), term, rules,
                             strategy or reduce_strategy, rules.new_budget())
                         results.append(PragmaResult("reduce", term, trace=trace))
-        except TypeCheckError as exc:
+        except (TypeCheckError, FuelExhausted) as exc:
             name = getattr(decl, "name", type(decl).__name__)
             raise type(exc)(f"declaration {index} ({name}): {exc}") from exc
     return env, results
-
-
-def _has_free_var(t: Term, depth: int = 0) -> bool:
-    match t:
-        case Var(i):
-            return i >= depth
-        case Pi(d, c) | Lam(d, c):
-            return _has_free_var(d, depth) or _has_free_var(c, depth + 1)
-        case _:
-            from .syntax import subterms
-            return any(_has_free_var(s, depth) for s in subterms(t))
 
 
 def closed_over_axioms(env: GlobalEnv, t: Term) -> bool:
     """True iff ``t`` has no free variables and never reaches an assumption:
     every global it references, transitively through types and definition
     bodies, is a definition or an axiom."""
-    from .syntax import collect_globals
-
-    if _has_free_var(t):
+    if has_free_var(t):
         return False
     seen: set[str] = set()
     pending = list(collect_globals(t))

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from itt import alpha_eq, elaborate, load_example, parse_term
 from itt.cli import main
 from itt.reduce import parse_trace_json
@@ -35,6 +40,25 @@ def test_reduce_default_strategy_is_strong(capsys):
 
 def test_fuel_exhaustion_exits_3(capsys):
     assert main(["reduce", CHURCH, "--max-steps", "5"]) == 3
+
+
+def test_fuel_exhaustion_while_checking_names_declaration(capsys):
+    assert main(["check", CE1, "--max-steps", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "fuel exhausted: declaration 3 (delta): step budget exhausted" in err
+
+
+def test_deep_nesting_exits_5_without_traceback(tmp_path):
+    deep = tmp_path / "deep.itt"
+    deep.write_text("#check " + "(" * 400 + "Prop" + ")" * 400 + ".\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "itt", "check", str(deep)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 5
+    assert "input nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_env_var_sets_fuel(capsys, monkeypatch):

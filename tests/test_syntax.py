@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import typing
+
 from itt import (
     PROP,
-    App, Global, Lam, Pi, ScopeError, SortT, Var,
+    App, Global, Lam, Pi, ScopeError, SortT, Term, Var,
     alpha_eq, canonical_key, parse_term, pretty, shift, subst,
 )
-from term_strategies import GLOBAL_POOL, closed_terms, open_terms
+from itt.syntax import CHILDREN, has_free_var
+from term_strategies import GLOBAL_POOL, closed_terms, open_terms, terms
 
 PROP_T = SortT(PROP)
 
@@ -85,6 +88,37 @@ def test_cycle_snapshots_pairwise_distinct():
 @given(open_terms, st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
 def test_shift_composes(t, a, b, c):
     assert alpha_eq(shift(shift(t, c, a), c, b), shift(t, c, a + b))
+
+
+def test_children_are_the_compared_term_fields_in_order():
+    # shift and subst rebuild a node by passing its children positionally
+    assert set(CHILDREN) == set(Term.__subclasses__())
+    for cls, fields in CHILDREN.items():
+        hints = typing.get_type_hints(cls)
+        compared = [f.name for f in dataclasses.fields(cls) if f.compare]
+        term_fields = [n for n in compared if hints[n] is Term]
+        assert [attr for attr, _ in fields] == term_fields, cls
+        if fields:  # besides its children, an inner node has at most a name
+            rest = [f.name for f in dataclasses.fields(cls)
+                    if f.name not in term_fields]
+            assert rest == (["name"] if cls in (Pi, Lam) else []), cls
+
+
+# Terms whose free indices all lie below ``c``, paired with ``c``.
+_below = st.one_of([st.tuples(terms(3, c), st.just(c)) for c in range(4)])
+
+
+@given(_below, st.integers(-2, 3))
+def test_shift_without_affected_index_returns_the_term_itself(tc, n):
+    t, c = tc
+    assert not has_free_var(t, c)
+    assert shift(t, c, n) is t
+
+
+@given(_below, closed_terms)
+def test_subst_without_affected_index_returns_the_term_itself(tc, v):
+    t, j = tc
+    assert subst(t, j, v) is t
 
 
 @given(open_terms, closed_terms)

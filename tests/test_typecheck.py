@@ -4,12 +4,11 @@ import pytest
 
 from itt import (
     KIND, PROP, TYPE,
-    Fuel, FuelExhausted, Global, JDisabledError, SortT,
+    Fuel, FuelExhausted, Global, GlobalEnv, JDisabledError, SortT,
     TypeCheckError, Var,
     alpha_eq, check, convert, elaborate, infer, load_example, parse_program,
     parse_term, pretty,
 )
-from itt.typecheck import STANDARD_PTS
 
 
 def _env(name, **flags):
@@ -20,11 +19,16 @@ def _env(name, **flags):
 
 
 def test_pts_ladder():
-    assert STANDARD_PTS.sort_of(PROP) == TYPE
-    assert STANDARD_PTS.sort_of(TYPE) == KIND
-    assert STANDARD_PTS.sort_of(KIND) is None
-    assert STANDARD_PTS.pi_rule(TYPE, PROP) == PROP  # impredicativity
-    assert STANDARD_PTS.pi_rule(TYPE, KIND) is None
+    env = GlobalEnv()
+    assert infer(env, (), SortT(PROP)) == SortT(TYPE)
+    assert infer(env, (), SortT(TYPE)) == SortT(KIND)
+    with pytest.raises(TypeCheckError, match="Kind has no type"):
+        infer(env, (), SortT(KIND))
+    # impredicativity: quantifying over all propositions stays in Prop
+    assert infer(env, (), parse_term("forall (A : Prop), A")) == SortT(PROP)
+    with pytest.raises(TypeCheckError,
+                       match=r"no Pi-formation rule for \(Type, Kind\)"):
+        infer(env, (), parse_term("forall (A : Prop), Type"))
 
 
 def test_kind_has_no_type():
