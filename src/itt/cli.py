@@ -191,8 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhausted as exc:
         print(f"fuel exhausted: {exc}", file=sys.stderr)
         return EXIT_FUEL
-    except RecursionError:
-        print("input nested too deeply", file=sys.stderr)
+    except RecursionError as exc:
+        print(f"input nested too deeply: {exc}", file=sys.stderr)
         return EXIT_DEPTH
     except (ScopeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

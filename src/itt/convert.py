@@ -8,7 +8,9 @@ and top-level calls from typing rules); elsewhere comparison is structural.
 That approximation is deliberate: full typed conversion would have to carry
 types through every position, and nothing here requires it.
 
-Weak-head forms are compared first, with incremental unfolding: a global
+Every query spends one unit of fuel, and a query of a term with itself (the
+same object) costs exactly that unit: it is answered before any reduction.
+Otherwise weak-head forms are compared, with incremental unfolding: a global
 unfolds only when the heads disagree (or agree but their parts do not),
 which keeps comparisons close to the named forms they started from.
 """
@@ -47,6 +49,8 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     if budget is None:
         budget = rules.new_budget()
     budget.spend()  # conversion queries consume the shared budget
+    if t1 is t2:  # identity, not ==: dataclass == recurses and costs O(size)
+        return True
     if rules.proof_irrelevance and common_type is not None:
         try:
             if is_proposition(env, ctx, common_type, rules, budget):

@@ -28,6 +28,7 @@ become Global references, anything else is an unbound-identifier error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -98,78 +99,51 @@ class Token:
     col: int
 
 
-def _is_name_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+# One alternative per token kind, tried in order at each offset: longer
+# tokens first ("--" before "->", ":=" before ":"); ERROR takes any other
+# character.  Only SKIP can contain a newline.  Identifiers are ASCII-only.
+_TOKEN_RE = re.compile(r"""
+    (?P<SKIP>    [ \t\r\n]+ | --[^\n]* )
+  | (?P<PRAGMA>  \#[A-Za-z0-9_]* )
+  | (?P<ARROW>   -> | → )
+  | (?P<ALIAS>   [∀λ] )
+  | (?P<COLONEQ> := )
+  | (?P<LPAREN>  \( )
+  | (?P<RPAREN>  \) )
+  | (?P<COLON>   : )
+  | (?P<COMMA>   , )
+  | (?P<DOT>     \. )
+  | (?P<NAME>    [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<ERROR>   . )
+""", re.VERBOSE)
 
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and src[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            advance()
+    line, line_start = 1, 0  # line_start: offset of the current line's first char
+    for m in _TOKEN_RE.finditer(src):
+        kind, value = m.lastgroup, m.group()
+        if kind == "SKIP":
+            newline = value.rfind("\n")
+            if newline >= 0:
+                line += value.count("\n")
+                line_start = m.start() + newline + 1
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if c == "#":
-            j = i + 1
-            while j < n and _is_name_char(src[j]):
-                j += 1
-            word = src[i:j]
-            if word not in ("#check", "#reduce"):
-                raise ParseError(f"unknown pragma {word!r}", start_line, start_col)
-            toks.append(Token("PRAGMA", word, start_line, start_col))
-            advance(j - i)
-            continue
-        if src.startswith("->", i) or c == "→":
-            width = 2 if src.startswith("->", i) else 1
-            toks.append(Token("ARROW", "->", start_line, start_col))
-            advance(width)
-            continue
-        if src.startswith(":=", i):
-            toks.append(Token("COLONEQ", ":=", start_line, start_col))
-            advance(2)
-            continue
-        if c in _ALIASES:
-            toks.append(Token("KEYWORD", _ALIASES[c], start_line, start_col))
-            advance()
-            continue
-        simple = {"(": "LPAREN", ")": "RPAREN", ":": "COLON", ",": "COMMA", ".": "DOT"}
-        if c in simple:
-            toks.append(Token(simple[c], c, start_line, start_col))
-            advance()
-            continue
-        if _is_name_start(c):
-            j = i
-            while j < n and _is_name_char(src[j]):
-                j += 1
-            word = src[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            toks.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
-    toks.append(Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "NAME":
+            if value in KEYWORDS:
+                kind = "KEYWORD"
+        elif kind == "ALIAS":
+            kind, value = "KEYWORD", _ALIASES[value]
+        elif kind == "ARROW":
+            value = "->"
+        elif kind == "PRAGMA":
+            if value not in ("#check", "#reduce"):
+                raise ParseError(f"unknown pragma {value!r}", line, col)
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        toks.append(Token(kind, value, line, col))
+    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
     return toks
 
 

@@ -61,6 +61,33 @@ def test_deep_nesting_exits_5_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _church_numeral(k):
+    return "fun (A : Prop), fun (s : A -> A), fun (z : A), " + \
+        "s (" * k + "z" + ")" * k
+
+
+def test_deep_normal_form_names_declaration(tmp_path):
+    # the normal form of exp 2 10 is about 1,030 deep: the recursive
+    # normalizer overflows inside the #reduce pragma, declaration 4
+    nat = "forall (A : Prop), (A -> A) -> A -> A"
+    src = tmp_path / "exp.itt"
+    src.write_text(
+        f"def Nat : Prop := {nat}.\n"
+        f"def base : Nat := {_church_numeral(2)}.\n"
+        f"def power : Nat := {_church_numeral(10)}.\n"
+        "def exp : Nat -> Nat -> Nat := fun (m : Nat), fun (n : Nat),"
+        " fun (A : Prop), n (A -> A) (m A).\n"
+        "#reduce exp base power.\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "itt", "reduce", str(src)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 5
+    assert "input nested too deeply: declaration 4 (PragmaReduce): " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_env_var_sets_fuel(capsys, monkeypatch):
     monkeypatch.setenv("ITT_MAX_STEPS", "5")
     assert main(["reduce", CHURCH]) == 3

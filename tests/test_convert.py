@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
 
 from itt import (
     PROP,
     App, Cast, Eq, Fuel, FuelExhausted, Global, Lam, SortT, Var,
-    convert, elaborate, is_proposition, load_example, parse_term,
+    convert, elaborate, is_proposition, load_example, parse_program,
+    parse_term,
 )
+from itt.syntax import CHILDREN
+from term_strategies import GLOBAL_POOL, open_terms
 
 
 def _env(name, **flags):
@@ -119,3 +125,39 @@ def test_fuel_exhaustion_propagates():
     rhs = parse_term("Bot -> Bot", env.names())
     with pytest.raises(FuelExhausted):
         convert(env, (), lhs, rhs, rules=rules, budget=Fuel(1))
+
+
+def test_reflexive_query_costs_one_unit():
+    env, rules = _env("sanity-casts")
+    # the cast fires and the payload unfolds, but the same object needs neither
+    t = parse_term("cast Top Top top_eq top_value", env.names())
+    budget = Fuel(1)
+    assert convert(env, (), t, t, rules=rules, budget=budget)
+    assert budget.remaining == 0
+
+
+_POOL_ENV, _ = elaborate(parse_program(
+    "axiom g0 : Prop.\n"
+    "def g1 : Prop := forall (A : Prop), A.\n"
+    "def g2 : Prop -> Prop := fun (A : Prop), A -> A.\n"))
+assert _POOL_ENV.names() == GLOBAL_POOL
+
+
+def _copy(t):
+    """A structural copy of ``t`` that shares no node with it."""
+    return dataclasses.replace(
+        t, **{f: _copy(getattr(t, f)) for f, _ in CHILDREN[type(t)]})
+
+
+@settings(max_examples=300)
+@given(open_terms)
+def test_reflexive_on_distinct_copies(t):
+    # the copy shares no node with t, so the identity shortcut cannot answer
+    # and the structural path must be reflexive on its own
+    copy = _copy(t)
+    assert copy == t and copy is not t
+    ctx = (SortT(PROP),) * 3
+    try:
+        assert convert(_POOL_ENV, ctx, t, copy, budget=Fuel(500))
+    except FuelExhausted:
+        pass

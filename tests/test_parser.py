@@ -8,6 +8,7 @@ from itt import (
     App, Assume, Def, Global, Lam, ParseError, Pi, PragmaCheck, PragmaReduce,
     SortT, Var, alpha_eq, load_example, parse_program, parse_term, pretty,
 )
+from itt.parser import tokenize
 from term_strategies import GLOBAL_POOL, closed_terms
 
 
@@ -57,15 +58,65 @@ def test_primitive_forms_saturate_then_apply():
 def test_unbound_identifier_reports_position():
     with pytest.raises(ParseError) as err:
         parse_term("forall (A : Prop), B")
-    assert err.value.line == 1
-    assert 1 <= err.value.col <= len("forall (A : Prop), B") + 1
+    assert (err.value.line, err.value.col) == (1, 20)
     assert "B" in str(err.value)
 
 
 def test_lexical_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_term("forall @ (A : Prop)")
-    assert err.value.line == 1
+    assert (err.value.line, err.value.col) == (1, 8)
+
+
+def test_token_stream_is_pinned():
+    src = ("-- Church numerals\r\n"
+           "def id:∀ (A : Prop), A → A:=\r\n"
+           "\tλ (A : Prop), fun (a : A), a.\n"
+           "#check id -- trailing\n"
+           " axiom x_1 : Prop->Prop.\n")
+    got = [(t.kind, t.value, t.line, t.col) for t in tokenize(src)]
+    assert got == [
+        ("KEYWORD", "def", 2, 1), ("NAME", "id", 2, 5), ("COLON", ":", 2, 7),
+        ("KEYWORD", "forall", 2, 8), ("LPAREN", "(", 2, 10),
+        ("NAME", "A", 2, 11), ("COLON", ":", 2, 13),
+        ("KEYWORD", "Prop", 2, 15), ("RPAREN", ")", 2, 19),
+        ("COMMA", ",", 2, 20), ("NAME", "A", 2, 22), ("ARROW", "->", 2, 24),
+        ("NAME", "A", 2, 26), ("COLONEQ", ":=", 2, 27),
+        ("KEYWORD", "fun", 3, 2), ("LPAREN", "(", 3, 4), ("NAME", "A", 3, 5),
+        ("COLON", ":", 3, 7), ("KEYWORD", "Prop", 3, 9),
+        ("RPAREN", ")", 3, 13), ("COMMA", ",", 3, 14),
+        ("KEYWORD", "fun", 3, 16), ("LPAREN", "(", 3, 20),
+        ("NAME", "a", 3, 21), ("COLON", ":", 3, 23), ("NAME", "A", 3, 25),
+        ("RPAREN", ")", 3, 26), ("COMMA", ",", 3, 27), ("NAME", "a", 3, 29),
+        ("DOT", ".", 3, 30),
+        ("PRAGMA", "#check", 4, 1), ("NAME", "id", 4, 8),
+        ("KEYWORD", "axiom", 5, 2), ("NAME", "x_1", 5, 8),
+        ("COLON", ":", 5, 12), ("KEYWORD", "Prop", 5, 14),
+        ("ARROW", "->", 5, 18), ("KEYWORD", "Prop", 5, 20),
+        ("DOT", ".", 5, 24),
+        ("EOF", "", 6, 1),
+    ]
+    assert [(t.kind, t.line, t.col) for t in tokenize("a\r\nb")] == [
+        ("NAME", 1, 1), ("NAME", 2, 1), ("EOF", 2, 2)]
+    assert [(t.kind, t.value) for t in tokenize("x-->y")] == [
+        ("NAME", "x"), ("EOF", "")]
+
+
+@pytest.mark.parametrize("src, message, line, col", [
+    ("$", "unexpected character '$'", 1, 1),
+    ("#foo", "unknown pragma '#foo'", 1, 1),
+    ("#check2 Prop.", "unknown pragma '#check2'", 1, 1),
+    ("#", "unknown pragma '#'", 1, 1),
+    ("é", "unexpected character 'é'", 1, 1),
+    ("def aé", "unexpected character 'é'", 1, 6),
+    ("def x := Prop -\n", "unexpected character '-'", 1, 15),
+    ("-- note\n  def é", "unexpected character 'é'", 2, 7),
+    ("#check\n  -- c\n x $", "unexpected character '$'", 3, 4),
+])
+def test_lexical_errors_are_pinned(src, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
 @pytest.mark.parametrize("src", [
