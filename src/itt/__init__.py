@@ -29,7 +29,7 @@ from .reduce import (
     head_step, normalize, reduce_with, replay_trace, step, trace_to_json_lines,
     trace_to_text, whnf, whnf_term,
 )
-from .convert import convert, is_proposition
+from .convert import ConversionCycle, convert, is_proposition
 from .typecheck import (
     JDisabledError, PragmaResult, TypeCheckError,
     check, closed_over_axioms, elaborate, infer,

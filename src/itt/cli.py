@@ -5,10 +5,12 @@
     itt corpus [--case NAME] [...]   run the embedded example suite
 
 Exit codes: 0 success / all NormalForm / expectations met; 1 parse or type
-error; 2 usage error; 3 fuel exhaustion; 4 a detected cycle (dominates 3);
-5 input nested too deeply for the recursive parser, checker or reducer;
-70 internal invariant violation.  ITT_MAX_STEPS overrides the default step
-budget; an explicit --max-steps wins over the environment.
+error; 2 usage error; 3 fuel exhaustion; 4 a detected cycle (dominates 3):
+a CycleDetected trace, or a conversion whose unfolding repeats while
+checking, e.g. `conversion cycle: declaration 8 (bad): unfolding repeats with
+period 2`; 5 input nested too deeply for the recursive parser, checker or
+reducer; 70 internal invariant violation.  ITT_MAX_STEPS overrides the
+default step budget; an explicit --max-steps wins over the environment.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
+from .convert import ConversionCycle
 from .parser import ParseError, parse_program
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, trace_to_json_lines, trace_to_text,
@@ -188,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except TypeCheckError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except ConversionCycle as exc:
+        print(f"conversion cycle: {exc}", file=sys.stderr)
+        return EXIT_CYCLE
     except FuelExhausted as exc:
         print(f"fuel exhausted: {exc}", file=sys.stderr)
         return EXIT_FUEL

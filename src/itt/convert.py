@@ -13,6 +13,12 @@ same object) costs exactly that unit: it is answered before any reduction.
 Otherwise weak-head forms are compared, with incremental unfolding: a global
 unfolds only when the heads disagree (or agree but their parts do not),
 which keeps comparisons close to the named forms they started from.
+
+Unfolding can loop, since this theory does not normalize.  A pair of
+weak-head forms equal to an earlier pair raises ConversionCycle, a
+FuelExhausted that gives the period; the check spends no fuel.  While
+checking, ``itt`` reports it with exit code 4, e.g. ``conversion cycle:
+declaration 8 (bad): unfolding repeats with period 2``.
 """
 
 from __future__ import annotations
@@ -24,11 +30,23 @@ from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet  # re-exported
 from .syntax import (
     PROP,
     App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    unwind_apps,
+    alpha_eq, unwind_apps,
 )
 
-__all__ = ["convert", "is_proposition", "RuleSet", "Fuel", "FuelExhausted",
-           "DEFAULT_RULES"]
+__all__ = ["convert", "is_proposition", "ConversionCycle", "RuleSet", "Fuel",
+           "FuelExhausted", "DEFAULT_RULES"]
+
+
+class ConversionCycle(FuelExhausted):
+    """A conversion query whose unfolding states repeat.
+
+    Its loop would spend any budget, so it is a FuelExhausted found early;
+    ``period`` is the number of unfoldings between the two equal states.
+    """
+
+    def __init__(self, period: int) -> None:
+        super().__init__(f"unfolding repeats with period {period}")
+        self.period = period
 
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, rules: RuleSet,
@@ -59,18 +77,25 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             pass  # ill-typed annotation on an untyped reduction; gate skipped
     w1 = _reduce.whnf_term(env, ctx, t1, rules, budget, unfold_heads=False)
     w2 = _reduce.whnf_term(env, ctx, t2, rules, budget, unfold_heads=False)
+    # Brent's cycle check: the next state depends only on (w1, w2), so a
+    # state equal to the one saved at the last power of two never returns.
+    saved, power, period = (w1, w2), 1, 0
     while True:
         if type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, rules, budget):
             return True
         u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
         if u1 is not None:
             w1 = _reduce.whnf_term(env, ctx, u1, rules, budget, unfold_heads=False)
-            continue
-        u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
-        if u2 is not None:
+        else:
+            u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
+            if u2 is None:
+                return False
             w2 = _reduce.whnf_term(env, ctx, u2, rules, budget, unfold_heads=False)
-            continue
-        return False
+        period += 1
+        if alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1]):
+            raise ConversionCycle(period)
+        if period == power:
+            saved, power, period = (w1, w2), 2 * power, 0
 
 
 def _parts_convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .syntax import (
     KIND, PROP, TYPE,
@@ -91,8 +91,7 @@ KEYWORDS = {"def", "axiom", "assume", "forall", "fun", *_ATOM_KEYWORDS}
 _ALIASES = {"∀": "forall", "λ": "fun"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME KEYWORD PRAGMA LPAREN RPAREN COLON COLONEQ COMMA DOT ARROW EOF
     value: str
     line: int
@@ -266,10 +265,19 @@ def parse_term(src: str, scope: Iterable[str] = ()) -> Term:
 
 
 def parse_program(src: str) -> Program:
-    toks = tokenize(src)
+    """Parse a whole program.  A RecursionError from input nested too deeply
+    is re-raised with the ``line:col`` of the token the parser had reached."""
+    p = _Parser(tokenize(src), ())
+    try:
+        return _parse_declarations(p)
+    except RecursionError as exc:
+        exc.args = (f"{p.cur.line}:{p.cur.col}: {exc}",)
+        raise
+
+
+def _parse_declarations(p: _Parser) -> Program:
     decls: list[Declaration] = []
     names: set[str] = set()
-    p = _Parser(toks, ())
     p.globals = names  # live alias: each declaration extends the scope
     while p.cur.kind != "EOF":
         tok = p.cur

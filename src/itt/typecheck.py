@@ -198,9 +198,9 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
     """Process declarations in order against a growing global environment.
 
     Each declaration gets a fresh budget of ``rules.fuel`` steps.  The first
-    failing declaration aborts with its TypeCheckError, FuelExhausted or
-    RecursionError, of the same class and with the message prefixed by its
-    index and name.
+    failing declaration aborts with its TypeCheckError, FuelExhausted (a
+    ConversionCycle among them) or RecursionError, re-raised with the message
+    prefixed by its index and name.
     """
     env = GlobalEnv()
     results: list[PragmaResult] = []
@@ -234,7 +234,8 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                         results.append(PragmaResult("reduce", term, trace=trace))
         except (TypeCheckError, FuelExhausted, RecursionError) as exc:
             name = getattr(decl, "name", type(decl).__name__)
-            raise type(exc)(f"declaration {index} ({name}): {exc}") from exc
+            exc.args = (f"declaration {index} ({name}): {exc}",)
+            raise
     return env, results
 
 

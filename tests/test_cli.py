@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from itt import alpha_eq, elaborate, load_example, parse_term
@@ -48,16 +50,23 @@ def test_fuel_exhaustion_while_checking_names_declaration(capsys):
     assert "fuel exhausted: declaration 3 (delta): step budget exhausted" in err
 
 
-def test_deep_nesting_exits_5_without_traceback(tmp_path):
-    deep = tmp_path / "deep.itt"
-    deep.write_text("#check " + "(" * 400 + "Prop" + ")" * 400 + ".\n")
+def _run_itt(*args):
+    """``python -m itt args`` in a subprocess, on this checkout's kernel."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "itt", "check", str(deep)],
+    return subprocess.run([sys.executable, "-m", "itt", *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_deep_nesting_exits_5_without_traceback(tmp_path):
+    deep = tmp_path / "deep.itt"
+    deep.write_text("#check " + "(" * 400 + "Prop" + ")" * 400 + ".\n")
+    proc = _run_itt("check", str(deep))
     assert proc.returncode == 5
-    assert "input nested too deeply" in proc.stderr
+    # the position is that of the parenthesis the parser had reached
+    m = re.search(r"input nested too deeply: 1:(\d+): ", proc.stderr)
+    assert m and 8 <= int(m.group(1)) <= 407
     assert "Traceback" not in proc.stderr
 
 
@@ -78,14 +87,47 @@ def test_deep_normal_form_names_declaration(tmp_path):
         "def exp : Nat -> Nat -> Nat := fun (m : Nat), fun (n : Nat),"
         " fun (A : Prop), n (A -> A) (m A).\n"
         "#reduce exp base power.\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"),
-         os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "itt", "reduce", str(src)],
-                          capture_output=True, text=True, env=env)
+    proc = _run_itt("reduce", str(src))
     assert proc.returncode == 5
     assert "input nested too deeply: declaration 4 (PragmaReduce): " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_CE2_DEFS = "\n".join(
+    line for line in load_example("counterexample2").source.splitlines()
+    if not line.startswith("#"))
+_G = """
+axiom G : Top -> Prop.
+"""
+_I = "(fun (A : Prop), fun (a : A), a)"
+
+
+def test_conversion_cycle_while_checking_exits_4(tmp_path):
+    src = tmp_path / "bad.itt"
+    src.write_text(_CE2_DEFS + _G + f"axiom g : G {_I}.\n"
+                   "def bad : G Omega := g.\n")
+    start = time.perf_counter()
+    proc = _run_itt("check", str(src))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 4
+    assert proc.stderr == ("conversion cycle: declaration 8 (bad): "
+                           "unfolding repeats with period 2\n")
+    # found after a few units of fuel, not by spending the default 100,000
+    assert elapsed < 1.0
+
+
+def test_reduce_whose_cast_condition_loops_exits_3(capsys, tmp_path):
+    # the conversion cycle happens inside a reduction step, so it ends the
+    # trace as FuelExhausted rather than failing the whole run
+    src = tmp_path / "loop.itt"
+    src.write_text(_CE2_DEFS + _G
+                   + f"axiom p : Eq Prop (G Omega) (G {_I}).\n"
+                   "axiom x : G Omega.\n"
+                   f"#reduce cast (G Omega) (G {_I}) p x.\n")
+    assert main(["reduce", str(src)]) == 3
+    assert capsys.readouterr().out == "STATUS FuelExhausted\n"
+    assert main(["reduce", str(src), "--trace", "json"]) == 3
+    assert capsys.readouterr().out == "STATUS FuelExhausted\n"
 
 
 def test_env_var_sets_fuel(capsys, monkeypatch):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from itt import (
-    PROP,
-    App, Cast, Eq, Fuel, FuelExhausted, Global, Lam, SortT, Var,
-    convert, elaborate, is_proposition, load_example, parse_program,
-    parse_term,
+    DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
+    App, Cast, ConversionCycle, Eq, Fuel, FuelExhausted, Global, Lam, RuleSet,
+    SortT, Var,
+    convert, elaborate, is_proposition, load_example, normalize,
+    parse_program, parse_term,
 )
 from itt.syntax import CHILDREN
 from term_strategies import GLOBAL_POOL, open_terms
@@ -161,3 +162,52 @@ def test_reflexive_on_distinct_copies(t):
         assert convert(_POOL_ENV, ctx, t, copy, budget=Fuel(500))
     except FuelExhausted:
         pass
+
+
+# counterexample2 without its pragmas (declarations 0-5), then a predicate on
+# Top whose argument must convert with Omega: declarations 6-8
+_CE2_DEFS = "\n".join(
+    line for line in load_example("counterexample2").source.splitlines()
+    if not line.startswith("#"))
+_G = """
+axiom G : Top -> Prop.
+"""
+_I = "(fun (A : Prop), fun (a : A), a)"
+
+
+def test_divergent_conversion_is_a_detected_cycle():
+    # Omega unfolds back to itself inside convert, so no budget suffices; the
+    # detector reports that before 100 units are spent, where a plain
+    # FuelExhausted would mean the budget simply ran out
+    program = parse_program(_CE2_DEFS + _G + f"axiom g : G {_I}.\n"
+                            "def bad : G Omega := g.\n")
+    with pytest.raises(ConversionCycle, match=r"^declaration 8 \(bad\): ") as info:
+        elaborate(program, RuleSet(fuel=100))
+    assert isinstance(info.value, FuelExhausted)
+    assert info.value.period == 2
+    assert "period 2" in str(info.value)
+
+
+def test_cast_whose_side_condition_loops_exhausts_the_reduction():
+    # the cast's endpoints only convert if Omega does: the trace ends as
+    # FuelExhausted, with no step, long before its budget is spent
+    env, _ = elaborate(parse_program(
+        _CE2_DEFS + _G + f"axiom p : Eq Prop (G Omega) (G {_I}).\n"
+        "axiom x : G Omega.\n"))
+    term = parse_term(f"cast (G Omega) (G {_I}) p x", env.names())
+    budget = Fuel(DEFAULT_FUEL)
+    trace = normalize(env, (), term, RuleSet(), budget)
+    assert trace.status == FUEL_EXHAUSTED and trace.steps == []
+    assert budget.remaining > DEFAULT_FUEL - 100
+
+
+def test_long_alias_chain_is_not_a_cycle():
+    # 300 distinct unfolding states in a row; the budget pays 1 for the
+    # query and 1 per unfolding, and nothing for the cycle check
+    src = "def T0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
+        f"def T{k} : Prop := T{k - 1}.\n" for k in range(1, 301))
+    env, _ = elaborate(parse_program(src))
+    budget = Fuel(DEFAULT_FUEL)
+    assert convert(env, (), Global("T300"), Global("T0"), budget=budget)
+    assert budget.remaining == DEFAULT_FUEL - 301
+    assert convert(env, (), Global("T0"), Global("T300"))
