@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Print the observable contract of ``itt``: every output and exit code.
+
+The dump covers every demo, ``itt corpus``, and ``itt check`` and ``itt
+reduce`` on every corpus file, each command under the rule flag sets below;
+``reduce`` runs under both strategies and both trace formats, once with the
+default budget and once with ``--max-steps 50``.  Every command runs in
+process through ``itt.cli.main``.  Two trees behave the same exactly when
+their dumps are byte-identical:
+
+    python3 scripts/contract_dump.py > before.txt   # in one checkout
+    python3 scripts/contract_dump.py > after.txt    # in the other
+    cmp before.txt after.txt
+
+The script exits 1 if a command raises a Python exception, exits 70
+(an internal invariant violation), or exits with a code that the README's
+exit-code table does not list.  Run it from any directory; it uses the
+``src/`` tree next to it and ignores ``ITT_MAX_STEPS``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import runpy
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from itt.cli import main as itt_main  # noqa: E402
+
+FLAG_SETS = (
+    [],
+    ["--no-cast-rule"],
+    ["--no-cast-rule", "--no-eqrec-rule"],
+    ["--no-proof-irrelevance"],
+    ["--enable-j"],
+)
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5}  # README table, less 70 (internal)
+
+
+def _run(label: str, call) -> bool:
+    """Print ``label``, the output of ``call()`` and its exit code; True iff
+    the outcome is a documented one."""
+    out, err = io.StringIO(), io.StringIO()
+    code, raised = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except Exception as exc:  # reported below, and fails the run
+            raised = traceback.format_exception_only(type(exc), exc)[-1].strip()
+            full = traceback.format_exc()
+    if raised is not None:
+        print(full, file=sys.stderr, end="")
+    print(f"$ {label}")
+    print(out.getvalue(), end="")
+    for line in err.getvalue().splitlines():
+        print(f"stderr: {line}")
+    if raised is not None:
+        print(f"raised: {raised}")
+        return False
+    print(f"exit {code}")
+    return code in DOCUMENTED_EXITS
+
+
+def _demo(path: Path):
+    def call() -> int:
+        runpy.run_path(str(path), run_name="__main__")
+        return 0
+    return call
+
+
+def main() -> int:
+    os.environ.pop("ITT_MAX_STEPS", None)
+    ok = True
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        ok &= _run(f"python demos/{demo.name}", _demo(demo))
+    examples = sorted((ROOT / "src/itt/corpus/examples").glob("*.itt"))
+    for flags in FLAG_SETS:
+        argvs = [["corpus", *flags]]
+        for example in examples:
+            path = str(example.relative_to(ROOT))
+            argvs.append(["check", path, *flags])
+            for budget in ([], ["--max-steps", "50"]):
+                for strategy in ("whnf", "nf"):
+                    for trace in ("text", "json"):
+                        argvs.append(["reduce", path, "--strategy", strategy,
+                                      "--trace", trace, *budget, *flags])
+        for argv in argvs:
+            ok &= _run("itt " + " ".join(argv), lambda argv=argv: itt_main(argv))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    raise SystemExit(main())

@@ -1,12 +1,11 @@
-"""Type-directed definitional equality with optional proof irrelevance.
+"""Definitional equality with optional proof irrelevance.
 
-With proof irrelevance on, two terms sharing a known type that is a
-proposition are convertible without being compared at all: the checker never
-inspects proof shapes, only whether endpoints agree.  The common type is
-threaded where it is cheaply available (the equality/coercion node fields,
-and top-level calls from typing rules); elsewhere comparison is structural.
-That approximation is deliberate: full typed conversion would have to carry
-types through every position, and nothing here requires it.
+With proof irrelevance on, the fields that the typing rules fix as proofs of
+a proposition are never compared: the proof and the value of ``cast A B e
+x``, the proof of ``Eq_rec T P a b x e``, and the value of ``J A B x`` (the
+table ``PROOF_FIELDS``).  Every other position is compared structurally,
+including proofs passed elsewhere, such as application arguments; typed
+irrelevance there is future work (ROADMAP item 2).
 
 Every query spends one unit of fuel, and a query of a term with itself (the
 same object) costs exactly that unit: it is answered before any reduction.
@@ -28,9 +27,7 @@ from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet  # re-exported
 from .syntax import (
-    PROP,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    alpha_eq, unwind_apps,
+    CHILDREN, PROP, Cast, EqRec, J, SortT, Term, alpha_eq, unwind_apps,
 )
 
 __all__ = ["convert", "is_proposition", "ConversionCycle", "RuleSet", "Fuel",
@@ -51,13 +48,16 @@ class ConversionCycle(FuelExhausted):
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, rules: RuleSet,
                    budget: Fuel) -> bool:
-    """True iff the type of ``type_`` weak-head reduces to the sort Prop."""
+    """True iff the type of ``type_`` weak-head reduces to the sort Prop.
+
+    Conversion does not call it: it is the reference that ``PROOF_FIELDS``
+    is tested against, and a building block for typed irrelevance.
+    """
     ty = _typecheck.infer(env, ctx, type_, rules, budget)
     return _reduce.whnf_term(env, ctx, ty, rules, budget) == SortT(PROP)
 
 
 def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
-            common_type: Term | None = None,
             rules: RuleSet = DEFAULT_RULES, budget: Fuel | None = None) -> bool:
     """Definitional equality under the active rules.
 
@@ -69,12 +69,6 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     budget.spend()  # conversion queries consume the shared budget
     if t1 is t2:  # identity, not ==: dataclass == recurses and costs O(size)
         return True
-    if rules.proof_irrelevance and common_type is not None:
-        try:
-            if is_proposition(env, ctx, common_type, rules, budget):
-                return True
-        except _typecheck.TypeCheckError:
-            pass  # ill-typed annotation on an untyped reduction; gate skipped
     w1 = _reduce.whnf_term(env, ctx, t1, rules, budget, unfold_heads=False)
     w2 = _reduce.whnf_term(env, ctx, t2, rules, budget, unfold_heads=False)
     # Brent's cycle check: the next state depends only on (w1, w2), so a
@@ -98,40 +92,29 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             saved, power, period = (w1, w2), 2 * power, 0
 
 
+# The fields whose type is a proposition, by the typing rules of
+# ``itt.typecheck`` (every Eq-type is a Prop): in ``cast A B e x``,
+# e : Eq Prop A B and x : A with A : Prop; in ``Eq_rec T P a b x e``,
+# e : Eq T a b; in ``J A B x``, x : A with A : Prop.  Any two proofs of a
+# proposition are equal, so with proof irrelevance on these fields are not
+# compared.
+PROOF_FIELDS: dict[type, tuple[str, ...]] = {
+    Cast: ("proof", "val"), EqRec: ("proof",), J: ("val",),
+}
+
+
 def _parts_convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
                    rules: RuleSet, budget: Fuel) -> bool:
-    def conv(a: Term, b: Term, common: Term | None = None,
-             in_ctx: Context = ctx) -> bool:
-        return convert(env, in_ctx, a, b, common, rules, budget)
-
-    match t1, t2:
-        case Var(i), Var(j):
-            return i == j
-        case SortT(s1), SortT(s2):
-            return s1 == s2
-        case Global(n1), Global(n2):
-            return n1 == n2
-        case Pi(d1, c1), Pi(d2, c2):
-            inner = ctx_extend(ctx, d1)
-            return conv(d1, d2) and conv(c1, c2, in_ctx=inner)
-        case Lam(d1, b1), Lam(d2, b2):
-            inner = ctx_extend(ctx, d1)
-            return conv(d1, d2) and conv(b1, b2, in_ctx=inner)
-        case App(f1, a1), App(f2, a2):
-            return conv(f1, f2) and conv(a1, a2)
-        case Eq(ty1, l1, r1), Eq(ty2, l2, r2):
-            return conv(ty1, ty2) and conv(l1, l2, ty1) and conv(r1, r2, ty1)
-        case Refl(ty1, v1), Refl(ty2, v2):
-            return conv(ty1, ty2) and conv(v1, v2, ty1)
-        case EqRec(ty1, p1, l1, r1, b1, e1), EqRec(ty2, p2, l2, r2, b2, e2):
-            return (conv(ty1, ty2) and conv(p1, p2)
-                    and conv(l1, l2, ty1) and conv(r1, r2, ty1)
-                    and conv(b1, b2, App(p1, l1))
-                    and conv(e1, e2, Eq(ty1, l1, r1)))
-        case Cast(s1, d1, e1, v1), Cast(s2, d2, e2, v2):
-            return (conv(s1, s2) and conv(d1, d2)
-                    and conv(e1, e2, Eq(SortT(PROP), s1, d1))
-                    and conv(v1, v2, s1))
-        case J(s1, d1, v1), J(s2, d2, v2):
-            return conv(s1, s2) and conv(d1, d2) and conv(v1, v2, s1)
-    return False
+    """Do two nodes of the same class agree field by field?"""
+    children = CHILDREN[type(t1)]
+    if not children:  # Var, SortT or Global: compare the payload
+        return t1 == t2
+    skip = PROOF_FIELDS.get(type(t1), ()) if rules.proof_irrelevance else ()
+    for attr, under in children:
+        if attr in skip:
+            continue
+        inner = ctx_extend(ctx, t1.domain) if under else ctx
+        if not convert(env, inner, getattr(t1, attr), getattr(t2, attr),
+                       rules, budget):
+            return False
+    return True

@@ -34,10 +34,8 @@ class EnvEntry:
 class GlobalEnv:
     """Ordered global declarations; immutable once elaboration finishes."""
 
-    def __init__(self, entries: Iterator[EnvEntry] | None = None) -> None:
+    def __init__(self) -> None:
         self._entries: dict[str, EnvEntry] = {}
-        for e in entries or ():
-            self.add(e)
 
     def add(self, entry: EnvEntry) -> None:
         if entry.name in self._entries:

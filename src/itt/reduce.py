@@ -31,8 +31,7 @@ from . import convert as _convert
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import Fuel, FuelExhausted, RuleSet
 from .syntax import (
-    PROP,
-    CHILDREN, Cast, EqRec, Global, J, Lam, SortT, Term,
+    CHILDREN, Cast, EqRec, Global, J, Lam, Term,
     alpha_eq, build_apps, canonical_key, pretty, subst, unwind_apps,
 )
 
@@ -158,13 +157,11 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             budget.spend()
             return build_apps(subst(body, 0, args[0]), args[1:]), BETA
         case Cast(src, dst, _, val) if rules.cast_rule:
-            if _convert.convert(env, ctx, src, dst, common_type=SortT(PROP),
-                                rules=rules, budget=budget):
+            if _convert.convert(env, ctx, src, dst, rules=rules, budget=budget):
                 budget.spend()
                 return build_apps(val, args), CAST_FIRE
-        case EqRec(ty, _, lhs, rhs, base, _) if rules.eqrec_rule:
-            if _convert.convert(env, ctx, lhs, rhs, common_type=ty,
-                                rules=rules, budget=budget):
+        case EqRec(_, _, lhs, rhs, base, _) if rules.eqrec_rule:
+            if _convert.convert(env, ctx, lhs, rhs, rules=rules, budget=budget):
                 budget.spend()
                 return build_apps(base, args), EQREC_FIRE
         case J(src, dst, val) if rules.j_rule:

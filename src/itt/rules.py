@@ -26,8 +26,8 @@ class FuelExhausted(Exception):
 class Fuel:
     remaining: int
 
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise FuelExhausted("step budget exhausted")
 

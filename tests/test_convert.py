@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from itt import (
-    DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
-    App, Cast, ConversionCycle, Eq, Fuel, FuelExhausted, Global, Lam, RuleSet,
-    SortT, Var,
-    convert, elaborate, is_proposition, load_example, normalize,
-    parse_program, parse_term,
+    CASE_NAMES, DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
+    App, Cast, ConversionCycle, Eq, EqRec, Fuel, FuelExhausted, Global, J, Lam,
+    PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
+    convert, ctx_extend, elaborate, infer, is_proposition, load_example,
+    normalize, parse_program, parse_term,
 )
+from itt.convert import PROOF_FIELDS
 from itt.syntax import CHILDREN
 from term_strategies import GLOBAL_POOL, open_terms
 
@@ -40,18 +41,126 @@ def test_unfolding_settles_neg_bot():
     assert convert(env, (), lhs, rhs, rules=rules)
 
 
+_IRRELEVANCE_SRC = """
+def Bot : Prop := forall (A : Prop), A.
+def Top : Prop := forall (A : Prop), A -> A.
+axiom e1 : Eq Prop Top Bot.
+axiom e2 : Eq Prop Top Bot.
+axiom x1 : Top.
+axiom x2 : Top.
+"""
+
+
 def test_proof_irrelevance_identifies_proofs():
-    env, rules = _env("counterexample1")
+    # each eliminator is stuck (Top and Bot do not convert), so the pair is
+    # compared field by field; the pairs differ only in a proof field
+    rules = RuleSet(j_rule=True)
+    env, _ = elaborate(parse_program(_IRRELEVANCE_SRC), rules)
     scope = env.names()
-    p = parse_term("h Top Top", scope)
-    q = parse_term("refl Prop Top", scope)
-    common = parse_term("Eq Prop Top Top", scope)
-    assert convert(env, (), p, q, common, rules)
-    # without the common type the shapes disagree
-    assert not convert(env, (), p, q, rules=rules)
-    # with irrelevance off, nothing identifies them
+    motive = "(fun (X : Prop), Prop)"
+    pairs = [
+        ("cast Top Bot e1 x1", "cast Top Bot e2 x2"),
+        (f"Eq_rec Prop {motive} Top Bot Top e1",
+         f"Eq_rec Prop {motive} Top Bot Top e2"),
+        ("J Top Bot x1", "J Top Bot x2"),
+    ]
     off = rules.updated(proof_irrelevance=False)
-    assert not convert(env, (), p, q, common, off)
+    for a, b in pairs:
+        p, q = parse_term(a, scope), parse_term(b, scope)
+        assert convert(env, (), p, q, rules=rules), a
+        assert not convert(env, (), p, q, rules=off), a
+    # refl's value and the sides of Eq are not proofs: compared either way
+    never = [
+        ("refl Prop Top", "refl Prop Bot"),
+        ("Eq Prop Top Bot", "Eq Prop Bot Bot"),
+        ("Eq Prop Top Top", "Eq Prop Top Bot"),
+    ]
+    for a, b in never:
+        p, q = parse_term(a, scope), parse_term(b, scope)
+        assert not convert(env, (), p, q, rules=rules), a
+        assert not convert(env, (), p, q, rules=off), a
+
+
+# The fields of each primitive that hold an element of a type.  The others
+# (carriers, cast and J endpoints, the Eq_rec motive) are types or type
+# families, never proofs (and is_proposition rejects a motive: its type,
+# T -> Type, has no sort).
+_ASKED = {
+    Eq: ("lhs", "rhs"), Refl: ("val",), EqRec: ("lhs", "rhs", "base", "proof"),
+    Cast: ("proof", "val"), J: ("val",),
+}
+
+# Each primitive under binders, so the walk also checks open subterms.
+_PRIMITIVES_SRC = _IRRELEVANCE_SRC + """
+def coe : forall (A : Prop), forall (B : Prop), Eq Prop A B -> A -> B :=
+  fun (A : Prop), fun (B : Prop), fun (e : Eq Prop A B), fun (x : A),
+  cast A B e x.
+def tr : forall (A : Prop), forall (B : Prop), Eq Prop A B -> Prop :=
+  fun (A : Prop), fun (B : Prop), fun (e : Eq Prop A B),
+  Eq_rec Prop (fun (X : Prop), Prop) A B A e.
+def jay : forall (A : Prop), A -> A := fun (A : Prop), fun (x : A), J A A x.
+def r : forall (A : Prop), Eq Prop A A := fun (A : Prop), refl Prop A.
+"""
+
+
+def _programs():
+    """(env, rules, root terms) of each corpus program, then of one more."""
+    for name in CASE_NAMES:
+        case = load_example(name)
+        env, _ = elaborate(case.program, case.rules, run_reduce=False)
+        pragmas = [d.term for d in case.program.declarations
+                   if isinstance(d, (PragmaCheck, PragmaReduce))]
+        yield env, case.rules, _roots(env) + pragmas
+    rules = RuleSet(j_rule=True)
+    env, _ = elaborate(parse_program(_PRIMITIVES_SRC), rules)
+    yield env, rules, _roots(env)
+
+
+def _roots(env):
+    return [e.type_ for e in env] + [e.body for e in env if e.body is not None]
+
+
+def _in_context(t):
+    """Every subterm of the closed term ``t``, with its binder context."""
+    todo = [(t, ())]
+    while todo:
+        cur, ctx = todo.pop()
+        yield cur, ctx
+        for attr, under in CHILDREN[type(cur)]:
+            todo.append((getattr(cur, attr),
+                         ctx_extend(ctx, cur.domain) if under else ctx))
+
+
+def test_proof_fields_are_the_fields_typed_by_a_proposition():
+    seen = set()
+    for env, rules, roots in _programs():
+        for root in roots:
+            for node, ctx in _in_context(root):
+                cls = type(node)
+                if cls not in _ASKED:
+                    continue
+                seen.add(cls)
+                for attr in _ASKED[cls]:
+                    budget = rules.new_budget()
+                    ty = infer(env, ctx, getattr(node, attr), rules, budget)
+                    proof = is_proposition(env, ctx, ty, rules, budget)
+                    assert proof == (attr in PROOF_FIELDS.get(cls, ())), (
+                        f"{cls.__name__}.{attr} in {node}")
+    assert seen == set(_ASKED)
+
+
+@pytest.mark.xfail(strict=True, raises=TypeCheckError,
+                   reason="irrelevance is by position: proofs passed as "
+                          "arguments are still compared (ROADMAP item 2)")
+def test_proofs_in_argument_position_are_irrelevant():
+    # the paper's theory accepts this: h1 and h2 prove the same P
+    elaborate(parse_program(
+        "axiom P : Prop.\n"
+        "axiom F : P -> Prop.\n"
+        "axiom h1 : P.\n"
+        "axiom h2 : P.\n"
+        "axiom x : F h1.\n"
+        "def y : F h2 := x.\n"))
 
 
 def test_is_proposition_examples():
