@@ -25,7 +25,7 @@ from .parser import ParseError, parse_program
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, trace_to_json_lines, trace_to_text,
 )
-from .rules import DEFAULT_FUEL, FuelExhausted, RuleSet
+from .rules import DEFAULT_FUEL, DEFAULT_RULES, FuelExhausted
 from .syntax import ScopeError, pretty
 from .typecheck import TypeCheckError, elaborate
 
@@ -38,15 +38,21 @@ EXIT_DEPTH = 5
 EXIT_INTERNAL = 70
 
 
+# flag -> (RuleSet field, value, help).  An absent flag reads None and leaves
+# its field to the default rules, or to a corpus case's own rules.
+_RULE_FLAGS = {
+    "--no-cast-rule": ("cast_rule", False, "disable the cast reduction rule"),
+    "--no-eqrec-rule": ("eqrec_rule", False, "disable the Eq_rec reduction rule"),
+    "--enable-j": ("j_rule", True, "enable the J operator and its rule"),
+    "--no-proof-irrelevance": ("proof_irrelevance", False,
+                               "disable proof irrelevance in conversion"),
+}
+
+
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-cast-rule", action="store_true",
-                   help="disable the cast reduction rule")
-    p.add_argument("--no-eqrec-rule", action="store_true",
-                   help="disable the Eq_rec reduction rule")
-    p.add_argument("--enable-j", action="store_true",
-                   help="enable the J operator and its rule")
-    p.add_argument("--no-proof-irrelevance", action="store_true",
-                   help="disable proof irrelevance in conversion")
+    for flag, (field, value, help_) in _RULE_FLAGS.items():
+        p.add_argument(flag, action="store_const", dest=field, const=value,
+                       help=help_)
     p.add_argument("--max-steps", type=int, metavar="N",
                    help="step budget (default 100000; env ITT_MAX_STEPS)")
 
@@ -91,14 +97,12 @@ def _resolve_fuel(args: argparse.Namespace) -> int:
     return DEFAULT_FUEL
 
 
-def _ruleset(args: argparse.Namespace) -> RuleSet:
-    return RuleSet(
-        cast_rule=not args.no_cast_rule,
-        eqrec_rule=not args.no_eqrec_rule,
-        j_rule=args.enable_j,
-        proof_irrelevance=not args.no_proof_irrelevance,
-        fuel=_resolve_fuel(args),
-    )
+def _rule_fields(args: argparse.Namespace) -> dict[str, object]:
+    """``fuel``, and the ``RuleSet`` field of each rule flag given."""
+    fields: dict[str, object] = {
+        field: value for field, _, _ in _RULE_FLAGS.values()
+        if (value := getattr(args, field)) is not None}
+    return fields | {"fuel": _resolve_fuel(args)}
 
 
 class _Usage(Exception):
@@ -116,7 +120,7 @@ def _read_source(path: str) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    rules = _ruleset(args)
+    rules = DEFAULT_RULES.updated(**_rule_fields(args))
     program = parse_program(_read_source(args.path))
     _, results = elaborate(program, rules, run_reduce=False)
     for res in results:
@@ -126,7 +130,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    rules = _ruleset(args)
+    rules = DEFAULT_RULES.updated(**_rule_fields(args))
     program = parse_program(_read_source(args.path))
     _, results = elaborate(program, rules, reduce_strategy=args.strategy)
     statuses = []
@@ -149,17 +153,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    overrides = {
-        "cast_rule": not args.no_cast_rule,
-        "eqrec_rule": not args.no_eqrec_rule,
-        "proof_irrelevance": not args.no_proof_irrelevance,
-    }
-    if args.enable_j:
-        overrides["j_rule"] = True
-    fuel = _resolve_fuel(args)
     names = (args.case,) if args.case else None
     ok = True
-    for report in corpus_mod.run_all(overrides, names, fuel):
+    for report in corpus_mod.run_all(_rule_fields(args), names):
         verdict = "PASS" if report.passed else "FAIL"
         ok = ok and report.passed
         print(f"{verdict} {report.name} [{report.ruleset}]")

@@ -5,7 +5,9 @@ are built by parsing them, never duplicated in code.  ``expected/`` holds
 recorded reduction outcomes per rule set (regenerate them with
 ``scripts/record_expected.py``; cycle periods are regression values counted
 in this engine's own step units, where every Beta, Delta and rule firing is
-one step).
+one step).  The one table ``_CASES`` gives what the files do not: each case's
+strategy, required rule flags and expected ``#check`` types.  Only
+``load_example`` applies the flags, to ``ExampleCase.rules``.
 """
 
 from __future__ import annotations
@@ -18,40 +20,21 @@ from ..parser import Program, PragmaReduce, parse_program, parse_term
 from ..rules import DEFAULT_RULES, RuleSet
 from ..typecheck import elaborate
 
-CASE_NAMES = (
-    "counterexample1",
-    "counterexample2",
-    "counterexample2-propext",
-    "girard-j",
-    "sanity-church",
-    "sanity-casts",
-)
-
-# Reduction strategy each case is documented under: the first counterexample
-# only loops once reduction goes under its binder (or with the hypothesis
-# assumed), the second already has no weak-head normal form.
-_STRATEGY = {
-    "counterexample1": "nf",
-    "counterexample2": "whnf",
-    "counterexample2-propext": "whnf",
-    "girard-j": "nf",
-    "sanity-church": "nf",
-    "sanity-casts": "nf",
+# name -> (reduction strategy, required rule flags, expected #check types).
+# The strategy is the one the case is documented under: the first
+# counterexample only loops once reduction goes under its binder (or with the
+# hypothesis assumed), the second already has no weak-head normal form.  The
+# expected types, one per #check pragma, are compared up to conversion.
+_CASES: dict[str, tuple[str, dict[str, bool], tuple[str, ...]]] = {
+    "counterexample1": (
+        "nf", {}, ("Neg (forall (A : Prop), forall (B : Prop), Eq Prop A B)",)),
+    "counterexample2": ("whnf", {}, ("Top",)),
+    "counterexample2-propext": ("whnf", {}, ("Top",)),
+    "girard-j": ("nf", {"j_rule": True}, ("Top", "Bot")),
+    "sanity-church": ("nf", {}, ("Nat",)),
+    "sanity-casts": ("nf", {}, ("Top", "Prop")),
 }
-
-_REQUIRED_FLAGS: dict[str, dict[str, bool]] = {
-    "girard-j": {"j_rule": True},
-}
-
-# Expected #check results, one per pragma, compared up to conversion.
-_EXPECTED_CHECKS = {
-    "counterexample1": ("Neg (forall (A : Prop), forall (B : Prop), Eq Prop A B)",),
-    "counterexample2": ("Top",),
-    "counterexample2-propext": ("Top",),
-    "girard-j": ("Top", "Bot"),
-    "sanity-church": ("Nat",),
-    "sanity-casts": ("Top", "Prop"),
-}
+CASE_NAMES = tuple(_CASES)
 
 
 def ruleset_label(rules: RuleSet) -> str:
@@ -94,19 +77,18 @@ def _parse_expected(text: str) -> dict[tuple[str, str, int], tuple[str, int | No
 
 
 def load_example(name: str) -> ExampleCase:
-    if name not in CASE_NAMES:
+    if name not in _CASES:
         raise ValueError(f"unknown example {name!r}; known: {', '.join(CASE_NAMES)}")
+    strategy, flags, checks = _CASES[name]
     source = _read_data("examples", f"{name}.itt")
-    expected = _parse_expected(_read_data("expected", f"{name}.txt"))
-    rules = DEFAULT_RULES.updated(**_REQUIRED_FLAGS.get(name, {}))
     return ExampleCase(
         name=name,
         source=source,
-        strategy=_STRATEGY[name],
-        rules=rules,
+        strategy=strategy,
+        rules=DEFAULT_RULES.updated(**flags),
         program=parse_program(source),
-        expected_checks=_EXPECTED_CHECKS[name],
-        expected_reduce=expected,
+        expected_checks=checks,
+        expected_reduce=_parse_expected(_read_data("expected", f"{name}.txt")),
     )
 
 
@@ -125,19 +107,14 @@ class CaseReport:
         return sum(ok is not None for _, ok in self.entries)
 
 
-def run_case(case: ExampleCase, overrides: dict[str, bool] | None = None,
-             fuel: int | None = None) -> CaseReport:
+def run_case(case: ExampleCase,
+             overrides: dict[str, object] | None = None) -> CaseReport:
     """Elaborate the case and compare every pragma against its expectation.
 
-    ``overrides`` are rule-flag overrides on top of the case's required rule
-    set; reduce expectations missing for the resulting rule set are skipped.
+    ``overrides`` set ``RuleSet`` fields (flags, ``fuel``) over ``case.rules``;
+    reduce expectations missing for the resulting rule set are skipped.
     """
-    changes: dict[str, object] = dict(_REQUIRED_FLAGS.get(case.name, {}))
-    if overrides:
-        changes.update(overrides)
-    if fuel is not None:
-        changes["fuel"] = fuel
-    rules = DEFAULT_RULES.updated(**changes)
+    rules = case.rules.updated(**(overrides or {}))
     label = ruleset_label(rules)
     env, results = elaborate(case.program, rules, reduce_strategy=case.strategy)
 
@@ -168,8 +145,6 @@ def run_case(case: ExampleCase, overrides: dict[str, bool] | None = None,
     return CaseReport(case.name, label, entries)
 
 
-def run_all(overrides: dict[str, bool] | None = None,
-            names: tuple[str, ...] | None = None,
-            fuel: int | None = None) -> list[CaseReport]:
-    return [run_case(load_example(n), overrides, fuel)
-            for n in (names or CASE_NAMES)]
+def run_all(overrides: dict[str, object] | None = None,
+            names: tuple[str, ...] | None = None) -> list[CaseReport]:
+    return [run_case(load_example(n), overrides) for n in (names or CASE_NAMES)]

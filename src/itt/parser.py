@@ -73,7 +73,6 @@ class PragmaCheck:
 @dataclass(frozen=True)
 class PragmaReduce:
     term: Term
-    strategy: str | None = None  # no surface syntax; set programmatically
 
 
 Declaration = Def | Axiom | Assume | PragmaCheck | PragmaReduce

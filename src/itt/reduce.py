@@ -283,11 +283,12 @@ def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
 
 
 def reduce_with(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-                strategy: str, budget: Fuel | None = None) -> Trace:
+                strategy: str) -> Trace:
+    """Run ``strategy`` on ``t`` with a fresh budget of ``rules.fuel``."""
     if strategy == "whnf":
-        return whnf(env, ctx, t, rules, budget)
+        return whnf(env, ctx, t, rules)
     if strategy == "nf":
-        return normalize(env, ctx, t, rules, budget)
+        return normalize(env, ctx, t, rules)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

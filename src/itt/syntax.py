@@ -290,21 +290,21 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}{k}"
 
 
-def pretty(t: Term, names: Sequence[str] = (), avoid: Sequence[str] = ()) -> str:
+def pretty(t: Term) -> str:
     """Render ``t`` in the surface syntax; ``parse_term(pretty(t))`` is
     alpha-equal to ``t``.
 
-    ``names`` supplies display names for free variables (innermost last).
     Binder names that would shadow an enclosing name or a referenced global
-    are freshened with a numeric suffix.
+    are freshened with a numeric suffix.  A free variable has no name to
+    print; it shows as ``_x<k>``, where ``k`` is its index at the top level.
     """
-    taken = set(avoid) | collect_globals(t) | set(names)
-    stack = list(names)
+    taken = collect_globals(t)
+    stack: list[str] = []
 
     def var_name(i: int) -> str:
         if i < len(stack):
             return stack[-(i + 1)]
-        return f"_x{i - len(stack)}"  # uncovered free variable; see `names` pre
+        return f"_x{i - len(stack)}"
 
     def go(t: Term, pos: int) -> str:
         match t:

@@ -225,12 +225,11 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                 case PragmaCheck(term):
                     ty = infer(env, (), term, rules, budget)
                     results.append(PragmaResult("check", term, type_=ty))
-                case PragmaReduce(term, strategy):
+                case PragmaReduce(term):
                     infer(env, (), term, rules, budget)
                     if run_reduce:
-                        trace = _reduce.reduce_with(
-                            env, (), term, rules,
-                            strategy or reduce_strategy, rules.new_budget())
+                        trace = _reduce.reduce_with(env, (), term, rules,
+                                                    reduce_strategy)
                         results.append(PragmaResult("reduce", term, trace=trace))
         except (TypeCheckError, FuelExhausted, RecursionError) as exc:
             name = getattr(decl, "name", type(decl).__name__)

@@ -7,8 +7,12 @@ import sys
 import time
 from pathlib import Path
 
-from itt import alpha_eq, elaborate, load_example, parse_term
-from itt.cli import main
+import pytest
+
+from itt import (
+    DEFAULT_RULES, alpha_eq, elaborate, load_example, parse_term, ruleset_label,
+)
+from itt.cli import _RULE_FLAGS, main
 from itt.reduce import parse_trace_json
 
 CE1 = "src/itt/corpus/examples/counterexample1.itt"
@@ -215,6 +219,22 @@ def test_corpus_single_case(capsys):
     assert main(["corpus", "--case", "sanity-church"]) == 0
     out = capsys.readouterr().out
     assert "sanity-church" in out and out.count("PASS") == 1
+
+
+@pytest.mark.parametrize("flag", sorted(_RULE_FLAGS))
+def test_corpus_flag_sets_its_field(capsys, flag):
+    field, value, _ = _RULE_FLAGS[flag]
+    rules = load_example("sanity-church").rules.updated(**{field: value})
+    assert main(["corpus", "--case", "sanity-church", flag]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"PASS sanity-church [{ruleset_label(rules)}]"
+    assert getattr(DEFAULT_RULES, field) != value  # the flag changes the label
+
+
+def test_corpus_keeps_case_flags_without_rule_flags(capsys):
+    assert main(["corpus", "--case", "girard-j"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("PASS girard-j [") and "j:on" in first
 
 
 def test_enable_j_flag(capsys, tmp_path):

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+from importlib import resources
+
 import pytest
 
 from itt import (
-    CASE_NAMES,
+    CASE_NAMES, FuelExhausted,
     Global, PragmaReduce,
     alpha_eq, closed_over_axioms, elaborate, load_example, parse_term,
     run_all, ruleset_label,
 )
 from itt.corpus import run_case
+from itt.parser import PragmaCheck
 
 
 def test_every_case_loads_and_elaborates():
@@ -105,3 +109,30 @@ def test_expected_tables_cover_every_reduce_pragma():
         label = ruleset_label(case.rules)
         for ordinal in range(1, case.reduce_pragma_count() + 1):
             assert (case.strategy, label, ordinal) in case.expected_reduce
+
+
+def test_case_names_match_the_files():
+    data = resources.files("itt.corpus")
+    for subdir, suffix in (("examples", ".itt"), ("expected", ".txt")):
+        stems = {f.name.removesuffix(suffix) for f in (data / subdir).iterdir()
+                 if f.name.endswith(suffix)}
+        assert stems == set(CASE_NAMES), subdir
+
+
+def test_one_expected_check_per_check_pragma():
+    for name in CASE_NAMES:
+        case = load_example(name)
+        pragmas = [d for d in case.program.declarations
+                   if isinstance(d, PragmaCheck)]
+        assert len(case.expected_checks) == len(pragmas), name
+
+
+def test_run_case_honours_case_rules():
+    base = load_example("sanity-church")
+    case = dataclasses.replace(base, rules=base.rules.updated(cast_rule=False))
+    assert run_case(case).ruleset == "cast:off,eqrec:on,j:off,irrel:on"
+
+
+def test_run_case_fuel_is_an_override():
+    with pytest.raises(FuelExhausted, match="declaration 3"):
+        run_case(load_example("counterexample1"), {"fuel": 5})

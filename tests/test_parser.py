@@ -183,7 +183,6 @@ def test_pragmas_parse():
     program = parse_program("#check Prop.\n#reduce forall (A : Prop), A.")
     assert isinstance(program.declarations[0], PragmaCheck)
     assert isinstance(program.declarations[1], PragmaReduce)
-    assert program.declarations[1].strategy is None
 
 
 @given(closed_terms)
