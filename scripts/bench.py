@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Run the benchmark's workloads and record the end-to-end medians.
+
+Each workload of BENCHMARK.json runs once per seed through
+``perfbench/run.py --trace 0`` in a fresh process.  The script exits 1 if any
+run's verdicts are not all correct.  With ``--out`` it writes, per tree and
+workload, every run's end-to-end metrics and their median:
+
+    python3 scripts/bench.py --seconds 1                       # verdicts only
+    python3 scripts/bench.py --seconds 8 --seeds 1 2 3 \\
+        --tree parent=../itt-parent --tree change=. --out bench.json
+
+A tree is a checkout to run, named ``label=path``; the default is this one,
+named ``change``.  Runs of several trees alternate, one per tree for each
+workload and seed, and the tree that runs first rotates from seed to seed,
+so that a drift in machine speed hits every tree alike.  Only the standard
+library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one ``perfbench/run.py`` run, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{workload} seed {seed} in {tree.name}: exit "
+                         f"{proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def describe(tree: Path) -> str | None:
+    """The tree's commit, with ``-dirty`` if it has uncommitted changes."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=tree, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seconds", type=float, required=True,
+                    help="seconds per run")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--tree", action="append", metavar="LABEL=PATH",
+                    help="a checkout to run (repeatable; default change=.)")
+    ap.add_argument("--out", type=Path, help="write the results as JSON")
+    args = ap.parse_args(argv)
+
+    trees: dict[str, Path] = {}
+    for item in args.tree or [f"change={ROOT}"]:
+        label, sep, path = item.partition("=")
+        if not sep or not label:
+            ap.error(f"--tree wants LABEL=PATH, got {item!r}")
+        trees[label] = Path(path).resolve()
+    metrics = [m["name"] for m in spec["end_to_end"]]
+
+    runs = {label: {w: {m: [] for m in metrics} for w in names}
+            for label in trees}
+    wrong = []
+    order = list(trees.items())
+    for i, seed in enumerate(args.seeds):
+        for workload in names:
+            for label, tree in order[i % len(order):] + order[:i % len(order)]:
+                result = run_once(tree, workload, seed, args.seconds)
+                if result["correct"] is not True:
+                    wrong.append(f"{label} {workload} seed {seed}: "
+                                 f"{result['failed']} of {result['attempted']} failed")
+                for m in metrics:
+                    runs[label][workload][m].append(result["metrics"][m]["value"])
+                print(f"{label:8} {workload:12} seed {seed}: wall_s "
+                      f"{result['metrics']['wall_s']['value']:.4f}", flush=True)
+
+    medians = {label: {w: {m: statistics.median(v) for m, v in per.items()}
+                       for w, per in by_w.items()}
+               for label, by_w in runs.items()}
+    if args.out is not None:
+        args.out.write_text(json.dumps({
+            "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
+            "seeds": args.seeds,
+            "machine": {"python": platform.python_version(),
+                        "cpus": os.cpu_count(), "system": platform.system()},
+            "trees": {label: describe(tree) for label, tree in trees.items()},
+            "median": medians,
+            "runs": runs,
+        }, indent=2) + "\n")
+    for line in wrong:
+        print(f"benchmark verdict failed: {line}", file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -154,15 +154,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     names = (args.case,) if args.case else None
-    ok = True
-    for report in corpus_mod.run_all(_rule_fields(args), names):
-        verdict = "PASS" if report.passed else "FAIL"
-        ok = ok and report.passed
-        print(f"{verdict} {report.name} [{report.ruleset}]")
+    reports = corpus_mod.run_all(_rule_fields(args), names)
+    for report in reports:
+        print(f"{'PASS' if report.passed else 'FAIL'} {report.name} [{report.ruleset}]")
         for desc, entry_ok in report.entries:
             mark = "ok" if entry_ok else ("skip" if entry_ok is None else "FAIL")
             print(f"  {mark:4} {desc}")
-    return EXIT_OK if ok else EXIT_ERROR
+    stops = [r.stopped_by for r in reports]
+    if any(isinstance(e, ConversionCycle) for e in stops):
+        return EXIT_CYCLE
+    if any(isinstance(e, FuelExhausted) for e in stops):
+        return EXIT_FUEL
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

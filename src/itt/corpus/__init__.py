@@ -17,8 +17,8 @@ from importlib import resources
 
 from ..convert import convert
 from ..parser import Program, PragmaReduce, parse_program, parse_term
-from ..rules import DEFAULT_RULES, RuleSet
-from ..typecheck import elaborate
+from ..rules import DEFAULT_RULES, FuelExhausted, RuleSet
+from ..typecheck import TypeCheckError, elaborate
 
 # name -> (reduction strategy, required rule flags, expected #check types).
 # The strategy is the one the case is documented under: the first
@@ -97,6 +97,8 @@ class CaseReport:
     name: str
     ruleset: str
     entries: list[tuple[str, bool | None]]  # (description, ok / None=skipped)
+    # the kernel outcome that ended the case early, also its last entry
+    stopped_by: FuelExhausted | TypeCheckError | None = None
 
     @property
     def passed(self) -> bool:
@@ -112,36 +114,42 @@ def run_case(case: ExampleCase,
     """Elaborate the case and compare every pragma against its expectation.
 
     ``overrides`` set ``RuleSet`` fields (flags, ``fuel``) over ``case.rules``;
-    reduce expectations missing for the resulting rule set are skipped.
+    reduce expectations missing for the resulting rule set are skipped.  A
+    type error or fuel exhaustion (a conversion cycle included) ends the
+    case with a failed entry that names it.
     """
     rules = case.rules.updated(**(overrides or {}))
     label = ruleset_label(rules)
-    env, results = elaborate(case.program, rules, reduce_strategy=case.strategy)
-
     entries: list[tuple[str, bool | None]] = []
-    checks = [r for r in results if r.kind == "check"]
-    reduces = [r for r in results if r.kind == "reduce"]
+    try:
+        env, results = elaborate(case.program, rules,
+                                 reduce_strategy=case.strategy)
+        checks = [r for r in results if r.kind == "check"]
+        reduces = [r for r in results if r.kind == "reduce"]
 
-    for i, res in enumerate(checks):
-        expected_src = case.expected_checks[i]
-        expected = parse_term(expected_src, scope=env.names())
-        ok = convert(env, (), res.type_, expected, rules=rules)
-        entries.append((f"check #{i + 1}: {expected_src}", ok))
+        for i, res in enumerate(checks):
+            expected_src = case.expected_checks[i]
+            expected = parse_term(expected_src, scope=env.names())
+            ok = convert(env, (), res.type_, expected, rules=rules)
+            entries.append((f"check #{i + 1}: {expected_src}", ok))
 
-    for j, res in enumerate(reduces, start=1):
-        want = case.expected_reduce.get((case.strategy, label, j))
-        if want is None:
-            entries.append((f"reduce #{j}: no expectation for {label}", None))
-            continue
-        status, period = want
-        trace = res.trace
-        ok = trace.status == status
-        if ok and period is not None:
-            ok = trace.cycle is not None and trace.cycle.period == period
-        got = trace.status_line().removeprefix("STATUS ")
-        entries.append((f"reduce #{j}: expected {status}"
-                        f"{'' if period is None else f' period {period}'},"
-                        f" got {got}", ok))
+        for j, res in enumerate(reduces, start=1):
+            want = case.expected_reduce.get((case.strategy, label, j))
+            if want is None:
+                entries.append((f"reduce #{j}: no expectation for {label}", None))
+                continue
+            status, period = want
+            trace = res.trace
+            ok = trace.status == status
+            if ok and period is not None:
+                ok = trace.cycle is not None and trace.cycle.period == period
+            got = trace.status_line().removeprefix("STATUS ")
+            entries.append((f"reduce #{j}: expected {status}"
+                            f"{'' if period is None else f' period {period}'},"
+                            f" got {got}", ok))
+    except (FuelExhausted, TypeCheckError) as exc:
+        entries.append((f"{type(exc).__name__}: {exc}", False))
+        return CaseReport(case.name, label, entries, stopped_by=exc)
     return CaseReport(case.name, label, entries)
 
 

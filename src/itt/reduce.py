@@ -15,8 +15,10 @@ weak-head form is demanded (it heads the spine being reduced) or during
 strong normalization, so traces keep named forms as long as possible.
 
 Divergence is not observed as a timeout but *detected*: each reduction spine
-keeps a key-index map of the terms it has visited and reports the first
-repeat (confirmed by alpha-equality) as a cycle with its period.
+keeps a dictionary from the terms it has visited to their step index, and
+reports the first repeat as a cycle with its period.  Terms are their own
+keys: the memoized structural hash finds a candidate, and ``==``, which is
+alpha-equality, confirms it, so a hash collision is never reported.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def _plug(sub: Term, frame: Frame) -> Term:
 @dataclass(frozen=True, eq=False)
 class TraceStep:
     """One step: its kind and the contracted spine subterm in its frame.  The
-    whole-term snapshot and its key are built on first access."""
+    whole-term snapshot, its key and its printed form are built on first
+    access, so each is built at most once."""
     kind: StepKind
     sub: Term
     frame: Frame
@@ -87,6 +90,10 @@ class TraceStep:
     @cached_property
     def key(self) -> str:
         return canonical_key(self.term)
+
+    @cached_property
+    def text(self) -> str:
+        return pretty(self.term)
 
 
 @dataclass(frozen=True)
@@ -120,23 +127,20 @@ class Trace:
 
 
 class CycleDetector:
-    """Key-index map over one reduction spine.
+    """Term-index map over one reduction spine.
 
-    A repeated canonical key is only reported once alpha-equality confirms
-    it; a colliding key with non-alpha-equal terms is recorded and ignored.
+    A term is looked up by its structural hash and confirmed by ``==``
+    (alpha-equality), so terms with equal hashes that are not alpha-equal
+    are both recorded and never reported.  The witness is the first
+    occurrence.
     """
 
     def __init__(self) -> None:
-        self._seen: dict[str, list[tuple[int, Term]]] = {}
+        self._seen: dict[Term, tuple[int, Term]] = {}
 
-    def observe(self, index: int, term: Term, key: str | None = None) -> CycleReport | None:
-        key = canonical_key(term) if key is None else key
-        bucket = self._seen.setdefault(key, [])
-        for first, old in bucket:
-            if alpha_eq(old, term):
-                return CycleReport(first, index - first, old)
-        bucket.append((index, term))
-        return None
+    def observe(self, index: int, term: Term) -> CycleReport | None:
+        first, old = self._seen.setdefault(term, (index, term))
+        return None if first == index else CycleReport(first, index - first, old)
 
 
 class _CycleFound(Exception):
@@ -296,7 +300,7 @@ def reduce_with(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
 
 def trace_to_text(trace: Trace) -> str:
     """One step per line: ``<index> <StepKind> <pretty term>``, then STATUS."""
-    lines = [f"{i} {s.kind} {pretty(s.term)}"
+    lines = [f"{i} {s.kind} {s.text}"
              for i, s in enumerate(trace.steps, start=1)]
     lines.append(trace.status_line())
     return "\n".join(lines)
@@ -304,7 +308,7 @@ def trace_to_text(trace: Trace) -> str:
 
 def trace_to_json_lines(trace: Trace) -> list[str]:
     lines = [json.dumps({"index": i, "kind": str(s.kind),
-                         "term": pretty(s.term), "key": s.key})
+                         "term": s.text, "key": s.key})
              for i, s in enumerate(trace.steps, start=1)]
     lines.append(trace.status_line())
     return lines

@@ -2,7 +2,9 @@
 
 Terms use de Bruijn indices, so structural equality of well-scoped terms is
 alpha-equivalence.  Binder names are kept on ``Pi``/``Lam`` nodes for display
-only and are excluded from comparison and hashing.
+only and are excluded from comparison and hashing.  A node's hash is
+structural and memoized on the node (``Term.__hash__``), so terms are cheap
+dictionary keys.
 
 The equality primitives (``Eq``, ``Refl``, ``EqRec``), the coercion ``Cast``
 and the type-equality decider ``J`` are dedicated node forms rather than
@@ -38,6 +40,20 @@ KIND = Sort("Kind")
 class Term:
     def __str__(self) -> str:
         return pretty(self)
+
+    def __hash__(self) -> int:
+        """Structural hash, equal for alpha-equal terms (binder names are
+        excluded, as ``==`` excludes them).  Memoized by the walk that
+        ``canonical_key`` uses: a hash costs only the nodes not hashed
+        before, and it is computed without recursion, so deep terms are
+        fine."""
+        memo = self.__dict__.get(_HASH)
+        return _memo_fold(self, _HASH, hash) if memo is None else memo
+
+    def __init_subclass__(cls) -> None:
+        # Set before @dataclass runs, which then keeps it rather than
+        # generating a recursive field-by-field hash.
+        cls.__hash__ = Term.__hash__
 
 
 @dataclass(frozen=True)
@@ -237,41 +253,66 @@ def collect_globals(t: Term) -> set[str]:
     return out
 
 
+# Memo slots in a node's __dict__, outside its fields: equality is
+# unchanged, and a node built by ``dataclasses.replace`` starts without them.
+_HASH = "_hash"
+_DIGEST = "_digest"
+
+# The compared field of each leaf; other nodes compare only their children.
+_PAYLOAD = {Var: "index", SortT: "sort", Global: "name"}
+
+
+def _memo_fold(t: Term, slot: str, combine: Callable[[tuple], object]) -> object:
+    """``combine`` of ``t``'s signature: its class followed by its leaf
+    payload or by its children's values, each child's value being its own
+    fold.  Children are folded first, without recursion, and each value is
+    memoized in its node's ``slot``, so a fold costs only the nodes not
+    folded before."""
+    todo = [t]
+    while todo:
+        cur = todo[-1]
+        memo = cur.__dict__
+        if slot in memo:  # a shared child, reached twice
+            todo.pop()
+            continue
+        cls = type(cur)
+        attrs = CHILDREN[cls]
+        if attrs:
+            kids = [memo[a].__dict__.get(slot) for a, _ in attrs]
+            if None in kids:  # fold the children first
+                todo.extend([memo[a] for (a, _), v in zip(attrs, kids) if v is None])
+                continue
+            memo[slot] = combine((cls, *kids))
+        else:
+            memo[slot] = combine((cls, memo[_PAYLOAD[cls]]))
+        todo.pop()
+    return t.__dict__[slot]
+
+
 _TAGS = {
     Var: b"V", SortT: b"S", Pi: b"P", Lam: b"L", App: b"A", Global: b"G",
     Eq: b"E", Refl: b"R", EqRec: b"Q", Cast: b"C", J: b"J",
 }
-_DIGEST = "_digest"  # memo slot in a node's __dict__, outside its fields
+
+
+def _digest(signature: tuple) -> bytes:
+    cls, *rest = signature
+    h = hashlib.sha256(_TAGS[cls])
+    for part in rest:  # a leaf's payload, or the children's digests
+        h.update(str(part).encode() if cls in _PAYLOAD else part)
+    return h.digest()
 
 
 def canonical_key(t: Term) -> str:
-    """Fixed-width digest equal for alpha-equal terms.
+    """Fixed-width digest equal for alpha-equal terms, and stable across
+    processes, unlike ``hash``.
 
-    A Merkle digest of each node's tag, payload and child digests, memoized in
-    the node's ``__dict__`` outside the dataclass fields: equality and hashing
-    are unchanged, a node built by ``dataclasses.replace`` starts without one,
-    and a key costs only the nodes not keyed before.  Collisions are
-    astronomically unlikely, but callers that act on key equality (cycle
-    detection) must confirm with alpha_eq.
+    A SHA-256 Merkle digest of each node's tag, payload and child digests,
+    memoized on the node like its hash, so a key costs only the nodes not
+    keyed before.  It is the ``key`` of a JSON trace step and is checked by
+    replay; cycle detection does not use it (see ``reduce.CycleDetector``).
     """
-    todo: list[tuple[Term, tuple[Term, ...] | None]] = [(t, None)]
-    while todo:
-        cur, kids = todo.pop()
-        if _DIGEST in cur.__dict__:
-            continue
-        if kids is None:  # first visit: digest the children first
-            kids = tuple(subterms(cur))
-            todo.append((cur, kids))
-            todo.extend((c, None) for c in kids if _DIGEST not in c.__dict__)
-            continue
-        h = hashlib.sha256(_TAGS[type(cur)])
-        match cur:
-            case Var(x) | SortT(x) | Global(x):  # index, sort or name
-                h.update(str(x).encode())
-        for c in kids:
-            h.update(c.__dict__[_DIGEST])
-        cur.__dict__[_DIGEST] = h.digest()
-    return t.__dict__[_DIGEST].hex()
+    return _memo_fold(t, _DIGEST, _digest).hex()
 
 
 # --- pretty printing -------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from itt import (
-    DEFAULT_RULES, alpha_eq, elaborate, load_example, parse_term, ruleset_label,
+    CASE_NAMES, DEFAULT_RULES, alpha_eq, elaborate, load_example, parse_program,
+    parse_term, ruleset_label,
 )
+from itt import corpus as corpus_mod
 from itt.cli import _RULE_FLAGS, main
 from itt.reduce import parse_trace_json
 
@@ -213,6 +216,30 @@ def test_corpus_command_passes(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 6 and "FAIL" not in out
+
+
+def test_corpus_reports_every_case_when_fuel_runs_out(capsys):
+    assert main(["corpus", "--max-steps", "5"]) == 3
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == 2 * len(CASE_NAMES)  # case line + its entry
+    for name in CASE_NAMES:
+        assert f"FAIL {name} [" in out
+    assert ("FAIL counterexample1 [cast:on,eqrec:on,j:off,irrel:on]\n"
+            "  FAIL FuelExhausted: declaration 3 (delta): step budget exhausted\n"
+            ) in out
+
+
+def test_corpus_conversion_cycle_exits_4(capsys, monkeypatch):
+    # a case whose checking loops in conversion still gets its report
+    case = load_example("counterexample2")
+    bad = dataclasses.replace(case, program=parse_program(
+        _CE2_DEFS + _G + f"axiom g : G {_I}.\ndef bad : G Omega := g.\n"))
+    monkeypatch.setattr(corpus_mod, "load_example", lambda name: bad)
+    assert main(["corpus", "--case", "counterexample2"]) == 4
+    assert capsys.readouterr().out == (
+        "FAIL counterexample2 [cast:on,eqrec:on,j:off,irrel:on]\n"
+        "  FAIL ConversionCycle: declaration 8 (bad): "
+        "unfolding repeats with period 2\n")
 
 
 def test_corpus_single_case(capsys):

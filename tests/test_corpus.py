@@ -134,5 +134,8 @@ def test_run_case_honours_case_rules():
 
 
 def test_run_case_fuel_is_an_override():
-    with pytest.raises(FuelExhausted, match="declaration 3"):
-        run_case(load_example("counterexample1"), {"fuel": 5})
+    report = run_case(load_example("counterexample1"), {"fuel": 5})
+    assert isinstance(report.stopped_by, FuelExhausted)
+    assert report.entries == [("FuelExhausted: declaration 3 (delta): "
+                               "step budget exhausted", False)]
+    assert not report.passed

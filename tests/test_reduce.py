@@ -9,7 +9,9 @@ from itt import (
     parse_program, parse_term, pretty, replay_trace, step, trace_to_json_lines,
     trace_to_text, unwind_apps, whnf,
 )
+import itt.reduce
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, parse_trace_json
+from itt.syntax import CHILDREN
 
 
 def _env(name, **flags):
@@ -233,12 +235,37 @@ def test_cycle_detector_reports_first_repeat():
     assert alpha_eq(report.witness, a)
 
 
-def test_cycle_detector_key_collision_falls_back_to_alpha():
+def test_cycle_detector_hash_collision_falls_back_to_alpha(monkeypatch):
+    for cls in CHILDREN:  # every term hashes alike: only == tells them apart
+        monkeypatch.setattr(cls, "__hash__", lambda self: 0)
     det = CycleDetector()
-    assert det.observe(0, Var(0), key="same") is None
-    assert det.observe(1, Var(1), key="same") is None  # collision, no report
-    report = det.observe(2, Var(0), key="same")
-    assert report is not None and report.first_index == 0
+    first = Lam(SortT(PROP), Var(0), name="x")
+    other = Lam(SortT(PROP), Var(1), name="x")
+    assert hash(first) == hash(other) and not alpha_eq(first, other)
+    assert det.observe(0, first) is None
+    assert det.observe(1, other) is None  # collision, no report
+    report = det.observe(2, Lam(SortT(PROP), Var(0), name="y"))
+    assert report is not None
+    assert (report.first_index, report.period) == (0, 2)
+    assert report.witness is first
+
+
+def test_each_trace_step_is_printed_once(monkeypatch):
+    _, _, _, traces = _reduce_trace("counterexample2")
+    (trace,) = traces
+    printed = []
+
+    def counting(t):
+        printed.append(t)
+        return pretty(t)
+
+    monkeypatch.setattr(itt.reduce, "pretty", counting)
+    text = trace_to_text(trace)
+    lines = trace_to_json_lines(trace)
+    assert [id(t) for t in printed] == [id(s.term) for s in trace.steps]
+    shown = [s.text for s in trace.steps]
+    assert [line.split(" ", 2)[2] for line in text.splitlines()[:-1]] == shown
+    assert [r["term"] for r in parse_trace_json(lines)[0]] == shown
 
 
 def test_trace_text_format():

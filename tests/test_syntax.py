@@ -162,6 +162,39 @@ def test_key_memo_is_not_carried_by_replace():
     assert canonical_key(t) == before
 
 
+@given(closed_terms, st.sampled_from(["q", "x", "A"]))
+def test_alpha_equal_terms_hash_alike(t, tag):
+    renamed = _rename_binders(t, tag)
+    fresh = parse_term(pretty(t), scope=GLOBAL_POOL)  # shares no node with t
+    assert alpha_eq(t, renamed) and alpha_eq(t, fresh)
+    assert hash(t) == hash(renamed) == hash(fresh)
+
+
+def test_hash_memo_is_not_carried_by_replace():
+    t = App(Global("f"), Var(0))
+    before = hash(t)
+    changed = dataclasses.replace(t, arg=Var(1))
+    assert "_hash" not in vars(changed)
+    assert hash(changed) == hash(App(Global("f"), Var(1)))
+    assert hash(changed) != before
+    assert hash(t) == before
+
+
+def _church_normal_form(k):
+    body = Var(0)
+    for _ in range(k):
+        body = App(Var(1), body)
+    return Lam(SortT(PROP), Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))
+
+
+def test_hash_of_a_deep_term_does_not_recurse():
+    # Church 2^10 in normal form is about 1,030 nodes deep, past the default
+    # recursion limit that a field-by-field hash would hit
+    a, b = _church_normal_form(2 ** 10), _church_normal_form(2 ** 10)
+    assert hash(a) == hash(b)
+    assert hash(a) != hash(_church_normal_form(2 ** 10 - 1))
+
+
 @given(closed_terms)
 def test_parse_pretty_roundtrip(t):
     assert alpha_eq(parse_term(pretty(t), scope=GLOBAL_POOL), t)
