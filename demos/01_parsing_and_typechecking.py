@@ -7,7 +7,7 @@ propositions still yields a proposition, which is what makes the absurdity
 """
 
 from itt import (
-    PROP, SortT, elaborate, infer, load_example, parse_term, pretty,
+    PROP, elaborate, infer, load_example, parse_term, pretty,
 )
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     print("\nimpredicativity at work:")
     bot = parse_term("forall (A : Prop), A")
     print(f"    {pretty(bot)} : {pretty(infer(env, (), bot, case.rules))}")
-    assert infer(env, (), bot, case.rules) == SortT(PROP)
+    assert infer(env, (), bot, case.rules) == PROP
 
     print("\nthe stated #check results:")
     for res in results:

@@ -4,9 +4,10 @@
 The dump covers every demo, ``itt corpus``, and ``itt check`` and ``itt
 reduce`` on every corpus file, each command under the rule flag sets below;
 ``reduce`` runs under both strategies and both trace formats, once with the
-default budget and once with ``--max-steps 50``.  Every command runs in
-process through ``itt.cli.main``.  Two trees behave the same exactly when
-their dumps are byte-identical:
+default budget and once with ``--max-steps 50``.  Generated inputs, fed
+through standard input, then reach each error exit (``ERROR_CASES``).  Every
+command runs in process through ``itt.cli.main``.  Two trees behave the same
+exactly when their dumps are byte-identical:
 
     python3 scripts/contract_dump.py > before.txt   # in one checkout
     python3 scripts/contract_dump.py > after.txt    # in the other
@@ -43,6 +44,38 @@ FLAG_SETS = (
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5}  # README table, less 70 (internal)
 
 
+def _example(name: str) -> bytes:
+    return (ROOT / f"src/itt/corpus/examples/{name}.itt").read_bytes()
+
+
+_CE2_DEFS = b"".join(line for line in _example("counterexample2").splitlines(
+    keepends=True) if not line.startswith(b"#"))
+
+# Generated inputs, fed through standard input so that the decode path runs
+# and no temporary file path appears in the dump.
+INPUTS = {
+    "parse-error": b"def Oops : Prop :=\n",
+    "prop": b"#check Prop.\n",
+    "invalid-utf8": b"def x : Prop := \xff\xfe.\n",
+    "counterexample1": _example("counterexample1"),
+    "conversion-cycle": _CE2_DEFS + b"axiom G : Top -> Prop.\n"
+    b"axiom g : G (fun (A : Prop), fun (a : A), a).\n"
+    b"def bad : G Omega := g.\n",
+    "deep": b"#check " + b"(" * 400 + b"Prop" + b")" * 400 + b".\n",
+}
+# Each error exit, from a command and the input it reads (None: none).
+ERROR_CASES = (
+    (["check", "-"], "parse-error"),  # exit 1
+    (["check", "-", "--max-steps", "0"], "prop"),  # exit 2
+    (["check", "no-such-file.itt"], None),
+    (["check", "-"], "invalid-utf8"),
+    (["check", "-", "--max-steps", "3"], "counterexample1"),  # exit 3
+    (["corpus", "--max-steps", "5"], None),
+    (["check", "-"], "conversion-cycle"),  # exit 4
+    (["check", "-"], "deep"),  # exit 5
+)
+
+
 def _run(label: str, call) -> bool:
     """Print ``label``, the output of ``call()`` and its exit code; True iff
     the outcome is a documented one."""
@@ -74,6 +107,18 @@ def _demo(path: Path):
     return call
 
 
+def _with_stdin(data: bytes, argv: list[str]):
+    """Run ``itt argv`` with ``data`` on a strict UTF-8 standard input."""
+    def call() -> int:
+        stdin = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        try:
+            return itt_main(argv)
+        finally:
+            sys.stdin = stdin
+    return call
+
+
 def main() -> int:
     os.environ.pop("ITT_MAX_STEPS", None)
     ok = True
@@ -92,6 +137,9 @@ def main() -> int:
                                       "--trace", trace, *budget, *flags])
         for argv in argvs:
             ok &= _run("itt " + " ".join(argv), lambda argv=argv: itt_main(argv))
+    for argv, name in ERROR_CASES:
+        label = "itt " + " ".join(argv) + (f" < {name}" if name else "")
+        ok &= _run(label, _with_stdin(INPUTS.get(name, b""), argv))
     return 0 if ok else 1
 
 

@@ -110,12 +110,12 @@ class _Usage(Exception):
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}")
 
 

@@ -25,13 +25,8 @@ from __future__ import annotations
 from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
-from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet  # re-exported
-from .syntax import (
-    CHILDREN, PROP, Cast, EqRec, J, SortT, Term, alpha_eq, unwind_apps,
-)
-
-__all__ = ["convert", "is_proposition", "ConversionCycle", "RuleSet", "Fuel",
-           "FuelExhausted", "DEFAULT_RULES"]
+from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
+from .syntax import CHILDREN, PROP, Cast, EqRec, J, Term, alpha_eq, unwind_apps
 
 
 class ConversionCycle(FuelExhausted):
@@ -53,8 +48,7 @@ def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, rules: RuleSet,
     Conversion does not call it: it is the reference that ``PROOF_FIELDS``
     is tested against, and a building block for typed irrelevance.
     """
-    ty = _typecheck.infer(env, ctx, type_, rules, budget)
-    return _reduce.whnf_term(env, ctx, ty, rules, budget) == SortT(PROP)
+    return _typecheck.infer_whnf(env, ctx, type_, rules, budget) == PROP
 
 
 def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,

@@ -45,9 +45,6 @@ class GlobalEnv:
     def lookup(self, name: str) -> EnvEntry | None:
         return self._entries.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __iter__(self) -> Iterator[EnvEntry]:
         return iter(self._entries.values())
 

@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 from .syntax import (
     KIND, PROP, TYPE,
-    CHILDREN, PRIMITIVES, App, Global, Lam, Pi, SortT, Term, Var, shift,
+    CHILDREN, PRIMITIVES, App, Global, Lam, Pi, Term, Var, shift,
 )
 
 
@@ -83,7 +83,7 @@ class Program:
     declarations: tuple[Declaration, ...]
 
 
-_SORTS = {s.tag: s for s in (PROP, TYPE, KIND)}
+_SORTS = {s.sort: s for s in (PROP, TYPE, KIND)}
 _ATOM_KEYWORDS = {*_SORTS, *PRIMITIVES}
 KEYWORDS = {"def", "axiom", "assume", "forall", "fun", *_ATOM_KEYWORDS}
 
@@ -227,7 +227,7 @@ class _Parser:
         if tok.kind == "KEYWORD":
             if tok.value in _SORTS:
                 self.bump()
-                return SortT(_SORTS[tok.value])
+                return _SORTS[tok.value]
             if tok.value in PRIMITIVES:
                 self.bump()
                 return PRIMITIVES[tok.value](*self.parse_prim_args(tok))

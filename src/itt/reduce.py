@@ -251,14 +251,12 @@ def _traced(trace: Trace, run: Callable[[], object]) -> Trace:
     return trace
 
 
-def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-         budget: Fuel | None = None) -> Trace:
+def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     """Head reduction only: never under binders, never into arguments except
     as conversion side conditions demand."""
-    fuel = rules.new_budget() if budget is None else budget
     trace = Trace(t, [], "whnf")
-    return _traced(trace, lambda: _spine(env, ctx, t, None, rules, fuel,
-                                         trace.steps))
+    return _traced(trace, lambda: _spine(env, ctx, t, None, rules,
+                                         rules.new_budget(), trace.steps))
 
 
 def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,

@@ -24,19 +24,6 @@ class ScopeError(Exception):
 
 
 @dataclass(frozen=True)
-class Sort:
-    tag: str  # "Prop" | "Type" | "Kind"
-
-    def __str__(self) -> str:
-        return self.tag
-
-
-PROP = Sort("Prop")
-TYPE = Sort("Type")
-KIND = Sort("Kind")
-
-
-@dataclass(frozen=True)
 class Term:
     def __str__(self) -> str:
         return pretty(self)
@@ -63,7 +50,14 @@ class Var(Term):
 
 @dataclass(frozen=True)
 class SortT(Term):
-    sort: Sort
+    sort: str  # "Prop" | "Type" | "Kind"
+
+
+# The three sorts.  A sort built elsewhere is equal to one of these but need
+# not be the same object, so compare sorts with ``==``.
+PROP = SortT("Prop")
+TYPE = SortT("Type")
+KIND = SortT("Kind")
 
 
 @dataclass(frozen=True)
@@ -351,9 +345,7 @@ def pretty(t: Term) -> str:
         match t:
             case Var(i):
                 return var_name(i)
-            case SortT(s):
-                return s.tag
-            case Global(n):
+            case SortT(n) | Global(n):
                 return n
             case Pi(d, c, name=n):
                 if not has_free_var(c, 0, 1):

@@ -1,7 +1,9 @@
 """Bidirectional type checking for the three-sort system.
 
-The sort ladder is fixed, given once by ``SORT_OF`` and ``PI_RULES`` below.
-Sort axioms: Prop : Type and Type : Kind.  Pi-formation rules:
+The sorts are the three ``SortT`` nodes ``PROP``, ``TYPE`` and ``KIND`` of
+``itt.syntax``, and ``infer`` returns them as they are.  The sort ladder is
+fixed, given once by ``SORT_OF`` and ``PI_RULES`` below, which are keyed by
+those nodes.  Sort axioms: Prop : Type and Type : Kind.  Pi-formation rules:
 
     (Prop, Prop, Prop)   (Type, Prop, Prop)   (Prop, Type, Type)   (Type, Type, Type)
 
@@ -23,7 +25,9 @@ ladder above cannot express):
 Type checking can itself demand reduction (exposing a Pi, settling a
 conversion), and the irrelevant eliminators make that potentially divergent,
 so every entry point threads the same fuel budget as the reducer and fails
-with a distinguishable FuelExhausted instead of hanging.
+with a distinguishable FuelExhausted instead of hanging.  A rule that needs
+the shape of a type (a sort, a Pi) reads it from ``infer_whnf``, the
+weak-head form of a term's type.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .parser import (
 from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     KIND, PROP, TYPE,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Sort, SortT, Term, Var,
+    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
     collect_globals, has_free_var, pretty, subst,
 )
 
@@ -63,21 +67,26 @@ PI_RULES = {
 }
 
 
+def infer_whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
+               budget: Fuel) -> Term:
+    """The weak-head form of the type of ``t``."""
+    return _reduce.whnf_term(env, ctx, infer(env, ctx, t, rules, budget),
+                             rules, budget)
+
+
 def _sort_of_type(env: GlobalEnv, ctx: Context, ty: Term, rules: RuleSet,
-                  budget: Fuel, what: str) -> Sort:
+                  budget: Fuel, what: str) -> SortT:
     """The sort classifying ``ty``; fails if ``ty`` is not a type."""
-    tty = infer(env, ctx, ty, rules, budget)
-    w = _reduce.whnf_term(env, ctx, tty, rules, budget)
+    w = infer_whnf(env, ctx, ty, rules, budget)
     if isinstance(w, SortT):
-        return w.sort
+        return w
     raise TypeCheckError(f"{what} is not a type: {pretty(ty)} : {pretty(w)}")
 
 
-def _expect_sort(env: GlobalEnv, ctx: Context, term: Term, expected: Sort,
+def _expect_sort(env: GlobalEnv, ctx: Context, term: Term, expected: SortT,
                  rules: RuleSet, budget: Fuel, what: str) -> None:
-    ty = infer(env, ctx, term, rules, budget)
-    w = _reduce.whnf_term(env, ctx, ty, rules, budget)
-    if w != SortT(expected):
+    w = infer_whnf(env, ctx, term, rules, budget)
+    if w != expected:
         raise TypeCheckError(
             f"{what} must have sort {expected}, but {pretty(term)} : {pretty(w)}")
 
@@ -91,11 +100,11 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             if i < 0 or i >= len(ctx):
                 raise TypeCheckError(f"unbound variable index {i}")
             return ctx_lookup(ctx, i)
-        case SortT(s):
-            above = SORT_OF.get(s)
+        case SortT():
+            above = SORT_OF.get(t)
             if above is None:
-                raise TypeCheckError(f"sort {s} has no type")
-            return SortT(above)
+                raise TypeCheckError(f"sort {t} has no type")
+            return above
         case Global(name):
             entry = env.lookup(name)
             if entry is None:
@@ -108,7 +117,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             s3 = PI_RULES.get((s1, s2))
             if s3 is None:
                 raise TypeCheckError(f"no Pi-formation rule for ({s1}, {s2})")
-            return SortT(s3)
+            return s3
         case Lam(dom, body, name=n):
             # The domain must be a type; the synthesized Pi is not re-checked
             # against the formation table so that type-level functions such
@@ -117,8 +126,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             body_ty = infer(env, ctx_extend(ctx, dom), body, rules, budget)
             return Pi(dom, body_ty, name=n)
         case App(f, a):
-            fty = infer(env, ctx, f, rules, budget)
-            w = _reduce.whnf_term(env, ctx, fty, rules, budget)
+            w = infer_whnf(env, ctx, f, rules, budget)
             if not isinstance(w, Pi):
                 raise TypeCheckError(
                     f"applied term is not a function: {pretty(f)} : {pretty(w)}")
@@ -128,16 +136,14 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             _expect_sort(env, ctx, ty, TYPE, rules, budget, "Eq carrier")
             check(env, ctx, lhs, ty, rules, budget)
             check(env, ctx, rhs, ty, rules, budget)
-            return SortT(PROP)
+            return PROP
         case Refl(ty, val):
             _expect_sort(env, ctx, ty, TYPE, rules, budget, "refl carrier")
             check(env, ctx, val, ty, rules, budget)
             return Eq(ty, val, val)
         case EqRec(ty, motive, lhs, rhs, base, proof):
             _expect_sort(env, ctx, ty, TYPE, rules, budget, "Eq_rec carrier")
-            mty = _reduce.whnf_term(
-                env, ctx, infer(env, ctx, motive, rules, budget),
-                rules, budget)
+            mty = infer_whnf(env, ctx, motive, rules, budget)
             if not isinstance(mty, Pi):
                 raise TypeCheckError(
                     f"Eq_rec motive is not a function: {pretty(mty)}")
@@ -148,7 +154,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
                     f"carrier {pretty(ty)}")
             cod = _reduce.whnf_term(env, ctx_extend(ctx, mty.domain),
                                     mty.codomain, rules, budget)
-            if cod != SortT(TYPE):
+            if cod != TYPE:
                 raise TypeCheckError(
                     f"Eq_rec motive must land in Type, found {pretty(cod)}")
             check(env, ctx, lhs, ty, rules, budget)
@@ -159,7 +165,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
         case Cast(src, dst, proof, val):
             _expect_sort(env, ctx, src, PROP, rules, budget, "cast source")
             _expect_sort(env, ctx, dst, PROP, rules, budget, "cast target")
-            check(env, ctx, proof, Eq(SortT(PROP), src, dst), rules, budget)
+            check(env, ctx, proof, Eq(PROP, src, dst), rules, budget)
             check(env, ctx, val, src, rules, budget)
             return dst
         case J(src, dst, val):

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for well-scoped terms."""
+"""Hypothesis strategies for well-scoped terms, and fixed terms that tests
+share."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import hypothesis.strategies as st
 
 from itt import (
     PROP, TYPE,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Var,
+    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var,
 )
 
 GLOBAL_POOL = ("g0", "g1", "g2")
@@ -15,7 +16,7 @@ GLOBAL_POOL = ("g0", "g1", "g2")
 def terms(depth: int = 3, ctx: int = 0) -> st.SearchStrategy:
     """Well-scoped terms with at most ``ctx`` free de Bruijn indices."""
     leaves = [
-        st.sampled_from([SortT(PROP), SortT(TYPE)]),
+        st.sampled_from([PROP, TYPE]),
         st.sampled_from([Global(g) for g in GLOBAL_POOL]),
     ]
     if ctx > 0:
@@ -40,3 +41,12 @@ def terms(depth: int = 3, ctx: int = 0) -> st.SearchStrategy:
 
 closed_terms = terms(depth=3, ctx=0)
 open_terms = terms(depth=3, ctx=3)
+
+
+def church_numeral(k: int):
+    """Church numeral ``k`` in normal form:
+    ``fun (A : Prop), fun (s : A -> A), fun (x : A), s (... (s x))``."""
+    body = Var(0)
+    for _ in range(k):
+        body = App(Var(1), body)
+    return Lam(PROP, Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))

@@ -57,12 +57,13 @@ def test_fuel_exhaustion_while_checking_names_declaration(capsys):
     assert "fuel exhausted: declaration 3 (delta): step budget exhausted" in err
 
 
-def _run_itt(*args):
-    """``python -m itt args`` in a subprocess, on this checkout's kernel."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _run_itt(*args, stdin=None, **environ):
+    """``python -m itt args`` in a subprocess, on this checkout's kernel, with
+    ``environ`` added to its environment."""
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "itt", *args],
+    return subprocess.run([sys.executable, "-m", "itt", *args], stdin=stdin,
                           capture_output=True, text=True, env=env)
 
 
@@ -154,6 +155,29 @@ def test_bad_env_var_is_usage_error(capsys, monkeypatch):
 
 def test_missing_file_exits_2(capsys):
     assert main(["reduce", "no-such-file.itt"]) == 2
+
+
+_INVALID_UTF8 = b"def x : Prop := \xff\xfe.\n"
+
+
+def test_invalid_utf8_file_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.itt").write_bytes(_INVALID_UTF8)
+    assert main(["check", "bad.itt"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read bad.itt: 'utf-8' codec can't decode byte 0xff in "
+        "position 16: invalid start byte\n")
+
+
+def test_invalid_utf8_on_strict_stdin_exits_2(tmp_path):
+    bad = tmp_path / "bad.itt"
+    bad.write_bytes(_INVALID_UTF8)
+    with bad.open("rb") as stdin:
+        proc = _run_itt("check", "-", stdin=stdin,
+                        PYTHONIOENCODING="utf-8:strict")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read -: 'utf-8' codec")
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_flag_exits_2(capsys):

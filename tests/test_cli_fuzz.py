@@ -2,7 +2,8 @@
 
 Every run of ``itt check`` and ``itt reduce`` must end in a documented exit
 code (0-5, see the README), whatever the input: grammar-shaped programs that
-use every binder, primitive and declaration form, or raw token soup.
+use every binder, primitive and declaration form, raw token soup, or a file
+of arbitrary bytes.
 """
 
 from __future__ import annotations
@@ -91,3 +92,13 @@ def test_grammar_shaped_programs_end_in_documented_exits(source):
 def test_token_streams_end_in_documented_exits(source):
     codes = _exit_codes(source)
     assert all(code in DOCUMENTED_EXITS for code in codes), codes
+
+
+@FUZZ
+@given(st.binary())
+def test_arbitrary_bytes_end_in_documented_exits(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.itt"
+    path.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["check", str(path)])
+    assert code in DOCUMENTED_EXITS, code

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from itt import (
     CASE_NAMES, DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
     App, Cast, ConversionCycle, Eq, EqRec, Fuel, FuelExhausted, Global, J, Lam,
-    PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
+    PragmaCheck, PragmaReduce, Refl, RuleSet, TypeCheckError, Var,
     convert, ctx_extend, elaborate, infer, is_proposition, load_example,
-    normalize, parse_program, parse_term,
+    normalize, parse_program, parse_term, pretty,
 )
 from itt.convert import PROOF_FIELDS
 from itt.syntax import CHILDREN
@@ -168,7 +169,7 @@ def test_is_proposition_examples():
     budget = rules.new_budget()
     eq = parse_term("Eq Prop Top Top", env.names())
     assert is_proposition(env, (), eq, rules, budget)
-    assert not is_proposition(env, (), SortT(PROP), rules, budget)
+    assert not is_proposition(env, (), PROP, rules, budget)
     assert is_proposition(env, (), Global("Top"), rules, budget)
 
 
@@ -188,6 +189,30 @@ def test_equivalence_relation_on_corpus_types():
                    parse_term("Bot -> Bot", env.names()), rules=rules)
 
 
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_conversion_is_an_equivalence_on_corpus_terms(name):
+    for irrelevance in (True, False):
+        env, rules = _env(name, proof_irrelevance=irrelevance)
+        rules = rules.updated(fuel=2000)
+        roots = _roots(env)
+        for t in roots:  # reflexive, on a copy: identity is answered early
+            copy = parse_term(pretty(t), env.names())
+            assert convert(env, (), t, copy, rules=rules), pretty(t)
+        # every ordered pair whose query ends within the fuel
+        known = {}
+        for i, j in itertools.product(range(len(roots)), repeat=2):
+            try:
+                known[i, j] = convert(env, (), roots[i], roots[j], rules=rules)
+            except FuelExhausted:
+                pass
+        for (i, j), related in known.items():
+            assert known.get((j, i), related) == related, (irrelevance, i, j)
+            if related:  # transitive
+                for k in range(len(roots)):
+                    if known.get((j, k)) and (i, k) in known:
+                        assert known[i, k], (irrelevance, i, j, k)
+
+
 def test_congruence_spot_checks():
     env, rules = _env("counterexample1")
     scope = env.names()
@@ -195,9 +220,9 @@ def test_congruence_spot_checks():
     assert convert(env, (), a, b, rules=rules)
     contexts = [
         lambda hole: App(Global("Neg"), hole),
-        lambda hole: Eq(SortT(PROP), hole, Global("Bot")),
+        lambda hole: Eq(PROP, hole, Global("Bot")),
         lambda hole: Cast(hole, Global("Bot"), Var(0), Var(1)),
-        lambda hole: Lam(SortT(PROP), App(Global("Neg"), hole)),
+        lambda hole: Lam(PROP, App(Global("Neg"), hole)),
     ]
     for fill in contexts:
         assert convert(env, (), fill(a), fill(b), rules=rules)
@@ -266,7 +291,7 @@ def test_reflexive_on_distinct_copies(t):
     # and the structural path must be reflexive on its own
     copy = _copy(t)
     assert copy == t and copy is not t
-    ctx = (SortT(PROP),) * 3
+    ctx = (PROP,) * 3
     try:
         assert convert(_POOL_ENV, ctx, t, copy, budget=Fuel(500))
     except FuelExhausted:

@@ -6,14 +6,14 @@ from hypothesis import given
 from itt import (
     PROP,
     App, Assume, Def, Global, Lam, ParseError, Pi, PragmaCheck, PragmaReduce,
-    SortT, Var, alpha_eq, load_example, parse_program, parse_term, pretty,
+    Var, alpha_eq, load_example, parse_program, parse_term, pretty,
 )
 from itt.parser import tokenize
 from term_strategies import GLOBAL_POOL, closed_terms
 
 
 def test_forall_parses_to_pi():
-    assert parse_term("forall (A : Prop), A") == Pi(SortT(PROP), Var(0))
+    assert parse_term("forall (A : Prop), A") == Pi(PROP, Var(0))
 
 
 def test_delta_body():

@@ -4,14 +4,15 @@ import pytest
 
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
-    App, Cast, CycleDetector, Global, Lam, Pi, RuleSet, SortT, Var,
-    alpha_eq, canonical_key, elaborate, head_step, load_example, normalize,
-    parse_program, parse_term, pretty, replay_trace, step, trace_to_json_lines,
-    trace_to_text, unwind_apps, whnf,
+    App, Cast, CycleDetector, Global, Lam, RuleSet, Var,
+    alpha_eq, canonical_key, convert, elaborate, head_step, infer,
+    load_example, normalize, parse_program, parse_term, pretty, replay_trace,
+    step, trace_to_json_lines, trace_to_text, unwind_apps, whnf,
 )
 import itt.reduce
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, parse_trace_json
 from itt.syntax import CHILDREN
+from term_strategies import church_numeral
 
 
 def _env(name, **flags):
@@ -239,12 +240,12 @@ def test_cycle_detector_hash_collision_falls_back_to_alpha(monkeypatch):
     for cls in CHILDREN:  # every term hashes alike: only == tells them apart
         monkeypatch.setattr(cls, "__hash__", lambda self: 0)
     det = CycleDetector()
-    first = Lam(SortT(PROP), Var(0), name="x")
-    other = Lam(SortT(PROP), Var(1), name="x")
+    first = Lam(PROP, Var(0), name="x")
+    other = Lam(PROP, Var(1), name="x")
     assert hash(first) == hash(other) and not alpha_eq(first, other)
     assert det.observe(0, first) is None
     assert det.observe(1, other) is None  # collision, no report
-    report = det.observe(2, Lam(SortT(PROP), Var(0), name="y"))
+    report = det.observe(2, Lam(PROP, Var(0), name="y"))
     assert report is not None
     assert (report.first_index, report.period) == (0, 2)
     assert report.witness is first
@@ -288,28 +289,39 @@ def test_trace_json_lines_parse_and_replay():
         assert record["kind"] == str(snap.kind)
 
 
-def _numeral(k):
-    body = Var(0)
-    for _ in range(k):
-        body = App(Var(1), body)
-    return Lam(SortT(PROP), Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))
-
-
 @pytest.mark.parametrize(("m", "n", "steps"), [(2, 9, 2049), (3, 6, 1461)])
 def test_deep_church_exponentiation_normalizes(m, n, steps):
     # the normal form is m**n applications deep; keys must not recurse on it
-    assert _numeral(2) == parse_term(
+    assert church_numeral(2) == parse_term(
         "fun (A : Prop), fun (s : A -> A), fun (x : A), s (s x)")
     src = ("def Nat : Prop := forall (A : Prop), (A -> A) -> A -> A.\n"
-           f"def m : Nat := {pretty(_numeral(m))}.\n"
-           f"def n : Nat := {pretty(_numeral(n))}.\n"
+           f"def m : Nat := {pretty(church_numeral(m))}.\n"
+           f"def n : Nat := {pretty(church_numeral(n))}.\n"
            "def exp : Nat -> Nat -> Nat :=\n"
            "  fun (m : Nat), fun (n : Nat), fun (A : Prop), n (A -> A) (m A).\n"
            "#reduce exp m n.\n")
     _, results = elaborate(parse_program(src), reduce_strategy="nf")
     trace = results[-1].trace
     assert trace.status == NORMAL_FORM and len(trace.steps) == steps
-    assert canonical_key(trace.final) == canonical_key(_numeral(m ** n))
+    assert canonical_key(trace.final) == canonical_key(church_numeral(m ** n))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_reduction_preserves_types(name):
+    # every snapshot of every trace has the type of the term it started from
+    case = load_example(name)
+    for flags in ({}, {"cast_rule": False}, {"proof_irrelevance": False}):
+        rules = case.rules.updated(**flags)
+        for strategy in ("whnf", "nf"):
+            env, results = elaborate(case.program, rules,
+                                     reduce_strategy=strategy)
+            for res in results:
+                if res.kind != "reduce":
+                    continue
+                ty = infer(env, (), res.term, rules)
+                for snap in res.trace.snapshots():
+                    assert convert(env, (), infer(env, (), snap, rules), ty,
+                                   rules=rules), (flags, strategy, pretty(snap))
 
 
 RULE_VARIANTS = ({}, {"cast_rule": False},

@@ -14,9 +14,10 @@ from itt import (
     alpha_eq, canonical_key, parse_term, pretty, shift, subst,
 )
 from itt.syntax import CHILDREN, has_free_var
-from term_strategies import GLOBAL_POOL, closed_terms, open_terms, terms
+from term_strategies import (
+    GLOBAL_POOL, church_numeral, closed_terms, open_terms, terms,
+)
 
-PROP_T = SortT(PROP)
 
 
 def test_shift_free_variable():
@@ -24,11 +25,11 @@ def test_shift_free_variable():
 
 
 def test_shift_bound_variable_fixed():
-    assert shift(Lam(PROP_T, Var(0)), 0, 1) == Lam(PROP_T, Var(0))
+    assert shift(Lam(PROP, Var(0)), 0, 1) == Lam(PROP, Var(0))
 
 
 def test_shift_free_under_binder():
-    assert shift(Lam(PROP_T, Var(1)), 0, 2) == Lam(PROP_T, Var(3))
+    assert shift(Lam(PROP, Var(1)), 0, 2) == Lam(PROP, Var(3))
 
 
 def test_shift_underflow_is_fatal():
@@ -46,13 +47,13 @@ def test_subst_outer_index_drops():
 
 
 def test_subst_capture_avoided_under_binder():
-    got = subst(Lam(PROP_T, Var(1)), 0, Global("c"))
-    assert got == Lam(PROP_T, Global("c"))
+    got = subst(Lam(PROP, Var(1)), 0, Global("c"))
+    assert got == Lam(PROP, Global("c"))
 
 
 def test_alpha_ignores_display_names():
-    a = Lam(PROP_T, Var(0), name="A")
-    b = Lam(PROP_T, Var(0), name="B")
+    a = Lam(PROP, Var(0), name="A")
+    b = Lam(PROP, Var(0), name="B")
     assert alpha_eq(a, b)
     assert canonical_key(a) == canonical_key(b)
 
@@ -65,9 +66,9 @@ def test_alpha_distinguishes_indices():
 def test_alpha_distinguishes_eq_components():
     from itt import Eq
     top, bot = Global("Top"), Global("Bot")
-    assert not alpha_eq(Eq(PROP_T, top, top), Eq(PROP_T, top, bot))
+    assert not alpha_eq(Eq(PROP, top, top), Eq(PROP, top, bot))
     # a key depends on the order of the children, not just on their set
-    assert canonical_key(Eq(PROP_T, top, bot)) != canonical_key(Eq(PROP_T, bot, top))
+    assert canonical_key(Eq(PROP, top, bot)) != canonical_key(Eq(PROP, bot, top))
 
 
 def test_cycle_snapshots_pairwise_distinct():
@@ -180,19 +181,12 @@ def test_hash_memo_is_not_carried_by_replace():
     assert hash(t) == before
 
 
-def _church_normal_form(k):
-    body = Var(0)
-    for _ in range(k):
-        body = App(Var(1), body)
-    return Lam(SortT(PROP), Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))
-
-
 def test_hash_of_a_deep_term_does_not_recurse():
     # Church 2^10 in normal form is about 1,030 nodes deep, past the default
     # recursion limit that a field-by-field hash would hit
-    a, b = _church_normal_form(2 ** 10), _church_normal_form(2 ** 10)
+    a, b = church_numeral(2 ** 10), church_numeral(2 ** 10)
     assert hash(a) == hash(b)
-    assert hash(a) != hash(_church_normal_form(2 ** 10 - 1))
+    assert hash(a) != hash(church_numeral(2 ** 10 - 1))
 
 
 @given(closed_terms)
@@ -201,7 +195,7 @@ def test_parse_pretty_roundtrip(t):
 
 
 def test_pretty_forall():
-    t = Pi(PROP_T, Var(0), name="A")
+    t = Pi(PROP, Var(0), name="A")
     assert pretty(t) == "forall (A : Prop), A"
 
 
@@ -219,7 +213,7 @@ def test_pretty_arrow_parenthesizes_left_nesting():
 
 
 def test_pretty_freshens_shadowing_binders():
-    inner = Lam(PROP_T, Var(1), name="x")  # refers to the outer binder
-    t = Lam(PROP_T, inner, name="x")
+    inner = Lam(PROP, Var(1), name="x")  # refers to the outer binder
+    t = Lam(PROP, inner, name="x")
     printed = pretty(t)
     assert alpha_eq(parse_term(printed), t)

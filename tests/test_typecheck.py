@@ -4,7 +4,7 @@ import pytest
 
 from itt import (
     KIND, PROP, TYPE,
-    Fuel, FuelExhausted, Global, GlobalEnv, JDisabledError, SortT,
+    Fuel, FuelExhausted, Global, GlobalEnv, JDisabledError,
     TypeCheckError, Var,
     alpha_eq, check, convert, elaborate, infer, load_example, parse_program,
     parse_term, pretty,
@@ -20,12 +20,12 @@ def _env(name, **flags):
 
 def test_pts_ladder():
     env = GlobalEnv()
-    assert infer(env, (), SortT(PROP)) == SortT(TYPE)
-    assert infer(env, (), SortT(TYPE)) == SortT(KIND)
+    assert infer(env, (), PROP) == TYPE
+    assert infer(env, (), TYPE) == KIND
     with pytest.raises(TypeCheckError, match="Kind has no type"):
-        infer(env, (), SortT(KIND))
+        infer(env, (), KIND)
     # impredicativity: quantifying over all propositions stays in Prop
-    assert infer(env, (), parse_term("forall (A : Prop), A")) == SortT(PROP)
+    assert infer(env, (), parse_term("forall (A : Prop), A")) == PROP
     with pytest.raises(TypeCheckError,
                        match=r"no Pi-formation rule for \(Type, Kind\)"):
         infer(env, (), parse_term("forall (A : Prop), Type"))
@@ -34,18 +34,18 @@ def test_pts_ladder():
 def test_kind_has_no_type():
     env, rules = _env("counterexample1")
     with pytest.raises(TypeCheckError, match="Kind has no type"):
-        infer(env, (), SortT(KIND), rules)
+        infer(env, (), KIND, rules)
 
 
 def test_bot_infers_prop_impredicatively():
     env, rules = _env("counterexample1")
-    assert infer(env, (), parse_term("forall (A : Prop), A"), rules) == SortT(PROP)
+    assert infer(env, (), parse_term("forall (A : Prop), A"), rules) == PROP
 
 
 def test_impredicativity_witnesses_never_type():
     env, rules = _env("counterexample1")
     for src in ("forall (A : Prop), A", "forall (A : Prop), A -> A"):
-        assert infer(env, (), parse_term(src), rules) == SortT(PROP)
+        assert infer(env, (), parse_term(src), rules) == PROP
 
 
 def test_delta_checks_against_top():
@@ -105,7 +105,7 @@ def test_unbound_variable_index():
 def test_eq_lands_in_prop():
     env, rules = _env("counterexample1")
     t = parse_term("Eq Prop Top Top", env.names())
-    assert infer(env, (), t, rules) == SortT(PROP)
+    assert infer(env, (), t, rules) == PROP
 
 
 def test_refl_gives_reflexive_equation():
@@ -121,7 +121,7 @@ def test_eqrec_rule_shape():
         "Eq_rec Prop (fun (X : Prop), Prop) Top (Neg Bot) Bot (refl Prop Top)",
         env.names())
     got = infer(env, (), t, rules)
-    assert convert(env, (), got, SortT(PROP), rules=rules)
+    assert convert(env, (), got, PROP, rules=rules)
 
 
 def test_eqrec_motive_must_land_in_type():
