@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Print the observable contract of ``itt``: every output and exit code.
 
-The dump covers every demo, ``itt corpus``, and ``itt check`` and ``itt
-reduce`` on every corpus file, each command under the rule flag sets below;
-``reduce`` runs under both strategies and both trace formats, once with the
-default budget and once with ``--max-steps 50``.  Generated inputs, fed
-through standard input, then reach each error exit (``ERROR_CASES``).  Every
-command runs in process through ``itt.cli.main``.  Two trees behave the same
-exactly when their dumps are byte-identical:
+The dump covers every demo, the four ``--help`` texts, ``itt corpus``, and
+``itt check`` and ``itt reduce`` on every corpus file, each command under the
+rule flag sets below; ``reduce`` runs under both strategies and all three
+trace formats (``off`` prints the status lines only), once with the default
+budget and once with ``--max-steps 50``.  Generated inputs, fed through
+standard input and some under an ``ITT_MAX_STEPS`` budget, then reach each
+error exit (``ERROR_CASES``).  Every command runs in process through
+``itt.cli.main``.  Two trees behave the same exactly when their dumps are
+byte-identical:
 
     python3 scripts/contract_dump.py > before.txt   # in one checkout
     python3 scripts/contract_dump.py > after.txt    # in the other
@@ -16,7 +18,8 @@ exactly when their dumps are byte-identical:
 The script exits 1 if a command raises a Python exception, exits 70
 (an internal invariant violation), or exits with a code that the README's
 exit-code table does not list.  Run it from any directory; it uses the
-``src/`` tree next to it and ignores ``ITT_MAX_STEPS``.
+``src/`` tree next to it, ignores the caller's ``ITT_MAX_STEPS`` and formats
+help for 80 columns.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ def _example(name: str) -> bytes:
 
 _CE2_DEFS = b"".join(line for line in _example("counterexample2").splitlines(
     keepends=True) if not line.startswith(b"#"))
+_BAD = (b"axiom G : Top -> Prop.\n"
+        b"axiom g : G (fun (A : Prop), fun (a : A), a).\n"
+        b"def bad : G Omega := g.\n")
+# delta applies its argument to a growing spine, so Omega diverges without
+# repeating: no cycle check can stop it, and only the budget ends it.
+_GROW_DEFS = _CE2_DEFS.replace(
+    b"z (Top -> Top) id z.",
+    b"z (Top -> Top) id (z (Top -> Top) id z).")
 
 # Generated inputs, fed through standard input so that the decode path runs
 # and no temporary file path appears in the dump.
@@ -58,22 +69,28 @@ INPUTS = {
     "prop": b"#check Prop.\n",
     "invalid-utf8": b"def x : Prop := \xff\xfe.\n",
     "counterexample1": _example("counterexample1"),
-    "conversion-cycle": _CE2_DEFS + b"axiom G : Top -> Prop.\n"
-    b"axiom g : G (fun (A : Prop), fun (a : A), a).\n"
-    b"def bad : G Omega := g.\n",
+    "conversion-cycle": _CE2_DEFS + _BAD,
+    "grow-diverge": _GROW_DEFS + _BAD,
     "deep": b"#check " + b"(" * 400 + b"Prop" + b")" * 400 + b".\n",
 }
-# Each error exit, from a command and the input it reads (None: none).
+# Each error exit, from a command, the input it reads (None: none) and the
+# ITT_MAX_STEPS it runs under (None: unset).
 ERROR_CASES = (
-    (["check", "-"], "parse-error"),  # exit 1
-    (["check", "-", "--max-steps", "0"], "prop"),  # exit 2
-    (["check", "no-such-file.itt"], None),
-    (["check", "-"], "invalid-utf8"),
-    (["check", "-", "--max-steps", "3"], "counterexample1"),  # exit 3
-    (["corpus", "--max-steps", "5"], None),
-    (["check", "-"], "conversion-cycle"),  # exit 4
-    (["check", "-"], "deep"),  # exit 5
+    (["check", "-"], "parse-error", None),  # exit 1
+    (["check", "-", "--max-steps", "0"], "prop", None),  # exit 2
+    (["check", "no-such-file.itt"], None, None),
+    (["check", "-"], "invalid-utf8", None),
+    (["check", "-"], "prop", "many"),
+    (["check", "-"], "prop", "0"),
+    (["check", "-", "--max-steps", "3"], "counterexample1", None),  # exit 3
+    (["check", "-"], "counterexample1", "5"),
+    (["corpus", "--max-steps", "5"], None, None),
+    (["check", "-", "--max-steps", "3000"], "grow-diverge", None),
+    (["check", "-"], "conversion-cycle", None),  # exit 4
+    (["check", "-"], "deep", None),  # exit 5
 )
+HELP = (["--help"], ["check", "--help"], ["reduce", "--help"],
+        ["corpus", "--help"])
 
 
 def _run(label: str, call) -> bool:
@@ -107,23 +124,30 @@ def _demo(path: Path):
     return call
 
 
-def _with_stdin(data: bytes, argv: list[str]):
-    """Run ``itt argv`` with ``data`` on a strict UTF-8 standard input."""
+def _with_stdin(data: bytes, argv: list[str], max_steps: str | None):
+    """Run ``itt argv`` with ``data`` on a strict UTF-8 standard input, and
+    ``ITT_MAX_STEPS`` set to ``max_steps`` unless that is None."""
     def call() -> int:
         stdin = sys.stdin
         sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        if max_steps is not None:
+            os.environ["ITT_MAX_STEPS"] = max_steps
         try:
             return itt_main(argv)
         finally:
             sys.stdin = stdin
+            os.environ.pop("ITT_MAX_STEPS", None)
     return call
 
 
 def main() -> int:
     os.environ.pop("ITT_MAX_STEPS", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     ok = True
     for demo in sorted((ROOT / "demos").glob("*.py")):
         ok &= _run(f"python demos/{demo.name}", _demo(demo))
+    for argv in HELP:
+        ok &= _run("itt " + " ".join(argv), lambda argv=argv: itt_main(argv))
     examples = sorted((ROOT / "src/itt/corpus/examples").glob("*.itt"))
     for flags in FLAG_SETS:
         argvs = [["corpus", *flags]]
@@ -132,14 +156,15 @@ def main() -> int:
             argvs.append(["check", path, *flags])
             for budget in ([], ["--max-steps", "50"]):
                 for strategy in ("whnf", "nf"):
-                    for trace in ("text", "json"):
+                    for trace in ("text", "json", "off"):
                         argvs.append(["reduce", path, "--strategy", strategy,
                                       "--trace", trace, *budget, *flags])
         for argv in argvs:
             ok &= _run("itt " + " ".join(argv), lambda argv=argv: itt_main(argv))
-    for argv, name in ERROR_CASES:
-        label = "itt " + " ".join(argv) + (f" < {name}" if name else "")
-        ok &= _run(label, _with_stdin(INPUTS.get(name, b""), argv))
+    for argv, name, max_steps in ERROR_CASES:
+        env = "" if max_steps is None else f"ITT_MAX_STEPS={max_steps} "
+        label = env + "itt " + " ".join(argv) + (f" < {name}" if name else "")
+        ok &= _run(label, _with_stdin(INPUTS.get(name, b""), argv, max_steps))
     return 0 if ok else 1
 
 
