@@ -4,13 +4,10 @@
     itt reduce <file> [options]      elaborate; run each #reduce pragma
     itt corpus [--case NAME] [...]   run the embedded example suite
 
-Exit codes: 0 success / all NormalForm / expectations met; 1 parse or type
-error; 2 usage error; 3 fuel exhaustion; 4 a detected cycle (dominates 3):
-a CycleDetected trace, or a conversion whose unfolding repeats while
-checking, e.g. `conversion cycle: declaration 8 (bad): unfolding repeats with
-period 2`; 5 input nested too deeply for the recursive parser, checker or
-reducer; 70 internal invariant violation.  ITT_MAX_STEPS overrides the
-default step budget; an explicit --max-steps wins over the environment.
+``_OUTCOMES`` gives each outcome's exit code and stderr prefix, and each
+command exits with the largest code among its outcomes; the README's
+exit-code table documents them.  ITT_MAX_STEPS overrides the default step
+budget; an explicit --max-steps wins over the environment.
 """
 
 from __future__ import annotations
@@ -23,19 +20,37 @@ from . import corpus as corpus_mod
 from .convert import ConversionCycle
 from .parser import ParseError, parse_program
 from .reduce import (
-    CYCLE_DETECTED, FUEL_EXHAUSTED, trace_to_json_lines, trace_to_text,
+    CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM, trace_to_json_lines,
+    trace_to_text,
 )
 from .rules import DEFAULT_FUEL, DEFAULT_RULES, FuelExhausted
 from .syntax import ScopeError, pretty
 from .typecheck import TypeCheckError, elaborate
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_USAGE = 2
-EXIT_FUEL = 3
-EXIT_CYCLE = 4
-EXIT_DEPTH = 5
-EXIT_INTERNAL = 70
+
+class _Usage(Exception):
+    pass
+
+
+# outcome class -> (stderr prefix, exit code).  The first class that an
+# error is an instance of gives its outcome, so a ConversionCycle, which is
+# a FuelExhausted, reads as a cycle.
+_OUTCOMES: dict[type[Exception], tuple[str, int]] = {
+    _Usage: ("error", 2),
+    ParseError: ("parse error", 1),
+    TypeCheckError: ("type error", 1),
+    ConversionCycle: ("conversion cycle", 4),
+    FuelExhausted: ("fuel exhausted", 3),
+    RecursionError: ("input nested too deeply", 5),
+    ScopeError: ("internal error", 70),
+    AssertionError: ("internal error", 70),
+}
+# trace status -> exit code
+_STATUS_CODES = {NORMAL_FORM: 0, FUEL_EXHAUSTED: 3, CYCLE_DETECTED: 4}
+
+
+def _outcome(exc: Exception) -> tuple[str, int]:
+    return next(out for cls, out in _OUTCOMES.items() if isinstance(exc, cls))
 
 
 # flag -> (RuleSet field, value, help).  An absent flag reads None and leaves
@@ -81,20 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_fuel(args: argparse.Namespace) -> int:
-    if args.max_steps is not None:
-        if args.max_steps <= 0:
-            raise _Usage("--max-steps must be positive")
-        return args.max_steps
-    env = os.environ.get("ITT_MAX_STEPS")
-    if env is not None:
-        try:
-            fuel = int(env)
-        except ValueError:
-            raise _Usage(f"ITT_MAX_STEPS must be an integer, got {env!r}")
-        if fuel <= 0:
-            raise _Usage("ITT_MAX_STEPS must be positive")
-        return fuel
-    return DEFAULT_FUEL
+    source, raw = "--max-steps", args.max_steps
+    if raw is None:
+        source = "ITT_MAX_STEPS"
+        raw = os.environ.get(source, DEFAULT_FUEL)
+    try:
+        fuel = int(raw)
+    except ValueError:
+        raise _Usage(f"{source} must be an integer, got {raw!r}")
+    if fuel <= 0:
+        raise _Usage(f"{source} must be positive")
+    return fuel
 
 
 def _rule_fields(args: argparse.Namespace) -> dict[str, object]:
@@ -103,10 +115,6 @@ def _rule_fields(args: argparse.Namespace) -> dict[str, object]:
         field: value for field, _, _ in _RULE_FLAGS.values()
         if (value := getattr(args, field)) is not None}
     return fields | {"fuel": _resolve_fuel(args)}
-
-
-class _Usage(Exception):
-    pass
 
 
 def _read_source(path: str) -> str:
@@ -126,30 +134,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for res in results:
         if res.kind == "check":
             print(f"{pretty(res.term)} : {pretty(res.type_)}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     rules = DEFAULT_RULES.updated(**_rule_fields(args))
     program = parse_program(_read_source(args.path))
     _, results = elaborate(program, rules, reduce_strategy=args.strategy)
-    statuses = []
-    for res in results:
-        if res.kind != "reduce":
-            continue
-        trace = res.trace
-        statuses.append(trace.status)
+    traces = [res.trace for res in results if res.kind == "reduce"]
+    for trace in traces:
         if args.trace == "text":
             print(trace_to_text(trace))
         elif args.trace == "json":
             print("\n".join(trace_to_json_lines(trace)))
         else:
             print(trace.status_line())
-    if CYCLE_DETECTED in statuses:
-        return EXIT_CYCLE
-    if FUEL_EXHAUSTED in statuses:
-        return EXIT_FUEL
-    return EXIT_OK
+    return max((_STATUS_CODES[t.status] for t in traces), default=0)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -160,12 +160,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         for desc, entry_ok in report.entries:
             mark = "ok" if entry_ok else ("skip" if entry_ok is None else "FAIL")
             print(f"  {mark:4} {desc}")
-    stops = [r.stopped_by for r in reports]
-    if any(isinstance(e, ConversionCycle) for e in stops):
-        return EXIT_CYCLE
-    if any(isinstance(e, FuelExhausted) for e in stops):
-        return EXIT_FUEL
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
+    # a case that fails without an error counts as 1
+    return max((int(not r.passed) if r.stopped_by is None
+                else _outcome(r.stopped_by)[1] for r in reports), default=0)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -181,27 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reduce":
             return _cmd_reduce(args)
         return _cmd_corpus(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except TypeCheckError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ConversionCycle as exc:
-        print(f"conversion cycle: {exc}", file=sys.stderr)
-        return EXIT_CYCLE
-    except FuelExhausted as exc:
-        print(f"fuel exhausted: {exc}", file=sys.stderr)
-        return EXIT_FUEL
-    except RecursionError as exc:
-        print(f"input nested too deeply: {exc}", file=sys.stderr)
-        return EXIT_DEPTH
-    except (ScopeError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except tuple(_OUTCOMES) as exc:
+        prefix, code = _outcome(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -80,7 +80,11 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
                 return False
             w2 = _reduce.whnf_term(env, ctx, u2, rules, budget, unfold_heads=False)
         period += 1
-        if alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1]):
+        try:
+            repeat = alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1])
+        except RecursionError:  # == recurses: too deep to confirm a repeat
+            repeat = False
+        if repeat:
             raise ConversionCycle(period)
         if period == power:
             saved, power, period = (w1, w2), 2 * power, 0

@@ -98,7 +98,7 @@ class CaseReport:
     ruleset: str
     entries: list[tuple[str, bool | None]]  # (description, ok / None=skipped)
     # the kernel outcome that ended the case early, also its last entry
-    stopped_by: FuelExhausted | TypeCheckError | None = None
+    stopped_by: FuelExhausted | TypeCheckError | RecursionError | None = None
 
     @property
     def passed(self) -> bool:
@@ -115,8 +115,8 @@ def run_case(case: ExampleCase,
 
     ``overrides`` set ``RuleSet`` fields (flags, ``fuel``) over ``case.rules``;
     reduce expectations missing for the resulting rule set are skipped.  A
-    type error or fuel exhaustion (a conversion cycle included) ends the
-    case with a failed entry that names it.
+    type error, fuel exhaustion (a conversion cycle included) or excessive
+    depth ends the case with a failed entry that names it.
     """
     rules = case.rules.updated(**(overrides or {}))
     label = ruleset_label(rules)
@@ -147,7 +147,7 @@ def run_case(case: ExampleCase,
             entries.append((f"reduce #{j}: expected {status}"
                             f"{'' if period is None else f' period {period}'},"
                             f" got {got}", ok))
-    except (FuelExhausted, TypeCheckError) as exc:
+    except (FuelExhausted, TypeCheckError, RecursionError) as exc:
         entries.append((f"{type(exc).__name__}: {exc}", False))
         return CaseReport(case.name, label, entries, stopped_by=exc)
     return CaseReport(case.name, label, entries)

@@ -124,6 +124,19 @@ def test_conversion_cycle_while_checking_exits_4(tmp_path):
     assert elapsed < 1.0
 
 
+def test_conversion_diverging_without_repeat_exits_3(tmp_path):
+    # delta grows Omega's spine, so its unfolding never repeats: the budget
+    # ends it, although Brent's compare of the deep states overflows
+    src = tmp_path / "grow.itt"
+    src.write_text(_CE2_DEFS.replace(
+        "z (Top -> Top) id z.", "z (Top -> Top) id (z (Top -> Top) id z).")
+        + _G + f"axiom g : G {_I}.\n" "def bad : G Omega := g.\n")
+    proc = _run_itt("check", str(src), "--max-steps", "3000")
+    assert proc.returncode == 3
+    assert proc.stderr == ("fuel exhausted: declaration 8 (bad): "
+                           "step budget exhausted\n")
+
+
 def test_reduce_whose_cast_condition_loops_exits_3(capsys, tmp_path):
     # the conversion cycle happens inside a reduction step, so it ends the
     # trace as FuelExhausted rather than failing the whole run
@@ -264,6 +277,24 @@ def test_corpus_conversion_cycle_exits_4(capsys, monkeypatch):
         "FAIL counterexample2 [cast:on,eqrec:on,j:off,irrel:on]\n"
         "  FAIL ConversionCycle: declaration 8 (bad): "
         "unfolding repeats with period 2\n")
+
+
+def test_corpus_recursion_error_is_reported_and_exits_5(capsys, monkeypatch):
+    # a case whose normal form is too deep still gets its report, and so do
+    # the cases after it
+    load = corpus_mod.load_example
+    case = load("sanity-church")
+    deep = dataclasses.replace(case, program=parse_program(case.source.replace(
+        "#reduce exp two two.", f"#reduce exp two ({_church_numeral(10)}).")))
+    monkeypatch.setattr(corpus_mod, "load_example", lambda name: (
+        deep if name == "sanity-church" else load(name)))
+    assert main(["corpus"]) == 5
+    out = capsys.readouterr().out
+    reports = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert len(reports) == len(CASE_NAMES)
+    assert ("FAIL sanity-church [cast:on,eqrec:on,j:off,irrel:on]\n"
+            "  FAIL RecursionError: declaration 4 (PragmaReduce): "
+            "maximum recursion depth exceeded") in out
 
 
 def test_corpus_single_case(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
@@ -191,6 +193,55 @@ def test_traces_are_reproducible():
         case, env, rules, traces = _reduce_trace(name)
         for t in traces:
             assert replay_trace(env, (), t, rules)
+
+
+_NAT_PRELUDE = """
+def Nat : Prop := forall (A : Prop), (A -> A) -> A -> A.
+def zero : Nat := fun (A : Prop), fun (s : A -> A), fun (z : A), z.
+def succ : Nat -> Nat := fun (n : Nat),
+  fun (A : Prop), fun (s : A -> A), fun (z : A), s (n A s z).
+def add : Nat -> Nat -> Nat := fun (m : Nat), fun (n : Nat),
+  fun (A : Prop), fun (s : A -> A), fun (z : A), m A s (n A s z).
+def mul : Nat -> Nat -> Nat := fun (m : Nat), fun (n : Nat),
+  fun (A : Prop), fun (s : A -> A), m A (n A s).
+"""
+
+
+def _nat_exprs(depth: int) -> st.SearchStrategy:
+    """(source, value) of Nat expressions at most ``depth`` deep, built from
+    the prelude's Church arithmetic and identity casts."""
+    leaf = st.just(("zero", 0))
+    if depth <= 0:
+        return leaf
+    sub = _nat_exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(lambda e: (f"succ ({e[0]})", e[1] + 1)),
+        sub.map(lambda e: (f"cast Nat Nat (refl Prop Nat) ({e[0]})", e[1])),
+        st.tuples(sub, sub).map(
+            lambda p: (f"add ({p[0][0]}) ({p[1][0]})", p[0][1] + p[1][1])),
+        st.tuples(sub, sub).map(
+            lambda p: (f"mul ({p[0][0]}) ({p[1][0]})", p[0][1] * p[1][1])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nat_exprs(4))
+def test_replay_matches_the_original_run_on_generated_programs(expr):
+    src, value = expr
+    program = parse_program(_NAT_PRELUDE + f"#reduce {src}.\n")
+    for cast_rule in (True, False):
+        rules = RuleSet(cast_rule=cast_rule)
+        for strategy in ("whnf", "nf"):
+            env, results = elaborate(program, rules, reduce_strategy=strategy)
+            trace = results[-1].trace
+            assert replay_trace(env, (), trace, rules)
+            records, status = parse_trace_json(trace_to_json_lines(trace))
+            assert status == trace.status_line()
+            assert [r["key"] for r in records] == [s.key for s in trace.steps]
+            if strategy == "nf" and cast_rule:
+                assert trace.status == NORMAL_FORM
+                assert alpha_eq(trace.final, church_numeral(value))
 
 
 def test_fuel_exhaustion_status():
