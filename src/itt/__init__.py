@@ -32,7 +32,7 @@ from .reduce import (
 from .convert import ConversionCycle, convert, is_proposition
 from .typecheck import (
     JDisabledError, PragmaResult, TypeCheckError,
-    check, closed_over_axioms, elaborate, infer,
+    check, elaborate, infer,
 )
 from .corpus import CASE_NAMES, ExampleCase, load_example, run_all, ruleset_label
 

@@ -14,11 +14,13 @@ the endpoints are compared.  Delta is need-driven: a global unfolds when its
 weak-head form is demanded (it heads the spine being reduced) or during
 strong normalization, so traces keep named forms as long as possible.
 
-Divergence is not observed as a timeout but *detected*: each reduction spine
-keeps a dictionary from the terms it has visited to their step index, and
-reports the first repeat as a cycle with its period.  Terms are their own
-keys: the memoized structural hash finds a candidate, and ``==``, which is
-alpha-equality, confirms it, so a hash collision is never reported.
+Divergence is not observed as a timeout but *detected*, in two stages.  As a
+spine runs, Brent's check compares each state with one saved state by
+``==``, which is alpha-equality, and hashes nothing.  When it sees a repeat,
+or the budget or the stack runs out, ``CycleDetector`` certifies: it replays
+the spine's recorded states, reports the first repeat with its period, and
+the steps after that repeat are dropped.  So the first repeat is exact, and
+a cycle is only ever reported where ``==`` confirmed one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import convert as _convert
 from .env import Context, GlobalEnv, ctx_extend
@@ -127,7 +129,8 @@ class Trace:
 
 
 class CycleDetector:
-    """Term-index map over one reduction spine.
+    """Term-index map over one reduction spine: the certifier that
+    ``_spine`` runs over the spine's recorded states.
 
     A term is looked up by its structural hash and confirmed by ``==``
     (alpha-equality), so terms with equal hashes that are not alpha-equal
@@ -222,21 +225,53 @@ def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame,
            rules: RuleSet, budget: Fuel, steps: list[TraceStep]) -> Term:
     """Head-reduce the spine ``sub`` in place at ``frame``, recording each step.
 
+    Each step compares the new state with one saved state by ``==`` (Brent's
+    check, as in ``convert``): the state is re-saved when the steps since the
+    last save reach the next power of two, so a repeat is seen within a small
+    multiple of the steps to the first one, keeping one state and hashing
+    none.  A hit, an exhausted budget or excessive depth then runs
+    ``_certify``, which finds the exact first repeat or proves there is none.
+    """
+    start, initial = len(steps), sub
+    saved, power, since = sub, 1, 0
+    try:
+        while (r := head_step(env, ctx, sub, rules, budget)) is not None:
+            sub, kind = r
+            steps.append(TraceStep(kind, sub, frame))
+            since += 1
+            try:
+                repeat = sub == saved
+            except RecursionError:  # == recurses: too deep to confirm a repeat
+                repeat = False
+            if repeat:
+                _certify(initial, frame, steps, start)
+            if since == power:
+                saved, power, since = sub, 2 * power, 0
+    except (FuelExhausted, RecursionError):
+        _certify(initial, frame, steps, start)  # it may have repeated first
+        raise
+    return sub
+
+
+def _certify(initial: Term, frame: Frame, steps: list[TraceStep],
+             start: int) -> None:
+    """Raise ``_CycleFound`` at the first repeat among the spine's states
+    (``initial``, then the ``sub`` of ``steps[start:]``), after deleting the
+    steps that follow it; return if no state repeats.
+
     The detector is keyed on the spine subterm: the frame is fixed while the
     spine runs, so plugging is injective in ``sub`` and a repeat of the whole
     term is exactly a repeat of the subterm.  Only the reported witness is
     plugged back into the whole term.
     """
     detector = CycleDetector()
-    detector.observe(len(steps), sub)
-    while (r := head_step(env, ctx, sub, rules, budget)) is not None:
-        sub, kind = r
-        steps.append(TraceStep(kind, sub, frame))
-        report = detector.observe(len(steps), sub)
+    detector.observe(start, initial)
+    for index in range(start + 1, len(steps) + 1):
+        report = detector.observe(index, steps[index - 1].sub)
         if report is not None:
+            del steps[index:]
             raise _CycleFound(dataclasses.replace(
                 report, witness=_plug(report.witness, frame)))
-    return sub
 
 
 def _traced(trace: Trace, run: Callable[[], object]) -> Trace:
@@ -310,21 +345,6 @@ def trace_to_json_lines(trace: Trace) -> list[str]:
              for i, s in enumerate(trace.steps, start=1)]
     lines.append(trace.status_line())
     return lines
-
-
-def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:
-    """Split serialized JSON trace lines into step records and the status line."""
-    records: list[dict] = []
-    status = ""
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("STATUS"):
-            status = line
-            continue
-        records.append(json.loads(line))
-    return records, status
 
 
 def replay_trace(env: GlobalEnv, ctx: Context, trace: Trace,

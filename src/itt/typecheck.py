@@ -44,7 +44,7 @@ from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     KIND, PROP, TYPE,
     App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    collect_globals, has_free_var, pretty, subst,
+    pretty, subst,
 )
 
 
@@ -242,25 +242,3 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
             exc.args = (f"declaration {index} ({name}): {exc}",)
             raise
     return env, results
-
-
-def closed_over_axioms(env: GlobalEnv, t: Term) -> bool:
-    """True iff ``t`` has no free variables and never reaches an assumption:
-    every global it references, transitively through types and definition
-    bodies, is a definition or an axiom."""
-    if has_free_var(t):
-        return False
-    seen: set[str] = set()
-    pending = list(collect_globals(t))
-    while pending:
-        name = pending.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        entry = env.lookup(name)
-        if entry is None or entry.kind == "assume":
-            return False
-        if entry.body is not None:
-            pending.extend(collect_globals(entry.body))
-        pending.extend(collect_globals(entry.type_))
-    return True

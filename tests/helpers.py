@@ -1,0 +1,47 @@
+"""Readers that only tests need: JSON trace lines back into records, and a
+closure check over a global environment."""
+
+from __future__ import annotations
+
+import json
+from typing import Iterable
+
+from itt import GlobalEnv, Term
+from itt.syntax import collect_globals, has_free_var
+
+
+def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:
+    """Split serialized JSON trace lines into step records and the status line."""
+    records: list[dict] = []
+    status = ""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("STATUS"):
+            status = line
+            continue
+        records.append(json.loads(line))
+    return records, status
+
+
+def closed_over_axioms(env: GlobalEnv, t: Term) -> bool:
+    """True iff ``t`` has no free variables and never reaches an assumption:
+    every global it references, transitively through types and definition
+    bodies, is a definition or an axiom."""
+    if has_free_var(t):
+        return False
+    seen: set[str] = set()
+    pending = list(collect_globals(t))
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        entry = env.lookup(name)
+        if entry is None or entry.kind == "assume":
+            return False
+        if entry.body is not None:
+            pending.extend(collect_globals(entry.body))
+        pending.extend(collect_globals(entry.type_))
+    return True

@@ -14,7 +14,8 @@ from itt import (
     pretty, replay_trace, step, trace_to_json_lines, unwind_apps, whnf,
 )
 from itt.parser import Assume, Axiom, Def, PragmaCheck, PragmaReduce
-from itt.reduce import CAST_FIRE, J_FIRE, parse_trace_json
+from itt.reduce import CAST_FIRE, J_FIRE
+from helpers import parse_trace_json
 
 
 def _elaborated(name, **flags):

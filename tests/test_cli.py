@@ -16,7 +16,7 @@ from itt import (
 )
 from itt import corpus as corpus_mod
 from itt.cli import _RULE_FLAGS, main
-from itt.reduce import parse_trace_json
+from helpers import parse_trace_json
 
 CE1 = "src/itt/corpus/examples/counterexample1.itt"
 CE2 = "src/itt/corpus/examples/counterexample2.itt"

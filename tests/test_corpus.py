@@ -8,11 +8,12 @@ import pytest
 from itt import (
     CASE_NAMES, FuelExhausted,
     Global, PragmaReduce,
-    alpha_eq, closed_over_axioms, elaborate, load_example, parse_term,
+    alpha_eq, elaborate, load_example, parse_term,
     run_all, ruleset_label,
 )
 from itt.corpus import run_case
 from itt.parser import PragmaCheck
+from helpers import closed_over_axioms
 
 
 def test_every_case_loads_and_elaborates():

@@ -12,8 +12,9 @@ from itt import (
     step, trace_to_json_lines, trace_to_text, unwind_apps, whnf,
 )
 import itt.reduce
-from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, parse_trace_json
+from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE
 from itt.syntax import CHILDREN
+from helpers import parse_trace_json
 from term_strategies import church_numeral
 
 
