@@ -45,8 +45,8 @@ def reference_spine(env, ctx, sub, frame, rules, budget, steps):
 
 @pytest.fixture
 def certified_after_exhaustion(monkeypatch):
-    """Count the runs whose cycle is certified only after the budget or the
-    stack ran out."""
+    """Count the runs whose cycle is certified only after the budget ran
+    out."""
     count = [0]
     certify = itt.reduce._certify
 
