@@ -5,7 +5,7 @@ a proposition are never compared: the proof and the value of ``cast A B e
 x``, the proof of ``Eq_rec T P a b x e``, and the value of ``J A B x`` (the
 table ``PROOF_FIELDS``).  Every other position is compared structurally,
 including proofs passed elsewhere, such as application arguments; typed
-irrelevance there is future work (ROADMAP item 2).
+irrelevance there is future work (ROADMAP item 1).
 
 Every query spends one unit of fuel, and a query of a term with itself (the
 same object) costs exactly that unit: it is answered before any reduction.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ..convert import convert
-from ..parser import Program, PragmaReduce, parse_program, parse_term
+from ..parser import Program, parse_program, parse_term
 from ..rules import DEFAULT_RULES, FuelExhausted, RuleSet
 from ..typecheck import TypeCheckError, elaborate
 
@@ -55,9 +55,6 @@ class ExampleCase:
     expected_checks: tuple[str, ...]
     # (strategy, ruleset label, reduce-pragma ordinal) -> (status, period|None)
     expected_reduce: dict[tuple[str, str, int], tuple[str, int | None]]
-
-    def reduce_pragma_count(self) -> int:
-        return sum(isinstance(d, PragmaReduce) for d in self.program.declarations)
 
 
 def _read_data(subdir: str, filename: str) -> str:
@@ -103,10 +100,6 @@ class CaseReport:
     @property
     def passed(self) -> bool:
         return all(ok is not False for _, ok in self.entries)
-
-    @property
-    def checked(self) -> int:
-        return sum(ok is not None for _, ok in self.entries)
 
 
 def run_case(case: ExampleCase,

@@ -2,9 +2,10 @@
 
 Terms use de Bruijn indices, so structural equality of well-scoped terms is
 alpha-equivalence.  Binder names are kept on ``Pi``/``Lam`` nodes for display
-only and are excluded from comparison and hashing.  A node's hash is
-structural and memoized on the node (``Term.__hash__``), so terms are cheap
-dictionary keys.
+only and are excluded from comparison and hashing.  A term has one
+structural fingerprint: a SHA-256 Merkle digest, memoized on each node and
+computed without recursion.  It gives both ``canonical_key`` and the hash
+(``Term.__hash__``), so terms are cheap dictionary keys.
 
 The equality primitives (``Eq``, ``Refl``, ``EqRec``), the coercion ``Cast``
 and the type-equality decider ``J`` are dedicated node forms rather than
@@ -29,13 +30,10 @@ class Term:
         return pretty(self)
 
     def __hash__(self) -> int:
-        """Structural hash, equal for alpha-equal terms (binder names are
-        excluded, as ``==`` excludes them).  Memoized by the walk that
-        ``canonical_key`` uses: a hash costs only the nodes not hashed
-        before, and it is computed without recursion, so deep terms are
-        fine."""
-        memo = self.__dict__.get(_HASH)
-        return _memo_fold(self, _HASH, hash) if memo is None else memo
+        """The hash of the node's digest (``canonical_key``), so equal for
+        alpha-equal terms (binder names are excluded, as ``==`` excludes
+        them), and as cheap and as safe on deep terms as the digest."""
+        return hash(self.__dict__.get(_DIGEST) or _digest(self))
 
     def __init_subclass__(cls) -> None:
         # Set before @dataclass runs, which then keeps it rather than
@@ -247,41 +245,12 @@ def collect_globals(t: Term) -> set[str]:
     return out
 
 
-# Memo slots in a node's __dict__, outside its fields: equality is
-# unchanged, and a node built by ``dataclasses.replace`` starts without them.
-_HASH = "_hash"
+# The digest's memo slot in a node's __dict__, outside its fields: equality
+# is unchanged, and a node built by ``dataclasses.replace`` starts without it.
 _DIGEST = "_digest"
 
 # The compared field of each leaf; other nodes compare only their children.
 _PAYLOAD = {Var: "index", SortT: "sort", Global: "name"}
-
-
-def _memo_fold(t: Term, slot: str, combine: Callable[[tuple], object]) -> object:
-    """``combine`` of ``t``'s signature: its class followed by its leaf
-    payload or by its children's values, each child's value being its own
-    fold.  Children are folded first, without recursion, and each value is
-    memoized in its node's ``slot``, so a fold costs only the nodes not
-    folded before."""
-    todo = [t]
-    while todo:
-        cur = todo[-1]
-        memo = cur.__dict__
-        if slot in memo:  # a shared child, reached twice
-            todo.pop()
-            continue
-        cls = type(cur)
-        attrs = CHILDREN[cls]
-        if attrs:
-            kids = [memo[a].__dict__.get(slot) for a, _ in attrs]
-            if None in kids:  # fold the children first
-                todo.extend([memo[a] for (a, _), v in zip(attrs, kids) if v is None])
-                continue
-            memo[slot] = combine((cls, *kids))
-        else:
-            memo[slot] = combine((cls, memo[_PAYLOAD[cls]]))
-        todo.pop()
-    return t.__dict__[slot]
-
 
 _TAGS = {
     Var: b"V", SortT: b"S", Pi: b"P", Lam: b"L", App: b"A", Global: b"G",
@@ -289,24 +258,43 @@ _TAGS = {
 }
 
 
-def _digest(signature: tuple) -> bytes:
-    cls, *rest = signature
-    h = hashlib.sha256(_TAGS[cls])
-    for part in rest:  # a leaf's payload, or the children's digests
-        h.update(str(part).encode() if cls in _PAYLOAD else part)
-    return h.digest()
+def _digest(t: Term) -> bytes:
+    """SHA-256 of ``t``'s tag followed by its leaf payload or by its
+    children's digests.  Children are digested first, without recursion, and
+    each digest is memoized in its node's ``_DIGEST`` slot, so a digest costs
+    only the nodes not digested before."""
+    todo = [t]
+    while todo:
+        cur = todo[-1]
+        memo = cur.__dict__
+        if _DIGEST in memo:  # a shared child, reached twice
+            todo.pop()
+            continue
+        cls = type(cur)
+        attrs = CHILDREN[cls]
+        if attrs:
+            kids = [memo[a].__dict__.get(_DIGEST) for a, _ in attrs]
+            if None in kids:  # digest the children first
+                todo.extend([memo[a] for (a, _), d in zip(attrs, kids) if d is None])
+                continue
+            body = b"".join(kids)
+        else:
+            body = str(memo[_PAYLOAD[cls]]).encode()
+        memo[_DIGEST] = hashlib.sha256(_TAGS[cls] + body).digest()
+        todo.pop()
+    return t.__dict__[_DIGEST]
 
 
 def canonical_key(t: Term) -> str:
     """Fixed-width digest equal for alpha-equal terms, and stable across
     processes, unlike ``hash``.
 
-    A SHA-256 Merkle digest of each node's tag, payload and child digests,
-    memoized on the node like its hash, so a key costs only the nodes not
-    keyed before.  It is the ``key`` of a JSON trace step and is checked by
-    replay; cycle detection does not use it (see ``reduce.CycleDetector``).
+    The hex form of a SHA-256 Merkle digest of each node's tag, payload and
+    child digests, memoized on the node, so a key costs only the nodes not
+    keyed before.  It is the ``key`` of a JSON trace step and what replay
+    compares; a term's hash is the hash of the same digest.
     """
-    return _memo_fold(t, _DIGEST, _digest).hex()
+    return _digest(t).hex()
 
 
 # --- pretty printing -------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Readers that only tests need: JSON trace lines back into records, and a
-closure check over a global environment."""
+"""Readers that only tests need: JSON trace lines back into records, a
+closure check over a global environment, and counts over corpus cases."""
 
 from __future__ import annotations
 
 import json
 from typing import Iterable
 
-from itt import GlobalEnv, Term
+from itt import GlobalEnv, PragmaReduce, Term
+from itt.corpus import CaseReport, ExampleCase
 from itt.syntax import collect_globals, has_free_var
 
 
@@ -45,3 +46,12 @@ def closed_over_axioms(env: GlobalEnv, t: Term) -> bool:
             pending.extend(collect_globals(entry.body))
         pending.extend(collect_globals(entry.type_))
     return True
+
+
+def checked(report: CaseReport) -> int:
+    """How many of the report's entries were checked rather than skipped."""
+    return sum(ok is not None for _, ok in report.entries)
+
+
+def reduce_pragma_count(case: ExampleCase) -> int:
+    return sum(isinstance(d, PragmaReduce) for d in case.program.declarations)

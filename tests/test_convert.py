@@ -152,7 +152,7 @@ def test_proof_fields_are_the_fields_typed_by_a_proposition():
 
 @pytest.mark.xfail(strict=True, raises=TypeCheckError,
                    reason="irrelevance is by position: proofs passed as "
-                          "arguments are still compared (ROADMAP item 2)")
+                          "arguments are still compared (ROADMAP item 1)")
 def test_proofs_in_argument_position_are_irrelevant():
     # the paper's theory accepts this: h1 and h2 prove the same P
     elaborate(parse_program(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from itt import (
     step, trace_to_json_lines, trace_to_text, unwind_apps, whnf,
 )
 import itt.reduce
-from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE
+from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
 from itt.syntax import CHILDREN
 from helpers import parse_trace_json
 from term_strategies import church_numeral
@@ -339,6 +341,43 @@ def test_trace_json_lines_parse_and_replay():
         assert alpha_eq(parse_term(record["term"], scope), snap.term)
         assert record["key"] == snap.key
         assert record["kind"] == str(snap.kind)
+
+
+def _tampered(trace, **changes):
+    return dataclasses.replace(trace, steps=list(trace.steps), **changes)
+
+
+def test_replay_rejects_tampered_traces():
+    _, env, rules, traces = _reduce_trace("counterexample2")
+    (trace,) = traces
+    assert replay_trace(env, (), trace, rules)
+    steps = trace.steps
+    kind = _tampered(trace)
+    kind.steps[2] = TraceStep(BETA if steps[2].kind != BETA else CAST_FIRE,
+                              steps[2].sub, steps[2].frame)
+    sub = _tampered(trace)
+    sub.steps[2] = TraceStep(steps[2].kind, steps[3].sub, steps[2].frame)
+    assert not alpha_eq(sub.steps[2].term, steps[2].term)
+    dropped = _tampered(trace)
+    del dropped.steps[-1]
+    period = _tampered(trace, cycle=dataclasses.replace(
+        trace.cycle, period=trace.cycle.period + 1))
+    for bad in (kind, sub, dropped, period):
+        assert not replay_trace(env, (), bad, rules)
+
+
+@pytest.mark.parametrize("depth", [450, 600])
+def test_deep_one_step_trace_replays(depth):
+    # fun (x : Prop), s (... s ((fun (y : Prop), y) x)), built without the
+    # parser; comparing its snapshots node by node would overflow the stack
+    env, _ = elaborate(parse_program("axiom s : Prop -> Prop.\n"))
+    body = App(Lam(PROP, Var(0), name="y"), Var(0))
+    for _ in range(depth):
+        body = App(Global("s"), body)
+    rules = RuleSet()
+    trace = normalize(env, (), Lam(PROP, body, name="x"), rules)
+    assert trace.status == NORMAL_FORM and len(trace.steps) == 1
+    assert replay_trace(env, (), trace, rules)
 
 
 @pytest.mark.parametrize(("m", "n", "steps"), [(2, 9, 2049), (3, 6, 1461)])

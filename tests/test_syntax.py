@@ -153,13 +153,16 @@ def test_key_equal_exactly_when_alpha_equal(a, b):
 
 def test_key_memo_is_not_carried_by_replace():
     t = App(Global("f"), Var(0))
-    before = canonical_key(t)
+    before, before_hash = canonical_key(t), hash(t)
+    assert before_hash == hash(bytes.fromhex(before))  # one fingerprint
     changed = dataclasses.replace(t, arg=Var(1))
-    assert canonical_key(changed) == canonical_key(App(Global("f"), Var(1)))
-    assert canonical_key(changed) != before
+    assert "_digest" not in vars(changed)  # the replaced node starts unkeyed
+    fresh = App(Global("f"), Var(1))
+    assert hash(changed) == hash(fresh) != before_hash
+    assert canonical_key(changed) == canonical_key(fresh) != before
     # the memo sits outside the fields: equality and hashing are unchanged
     assert t == App(Global("f"), Var(0))
-    assert hash(t) == hash(App(Global("f"), Var(0)))
+    assert hash(t) == hash(App(Global("f"), Var(0))) == before_hash
     assert canonical_key(t) == before
 
 
@@ -169,16 +172,6 @@ def test_alpha_equal_terms_hash_alike(t, tag):
     fresh = parse_term(pretty(t), scope=GLOBAL_POOL)  # shares no node with t
     assert alpha_eq(t, renamed) and alpha_eq(t, fresh)
     assert hash(t) == hash(renamed) == hash(fresh)
-
-
-def test_hash_memo_is_not_carried_by_replace():
-    t = App(Global("f"), Var(0))
-    before = hash(t)
-    changed = dataclasses.replace(t, arg=Var(1))
-    assert "_hash" not in vars(changed)
-    assert hash(changed) == hash(App(Global("f"), Var(1)))
-    assert hash(changed) != before
-    assert hash(t) == before
 
 
 def test_hash_of_a_deep_term_does_not_recurse():
