@@ -13,8 +13,9 @@ workload, every run's end-to-end metrics and their median:
 A tree is a checkout to run, named ``label=path``; the default is this one,
 named ``change``.  Runs of several trees alternate, one per tree for each
 workload and seed, and the tree that runs first rotates from seed to seed,
-so that a drift in machine speed hits every tree alike.  Only the standard
-library is used.
+so that a drift in machine speed hits every tree alike.  With two or more
+trees the script ends by comparing each with the first: one line per
+workload and end-to-end metric.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -52,6 +53,34 @@ def describe(tree: Path) -> str | None:
             cwd=tree, capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def _num(x: float) -> str:
+    return f"{x:.4g}" if abs(x) < 1e4 else f"{x:.0f}"
+
+
+def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
+    """Per workload and end-to-end metric, each tree's median, its ratio to
+    the first tree's median, and the pairs of runs (one seed each) it won
+    against the first tree by the metric's ``better`` direction, ties
+    counting for neither:
+
+        check-chain  wall_s  parent 0.1728  change 0.157 (0.909, won 5 of 5)
+    """
+    first, *others = runs
+    lines = []
+    for w in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            m, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            base, ref = medians[first][w][m], runs[first][w][m]
+            cells = [f"{first} {_num(base)}"]
+            for label in others:
+                median, mine = medians[label][w][m], runs[label][w][m]
+                won = sum(sign * (a - b) > 0 for a, b in zip(mine, ref))
+                ratio = f"{median / base:.3f}" if base else "n/a"
+                cells.append(f"{label} {_num(median)} ({ratio}, won {won} of {len(ref)})")
+            lines.append(f"{w:12} {m:14} " + "  ".join(cells))
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
             "median": medians,
             "runs": runs,
         }, indent=2) + "\n")
+    if len(trees) > 1:
+        print("\n".join(compare(spec, runs, medians)))
     for line in wrong:
         print(f"benchmark verdict failed: {line}", file=sys.stderr)
     return 1 if wrong else 0

@@ -8,10 +8,15 @@ including proofs passed elsewhere, such as application arguments; typed
 irrelevance there is future work (ROADMAP item 1).
 
 Every query spends one unit of fuel, and a query of a term with itself (the
-same object) costs exactly that unit: it is answered before any reduction.
-Otherwise weak-head forms are compared, with incremental unfolding: a global
-unfolds only when the heads disagree (or agree but their parts do not),
-which keeps comparisons close to the named forms they started from.
+same object) or of two equal leaves (``Var``, ``SortT``, ``Global``) costs
+exactly that unit: it is answered before any reduction.  Otherwise weak-head
+forms are compared, with lazy delta unfolding as in Lean 4's kernel: a
+global unfolds only when the heads disagree (or agree but their parts do
+not), and then the head of greater definitional height
+(``GlobalEnv.height``) unfolds, the left one on a tie.  Since a body names
+only earlier globals, two aliases meet at their common alias without
+unfolding past it, and comparisons stay close to the named forms they
+started from.  Two heads of height 0 (no defined global) do not convert.
 
 Unfolding can loop, since this theory does not normalize.  A pair of
 weak-head forms equal to an earlier pair raises ConversionCycle, a
@@ -26,7 +31,9 @@ from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
-from .syntax import CHILDREN, PROP, Cast, EqRec, J, Term, alpha_eq, unwind_apps
+from .syntax import (
+    CHILDREN, PROP, App, Cast, EqRec, Global, J, Term, alpha_eq, unwind_apps,
+)
 
 
 class ConversionCycle(FuelExhausted):
@@ -61,7 +68,9 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     if budget is None:
         budget = rules.new_budget()
     budget.spend()  # conversion queries consume the shared budget
-    if t1 is t2:  # identity, not ==: dataclass == recurses and costs O(size)
+    # identity, not ==: dataclass == recurses and costs O(size); but two
+    # leaves (Var, SortT, Global) compare in O(1)
+    if t1 is t2 or (not CHILDREN[type(t1)] and t1 == t2):
         return True
     w1 = _reduce.whnf_term(env, ctx, t1, rules, budget, unfold_heads=False)
     w2 = _reduce.whnf_term(env, ctx, t2, rules, budget, unfold_heads=False)
@@ -71,13 +80,14 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     while True:
         if type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, rules, budget):
             return True
-        u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
-        if u1 is not None:
+        h1, h2 = _height(env, w1), _height(env, w2)
+        if h1 == h2 == 0:
+            return False
+        if h1 >= h2:
+            u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
             w1 = _reduce.whnf_term(env, ctx, u1, rules, budget, unfold_heads=False)
         else:
             u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
-            if u2 is None:
-                return False
             w2 = _reduce.whnf_term(env, ctx, u2, rules, budget, unfold_heads=False)
         period += 1
         try:
@@ -88,6 +98,13 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             raise ConversionCycle(period)
         if period == power:
             saved, power, period = (w1, w2), 2 * power, 0
+
+
+def _height(env: GlobalEnv, t: Term) -> int:
+    """The definitional height of the head of the spine ``t``."""
+    while type(t) is App:
+        t = t.fn
+    return env.height(t.name) if type(t) is Global else 0
 
 
 # The fields whose type is a proposition, by the typing rules of

@@ -36,11 +36,20 @@ class GlobalEnv:
 
     def __init__(self) -> None:
         self._entries: dict[str, EnvEntry] = {}
+        self._heights: dict[str, int] = {}
 
     def add(self, entry: EnvEntry) -> None:
         if entry.name in self._entries:
             raise ValueError(f"duplicate global {entry.name!r}")
         self._entries[entry.name] = entry
+        if entry.body is not None:
+            self._heights[entry.name] = len(self._entries)
+
+    def height(self, name: str) -> int:
+        """Definitional height: the declaration position (from 1) of a
+        defined global, 0 for an axiom, an assumption or an unknown name.
+        A body names only earlier globals, so unfolding lowers the height."""
+        return self._heights.get(name, 0)
 
     def lookup(self, name: str) -> EnvEntry | None:
         return self._entries.get(name)

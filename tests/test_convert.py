@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from itt import (
     CASE_NAMES, DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
     App, Cast, ConversionCycle, Eq, EqRec, Fuel, FuelExhausted, Global, J, Lam,
-    PragmaCheck, PragmaReduce, Refl, RuleSet, TypeCheckError, Var,
+    PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
     convert, ctx_extend, elaborate, infer, is_proposition, load_example,
     normalize, parse_program, parse_term, pretty,
 )
+from itt import reduce as reduce_module
 from itt.convert import PROOF_FIELDS
 from itt.syntax import CHILDREN
 from term_strategies import GLOBAL_POOL, open_terms
@@ -335,13 +337,59 @@ def test_cast_whose_side_condition_loops_exhausts_the_reduction():
     assert budget.remaining > DEFAULT_FUEL - 100
 
 
+def _fuel_spent(env, t1, t2):
+    budget = Fuel(DEFAULT_FUEL)
+    assert convert(env, (), t1, t2, budget=budget)
+    return DEFAULT_FUEL - budget.remaining
+
+
 def test_long_alias_chain_is_not_a_cycle():
     # 300 distinct unfolding states in a row; the budget pays 1 for the
-    # query and 1 per unfolding, and nothing for the cycle check
+    # query and 1 per unfolding, and nothing for the cycle check.  Only the
+    # later definition unfolds, in either order, until the heads meet
     src = "def T0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
         f"def T{k} : Prop := T{k - 1}.\n" for k in range(1, 301))
     env, _ = elaborate(parse_program(src))
-    budget = Fuel(DEFAULT_FUEL)
-    assert convert(env, (), Global("T300"), Global("T0"), budget=budget)
-    assert budget.remaining == DEFAULT_FUEL - 301
-    assert convert(env, (), Global("T0"), Global("T300"))
+    for a, b, cost in [(300, 0, 301), (200, 100, 101)]:
+        assert _fuel_spent(env, Global(f"T{a}"), Global(f"T{b}")) == cost
+        assert _fuel_spent(env, Global(f"T{b}"), Global(f"T{a}")) == cost
+
+
+def test_random_alias_dag_converts_symmetrically():
+    # def U_k : Prop := U_j with j < k: every pair meets at a common alias,
+    # and unfolding the later head first makes the cost independent of order
+    rng = random.Random(13)
+    src = "def U0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
+        f"def U{k} : Prop := U{rng.randrange(k)}.\n" for k in range(1, 200))
+    env, _ = elaborate(parse_program(src))
+    for _ in range(2000):
+        i, j = (Global(f"U{rng.randrange(200)}") for _ in range(2))
+        assert _fuel_spent(env, i, j) == _fuel_spent(env, j, i)
+
+
+def test_global_heights_follow_declaration_order():
+    env, _ = elaborate(parse_program(
+        "def A : Prop := forall (X : Prop), X.\n"
+        "axiom B : Prop.\n"
+        "def C : Prop := A -> B.\n"
+        "assume D : C.\n"
+        "def E : Prop := C.\n"))
+    assert [env.height(n) for n in "ABCDE"] == [1, 0, 3, 0, 5]
+    assert env.height("missing") == 0
+
+
+def test_equal_leaves_answer_without_reducing(monkeypatch):
+    # separately built leaves are == but not the same object: the query
+    # spends its one unit and answers before any weak-head reduction
+    env, _ = elaborate(parse_program("def T : Prop := forall (A : Prop), A.\n"))
+    prop = SortT("Prop")
+    assert prop == PROP and prop is not PROP
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("whnf_term called")
+
+    monkeypatch.setattr(reduce_module, "whnf_term", no_reduction)
+    for t1, t2 in [(Global("T"), Global("T")), (Var(2), Var(2)), (prop, PROP)]:
+        budget = Fuel(1)
+        assert convert(env, (PROP,) * 3, t1, t2, budget=budget)
+        assert budget.remaining == 0
