@@ -290,7 +290,7 @@ def _copy(t):
 @given(open_terms)
 def test_reflexive_on_distinct_copies(t):
     # the copy shares no node with t, so the identity shortcut cannot answer
-    # and the structural path must be reflexive on its own
+    # and, unless t is a leaf, the structural path must be reflexive on its own
     copy = _copy(t)
     assert copy == t and copy is not t
     ctx = (PROP,) * 3
