@@ -31,8 +31,7 @@ from .reduce import (
 )
 from .convert import ConversionCycle, convert, is_proposition
 from .typecheck import (
-    JDisabledError, PragmaResult, TypeCheckError,
-    check, elaborate, infer,
+    PragmaResult, TypeCheckError, check, elaborate, infer,
 )
 from .corpus import CASE_NAMES, ExampleCase, load_example, run_all, ruleset_label
 

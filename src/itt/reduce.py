@@ -182,15 +182,14 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
     return None
 
 
-def unfold(env: GlobalEnv, head: Term, args: list[Term],
+def unfold(env: GlobalEnv, head: Global, args: list[Term],
            budget: Fuel) -> Term | None:
-    """Delta: the spine ``head args`` with a defined global head replaced by
-    its body, or None when the head is not a defined global."""
-    if isinstance(head, Global):
-        entry = env.lookup(head.name)
-        if entry is not None and entry.body is not None:
-            budget.spend()
-            return build_apps(entry.body, args)
+    """Delta: the spine ``head args`` with the global head replaced by its
+    body, or None when the head is an axiom or an assumption."""
+    entry = env.lookup(head.name)
+    if entry is not None and entry.body is not None:
+        budget.spend()
+        return build_apps(entry.body, args)
     return None
 
 

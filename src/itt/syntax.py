@@ -11,17 +11,29 @@ The equality primitives (``Eq``, ``Refl``, ``EqRec``), the coercion ``Cast``
 and the type-equality decider ``J`` are dedicated node forms rather than
 applied constants: their reduction rules match saturated forms, so dedicated
 nodes make rule firing unambiguous.
+
+A node's class statement is the one declaration of its shape.  Its fields
+declared ``Term`` are its children, and the one under its binder is marked
+``binds``.  Its class keywords give its digest tag and, for a primitive form,
+its surface keyword.  ``CHILDREN``, ``PRIMITIVES`` and the digest's tables
+are derived from these.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Sequence
 
 
 class ScopeError(Exception):
     """Internal invariant violation: an index adjustment went negative."""
+
+
+# Filled by each node's class statement: its digest tag, and for a saturated
+# primitive form its surface keyword (its arity is its number of children).
+_TAGS: dict[type, bytes] = {}
+PRIMITIVES: dict[str, type] = {}
 
 
 @dataclass(frozen=True)
@@ -35,19 +47,22 @@ class Term:
         them), and as cheap and as safe on deep terms as the digest."""
         return hash(self.__dict__.get(_DIGEST) or _digest(self))
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, tag: bytes, keyword: str | None = None) -> None:
         # Set before @dataclass runs, which then keeps it rather than
         # generating a recursive field-by-field hash.
         cls.__hash__ = Term.__hash__
+        _TAGS[cls] = tag
+        if keyword is not None:
+            PRIMITIVES[keyword] = cls
 
 
 @dataclass(frozen=True)
-class Var(Term):
+class Var(Term, tag=b"V"):
     index: int
 
 
 @dataclass(frozen=True)
-class SortT(Term):
+class SortT(Term, tag=b"S"):
     sort: str  # "Prop" | "Type" | "Kind"
 
 
@@ -59,45 +74,45 @@ KIND = SortT("Kind")
 
 
 @dataclass(frozen=True)
-class Pi(Term):
+class Pi(Term, tag=b"P"):
     domain: Term
-    codomain: Term  # binds one variable
+    codomain: Term = field(metadata={"binds": True})
     name: str = field(default="_", compare=False)
 
 
 @dataclass(frozen=True)
-class Lam(Term):
+class Lam(Term, tag=b"L"):
     domain: Term
-    body: Term  # binds one variable
+    body: Term = field(metadata={"binds": True})
     name: str = field(default="_", compare=False)
 
 
 @dataclass(frozen=True)
-class App(Term):
+class App(Term, tag=b"A"):
     fn: Term
     arg: Term
 
 
 @dataclass(frozen=True)
-class Global(Term):
+class Global(Term, tag=b"G"):
     name: str
 
 
 @dataclass(frozen=True)
-class Eq(Term):
+class Eq(Term, tag=b"E", keyword="Eq"):
     ty: Term
     lhs: Term
     rhs: Term
 
 
 @dataclass(frozen=True)
-class Refl(Term):
+class Refl(Term, tag=b"R", keyword="refl"):
     ty: Term
     val: Term
 
 
 @dataclass(frozen=True)
-class EqRec(Term):
+class EqRec(Term, tag=b"Q", keyword="Eq_rec"):
     ty: Term
     motive: Term
     lhs: Term
@@ -107,7 +122,7 @@ class EqRec(Term):
 
 
 @dataclass(frozen=True)
-class Cast(Term):
+class Cast(Term, tag=b"C", keyword="cast"):
     src: Term
     dst: Term
     proof: Term
@@ -115,10 +130,22 @@ class Cast(Term):
 
 
 @dataclass(frozen=True)
-class J(Term):
+class J(Term, tag=b"J", keyword="J"):
     src: Term
     dst: Term
     val: Term
+
+
+# The fields declared ``Term`` of each node, in declaration order (which is
+# surface order), each flagged when it sits under the node's binder.
+CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
+    cls: tuple((f.name, f.metadata.get("binds", False)) for f in fields(cls)
+               if f.type == "Term")
+    for cls in _TAGS
+}
+# The one field of each leaf, its compared payload.
+_PAYLOAD = {cls: fields(cls)[0].name for cls, kids in CHILDREN.items() if not kids}
+_KEYWORD = {cls: kw for kw, cls in PRIMITIVES.items()}
 
 
 def unwind_apps(t: Term) -> tuple[Term, list[Term]]:
@@ -141,30 +168,6 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     """Alpha-equivalence.  Literal structural equality under de Bruijn
     representation; display names are excluded from dataclass comparison."""
     return t1 == t2
-
-
-# Subterm fields of each node in declaration order, which is also surface
-# order, each flagged when the child sits under the node's binder.  Rebuilding
-# passes children positionally, so the order must match the dataclass.
-CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
-    Var: (), SortT: (), Global: (),
-    Pi: (("domain", False), ("codomain", True)),
-    Lam: (("domain", False), ("body", True)),
-    App: (("fn", False), ("arg", False)),
-    Eq: (("ty", False), ("lhs", False), ("rhs", False)),
-    Refl: (("ty", False), ("val", False)),
-    EqRec: (("ty", False), ("motive", False), ("lhs", False), ("rhs", False),
-            ("base", False), ("proof", False)),
-    Cast: (("src", False), ("dst", False), ("proof", False), ("val", False)),
-    J: (("src", False), ("dst", False), ("val", False)),
-}
-
-# Surface keyword of each saturated primitive form; its arity is the number
-# of the node's children.
-PRIMITIVES: dict[str, type] = {
-    "Eq": Eq, "refl": Refl, "Eq_rec": EqRec, "cast": Cast, "J": J,
-}
-_KEYWORD = {cls: kw for kw, cls in PRIMITIVES.items()}
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -248,14 +251,6 @@ def collect_globals(t: Term) -> set[str]:
 # The digest's memo slot in a node's __dict__, outside its fields: equality
 # is unchanged, and a node built by ``dataclasses.replace`` starts without it.
 _DIGEST = "_digest"
-
-# The compared field of each leaf; other nodes compare only their children.
-_PAYLOAD = {Var: "index", SortT: "sort", Global: "name"}
-
-_TAGS = {
-    Var: b"V", SortT: b"S", Pi: b"P", Lam: b"L", App: b"A", Global: b"G",
-    Eq: b"E", Refl: b"R", EqRec: b"Q", Cast: b"C", J: b"J",
-}
 
 
 def _digest(t: Term) -> bytes:

@@ -52,10 +52,6 @@ class TypeCheckError(Exception):
     pass
 
 
-class JDisabledError(TypeCheckError):
-    pass
-
-
 # The sort ladder: the type of each typed sort, and the sort of a Pi-type
 # from the sorts of its domain and codomain.
 SORT_OF = {PROP: TYPE, TYPE: KIND}
@@ -170,7 +166,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             return dst
         case J(src, dst, val):
             if not rules.j_rule:
-                raise JDisabledError(
+                raise TypeCheckError(
                     "J is not part of the active rule set (enable j_rule)")
             _expect_sort(env, ctx, src, PROP, rules, budget, "J source")
             _expect_sort(env, ctx, dst, PROP, rules, budget, "J target")

@@ -3,26 +3,4 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from itt import elaborate, load_example
-
-
-@pytest.fixture(scope="session")
-def elaborated():
-    """Cached (case, rules, env, pragma results) per corpus case + overrides."""
-    cache = {}
-
-    def get(name: str, **flag_overrides):
-        key = (name, tuple(sorted(flag_overrides.items())))
-        if key not in cache:
-            case = load_example(name)
-            rules = case.rules.updated(**flag_overrides)
-            env, results = elaborate(case.program, rules,
-                                     reduce_strategy=case.strategy)
-            cache[key] = (case, rules, env, results)
-        return cache[key]
-
-    return get

@@ -1,12 +1,13 @@
 """Readers that only tests need: JSON trace lines back into records, a
-closure check over a global environment, and counts over corpus cases."""
+closure check over a global environment, and counts over corpus cases; and
+the inputs that several test files share."""
 
 from __future__ import annotations
 
 import json
 from typing import Iterable
 
-from itt import GlobalEnv, PragmaReduce, Term
+from itt import GlobalEnv, PragmaReduce, RuleSet, Term, elaborate, load_example
 from itt.corpus import CaseReport, ExampleCase
 from itt.syntax import collect_globals, has_free_var
 
@@ -55,3 +56,24 @@ def checked(report: CaseReport) -> int:
 
 def reduce_pragma_count(case: ExampleCase) -> int:
     return sum(isinstance(d, PragmaReduce) for d in case.program.declarations)
+
+
+def case_env(name: str, **flags: bool) -> tuple[GlobalEnv, RuleSet]:
+    """The environment of a corpus case elaborated without its reductions,
+    under the case's rule set with ``flags`` changed."""
+    case = load_example(name)
+    rules = case.rules.updated(**flags)
+    env, _ = elaborate(case.program, rules, run_reduce=False)
+    return env, rules
+
+
+# counterexample2 without its pragmas (declarations 0-5), then a predicate on
+# Top (declaration 6) whose argument must convert with Omega, and the
+# identity on Prop that tests pass it.
+CE2_DEFS = "\n".join(
+    line for line in load_example("counterexample2").source.splitlines()
+    if not line.startswith("#"))
+CE2_G = """
+axiom G : Top -> Prop.
+"""
+CE2_I = "(fun (A : Prop), fun (a : A), a)"

@@ -16,7 +16,7 @@ from itt import (
 )
 from itt import corpus as corpus_mod
 from itt.cli import _RULE_FLAGS, main
-from helpers import parse_trace_json
+from helpers import CE2_DEFS, CE2_G, CE2_I, parse_trace_json
 
 CE1 = "src/itt/corpus/examples/counterexample1.itt"
 CE2 = "src/itt/corpus/examples/counterexample2.itt"
@@ -101,18 +101,9 @@ def test_deep_normal_form_names_declaration(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-_CE2_DEFS = "\n".join(
-    line for line in load_example("counterexample2").source.splitlines()
-    if not line.startswith("#"))
-_G = """
-axiom G : Top -> Prop.
-"""
-_I = "(fun (A : Prop), fun (a : A), a)"
-
-
 def test_conversion_cycle_while_checking_exits_4(tmp_path):
     src = tmp_path / "bad.itt"
-    src.write_text(_CE2_DEFS + _G + f"axiom g : G {_I}.\n"
+    src.write_text(CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\n"
                    "def bad : G Omega := g.\n")
     start = time.perf_counter()
     proc = _run_itt("check", str(src))
@@ -128,9 +119,9 @@ def test_conversion_diverging_without_repeat_exits_3(tmp_path):
     # delta grows Omega's spine, so its unfolding never repeats: the budget
     # ends it, although Brent's compare of the deep states overflows
     src = tmp_path / "grow.itt"
-    src.write_text(_CE2_DEFS.replace(
+    src.write_text(CE2_DEFS.replace(
         "z (Top -> Top) id z.", "z (Top -> Top) id (z (Top -> Top) id z).")
-        + _G + f"axiom g : G {_I}.\n" "def bad : G Omega := g.\n")
+        + CE2_G + f"axiom g : G {CE2_I}.\n" "def bad : G Omega := g.\n")
     proc = _run_itt("check", str(src), "--max-steps", "3000")
     assert proc.returncode == 3
     assert proc.stderr == ("fuel exhausted: declaration 8 (bad): "
@@ -141,10 +132,10 @@ def test_reduce_whose_cast_condition_loops_exits_3(capsys, tmp_path):
     # the conversion cycle happens inside a reduction step, so it ends the
     # trace as FuelExhausted rather than failing the whole run
     src = tmp_path / "loop.itt"
-    src.write_text(_CE2_DEFS + _G
-                   + f"axiom p : Eq Prop (G Omega) (G {_I}).\n"
+    src.write_text(CE2_DEFS + CE2_G
+                   + f"axiom p : Eq Prop (G Omega) (G {CE2_I}).\n"
                    "axiom x : G Omega.\n"
-                   f"#reduce cast (G Omega) (G {_I}) p x.\n")
+                   f"#reduce cast (G Omega) (G {CE2_I}) p x.\n")
     assert main(["reduce", str(src)]) == 3
     assert capsys.readouterr().out == "STATUS FuelExhausted\n"
     assert main(["reduce", str(src), "--trace", "json"]) == 3
@@ -270,7 +261,7 @@ def test_corpus_conversion_cycle_exits_4(capsys, monkeypatch):
     # a case whose checking loops in conversion still gets its report
     case = load_example("counterexample2")
     bad = dataclasses.replace(case, program=parse_program(
-        _CE2_DEFS + _G + f"axiom g : G {_I}.\ndef bad : G Omega := g.\n"))
+        CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\ndef bad : G Omega := g.\n"))
     monkeypatch.setattr(corpus_mod, "load_example", lambda name: bad)
     assert main(["corpus", "--case", "counterexample2"]) == 4
     assert capsys.readouterr().out == (

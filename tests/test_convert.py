@@ -17,28 +17,22 @@ from itt import (
 from itt import reduce as reduce_module
 from itt.convert import PROOF_FIELDS
 from itt.syntax import CHILDREN
+from helpers import CE2_DEFS, CE2_G, CE2_I, case_env
 from term_strategies import GLOBAL_POOL, open_terms
 
 
-def _env(name, **flags):
-    case = load_example(name)
-    rules = case.rules.updated(**flags)
-    env, _ = elaborate(case.program, rules, run_reduce=False)
-    return env, rules
-
-
 def test_reflexive_on_globals():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     assert convert(env, (), Global("Top"), Global("Top"), rules=rules)
 
 
 def test_top_and_bot_differ():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     assert not convert(env, (), Global("Top"), Global("Bot"), rules=rules)
 
 
 def test_unfolding_settles_neg_bot():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     lhs = parse_term("Neg Bot", env.names())
     rhs = parse_term("Bot -> Bot", env.names())
     assert convert(env, (), lhs, rhs, rules=rules)
@@ -167,7 +161,7 @@ def test_proofs_in_argument_position_are_irrelevant():
 
 
 def test_is_proposition_examples():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     budget = rules.new_budget()
     eq = parse_term("Eq Prop Top Top", env.names())
     assert is_proposition(env, (), eq, rules, budget)
@@ -176,7 +170,7 @@ def test_is_proposition_examples():
 
 
 def test_equivalence_relation_on_corpus_types():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     terms = [e.type_ for e in env] + [e.body for e in env if e.body is not None]
     for t in terms:
         assert convert(env, (), t, t, rules=rules)  # reflexive
@@ -194,7 +188,7 @@ def test_equivalence_relation_on_corpus_types():
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_conversion_is_an_equivalence_on_corpus_terms(name):
     for irrelevance in (True, False):
-        env, rules = _env(name, proof_irrelevance=irrelevance)
+        env, rules = case_env(name, proof_irrelevance=irrelevance)
         rules = rules.updated(fuel=2000)
         roots = _roots(env)
         for t in roots:  # reflexive, on a copy: identity is answered early
@@ -216,7 +210,7 @@ def test_conversion_is_an_equivalence_on_corpus_terms(name):
 
 
 def test_congruence_spot_checks():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     scope = env.names()
     a, b = parse_term("Top", scope), parse_term("Neg Bot", scope)
     assert convert(env, (), a, b, rules=rules)
@@ -231,7 +225,7 @@ def test_congruence_spot_checks():
 
 
 def test_disabling_rules_never_creates_conversions():
-    env, rules = _env("sanity-casts")
+    env, rules = case_env("sanity-casts")
     scope = env.names()
     pairs = [
         (parse_term("Top", scope), parse_term("Bot", scope)),
@@ -247,7 +241,7 @@ def test_disabling_rules_never_creates_conversions():
 
 
 def test_firing_cast_converts_to_its_payload_only_when_enabled():
-    env, rules = _env("sanity-casts")
+    env, rules = case_env("sanity-casts")
     scope = env.names()
     fired = parse_term("cast Top Top top_eq top_value", scope)
     payload = parse_term("top_value", scope)
@@ -257,7 +251,7 @@ def test_firing_cast_converts_to_its_payload_only_when_enabled():
 
 
 def test_fuel_exhaustion_propagates():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     lhs = parse_term("Neg Bot", env.names())
     rhs = parse_term("Bot -> Bot", env.names())
     with pytest.raises(FuelExhausted):
@@ -265,7 +259,7 @@ def test_fuel_exhaustion_propagates():
 
 
 def test_reflexive_query_costs_one_unit():
-    env, rules = _env("sanity-casts")
+    env, rules = case_env("sanity-casts")
     # the cast fires and the payload unfolds, but the same object needs neither
     t = parse_term("cast Top Top top_eq top_value", env.names())
     budget = Fuel(1)
@@ -300,22 +294,11 @@ def test_reflexive_on_distinct_copies(t):
         pass
 
 
-# counterexample2 without its pragmas (declarations 0-5), then a predicate on
-# Top whose argument must convert with Omega: declarations 6-8
-_CE2_DEFS = "\n".join(
-    line for line in load_example("counterexample2").source.splitlines()
-    if not line.startswith("#"))
-_G = """
-axiom G : Top -> Prop.
-"""
-_I = "(fun (A : Prop), fun (a : A), a)"
-
-
 def test_divergent_conversion_is_a_detected_cycle():
     # Omega unfolds back to itself inside convert, so no budget suffices; the
     # detector reports that before 100 units are spent, where a plain
     # FuelExhausted would mean the budget simply ran out
-    program = parse_program(_CE2_DEFS + _G + f"axiom g : G {_I}.\n"
+    program = parse_program(CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\n"
                             "def bad : G Omega := g.\n")
     with pytest.raises(ConversionCycle, match=r"^declaration 8 \(bad\): ") as info:
         elaborate(program, RuleSet(fuel=100))
@@ -328,9 +311,9 @@ def test_cast_whose_side_condition_loops_exhausts_the_reduction():
     # the cast's endpoints only convert if Omega does: the trace ends as
     # FuelExhausted, with no step, long before its budget is spent
     env, _ = elaborate(parse_program(
-        _CE2_DEFS + _G + f"axiom p : Eq Prop (G Omega) (G {_I}).\n"
+        CE2_DEFS + CE2_G + f"axiom p : Eq Prop (G Omega) (G {CE2_I}).\n"
         "axiom x : G Omega.\n"))
-    term = parse_term(f"cast (G Omega) (G {_I}) p x", env.names())
+    term = parse_term(f"cast (G Omega) (G {CE2_I}) p x", env.names())
     budget = Fuel(DEFAULT_FUEL)
     trace = normalize(env, (), term, RuleSet(), budget)
     assert trace.status == FUEL_EXHAUSTED and trace.steps == []

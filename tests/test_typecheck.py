@@ -4,18 +4,12 @@ import pytest
 
 from itt import (
     KIND, PROP, TYPE,
-    Fuel, FuelExhausted, Global, GlobalEnv, JDisabledError,
+    Fuel, FuelExhausted, Global, GlobalEnv,
     TypeCheckError, Var,
-    alpha_eq, check, convert, elaborate, infer, load_example, parse_program,
+    alpha_eq, check, convert, elaborate, infer, parse_program,
     parse_term, pretty,
 )
-
-
-def _env(name, **flags):
-    case = load_example(name)
-    rules = case.rules.updated(**flags)
-    env, _ = elaborate(case.program, rules, run_reduce=False)
-    return env, rules
+from helpers import case_env
 
 
 def test_pts_ladder():
@@ -32,43 +26,43 @@ def test_pts_ladder():
 
 
 def test_kind_has_no_type():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     with pytest.raises(TypeCheckError, match="Kind has no type"):
         infer(env, (), KIND, rules)
 
 
 def test_bot_infers_prop_impredicatively():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     assert infer(env, (), parse_term("forall (A : Prop), A"), rules) == PROP
 
 
 def test_impredicativity_witnesses_never_type():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     for src in ("forall (A : Prop), A", "forall (A : Prop), A -> A"):
         assert infer(env, (), parse_term(src), rules) == PROP
 
 
 def test_delta_checks_against_top():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     body = parse_term("fun (z : Bot), z Top z", env.names())
     check(env, (), body, Global("Top"), rules)
 
 
 def test_delta_body_fails_against_bot():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     body = parse_term("fun (z : Bot), z Top z", env.names())
     with pytest.raises(TypeCheckError, match="type mismatch"):
         check(env, (), body, Global("Bot"), rules)
 
 
 def test_cast_instance_types_at_target():
-    env, rules = _env("sanity-casts")
+    env, rules = case_env("sanity-casts")
     t = parse_term("cast Top Top top_eq top_value", env.names())
     assert alpha_eq(infer(env, (), t, rules), Global("Top"))
 
 
 def test_omega_of_second_counterexample():
-    env, rules = _env("counterexample2")
+    env, rules = case_env("counterexample2")
     # its body casts from Top -> Top to A, yet checks against Top
     entry = env.lookup("omega")
     assert entry is not None and entry.body is not None
@@ -77,7 +71,7 @@ def test_omega_of_second_counterexample():
 
 
 def test_no_cumulativity_prop_where_type_required():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     # Eq's carrier must be of type Type; Top : Prop does not qualify
     t = parse_term("Eq Top delta delta", env.names())
     with pytest.raises(TypeCheckError, match="sort Type"):
@@ -85,38 +79,43 @@ def test_no_cumulativity_prop_where_type_required():
 
 
 def test_no_pi_rule_error():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     with pytest.raises(TypeCheckError, match="no Pi-formation rule"):
         infer(env, (), parse_term("forall (A : Type), A"), rules)
 
 
 def test_applying_a_non_function():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     with pytest.raises(TypeCheckError, match="not a function"):
         infer(env, (), parse_term("Top delta", env.names()), rules)
 
 
 def test_unbound_variable_index():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     with pytest.raises(TypeCheckError, match="unbound variable"):
         infer(env, (), Var(3), rules)
 
 
+def test_unbound_global():
+    with pytest.raises(TypeCheckError, match=r"^unbound global 'nope'$"):
+        infer(GlobalEnv(), (), Global("nope"))
+
+
 def test_eq_lands_in_prop():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     t = parse_term("Eq Prop Top Top", env.names())
     assert infer(env, (), t, rules) == PROP
 
 
 def test_refl_gives_reflexive_equation():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     t = parse_term("refl Prop Top", env.names())
     want = parse_term("Eq Prop Top Top", env.names())
     assert alpha_eq(infer(env, (), t, rules), want)
 
 
 def test_eqrec_rule_shape():
-    env, rules = _env("sanity-casts")
+    env, rules = case_env("sanity-casts")
     t = parse_term(
         "Eq_rec Prop (fun (X : Prop), Prop) Top (Neg Bot) Bot (refl Prop Top)",
         env.names())
@@ -125,55 +124,64 @@ def test_eqrec_rule_shape():
 
 
 def test_eqrec_motive_must_land_in_type():
-    env, rules = _env("sanity-casts")
-    t = parse_term(
-        "Eq_rec Prop (fun (X : Prop), X) Top (Neg Bot) top_value (refl Prop Top)",
-        env.names())
-    with pytest.raises(TypeCheckError, match="motive"):
-        infer(env, (), t, rules)
+    env, rules = case_env("sanity-casts")
+    for src, message in [
+        ("Eq_rec Prop (fun (X : Prop), X) Top (Neg Bot) top_value (refl Prop Top)",
+         "Eq_rec motive must land in Type, found Prop"),
+        ("Eq_rec Prop Prop Top Top top_value (refl Prop Top)",
+         "Eq_rec motive is not a function: Type"),
+        ("Eq_rec Prop (fun (x : Top), Prop) Top Top top_value (refl Prop Top)",
+         "Eq_rec motive domain Top does not match carrier Prop"),
+    ]:
+        with pytest.raises(TypeCheckError, match=f"^{message}$"):
+            infer(env, (), parse_term(src, env.names()), rules)
 
 
 def test_j_disabled_by_default():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     t = parse_term("J Top Top delta", env.names())
-    with pytest.raises(JDisabledError):
+    with pytest.raises(TypeCheckError, match="^J is not part of the active rule set"):
         infer(env, (), t, rules)
 
 
 def test_j_enabled_types_at_target():
-    env, rules = _env("girard-j")
+    env, rules = case_env("girard-j")
     t = parse_term("J Top Bot top_id", env.names())
     assert alpha_eq(infer(env, (), t, rules), Global("Bot"))
 
 
 def test_elaborate_reports_failing_declaration_index():
-    src = ("def Bot : Prop := forall (A : Prop), A.\n"
-           "def bad : Bot := Prop.\n")
-    with pytest.raises(TypeCheckError, match=r"declaration 1 \(bad\)"):
-        elaborate(parse_program(src))
+    for src, message in [
+        ("def Bot : Prop := forall (A : Prop), A.\n"
+         "def bad : Bot := Prop.\n", r"declaration 1 \(bad\)"),
+        ("axiom p : Prop. axiom h : p. axiom x : h.",
+         r"^declaration 2 \(x\): type of x is not a type: h : p$"),
+    ]:
+        with pytest.raises(TypeCheckError, match=message):
+            elaborate(parse_program(src))
 
 
 def test_fuel_exhaustion_is_distinct_from_type_error():
-    env, rules = _env("counterexample1")
+    env, rules = case_env("counterexample1")
     body = parse_term("fun (z : Bot), z Top z", env.names())
     with pytest.raises(FuelExhausted):
         check(env, (), body, Global("Top"), rules, Fuel(2))
 
 
 def test_infer_is_deterministic():
-    env, rules = _env("counterexample2")
+    env, rules = case_env("counterexample2")
     t = parse_term("delta omega", env.names())
     assert alpha_eq(infer(env, (), t, rules), infer(env, (), t, rules))
 
 
 def test_axioms_are_opaque_entries():
-    env, _ = _env("counterexample2")
+    env, _ = case_env("counterexample2")
     entry = env.lookup("tautext")
     assert entry.kind == "axiom" and entry.body is None
 
 
 def test_stated_types_stored_verbatim():
-    env, _ = _env("counterexample1")
+    env, _ = case_env("counterexample1")
     want = parse_term("Neg (forall (A : Prop), forall (B : Prop), Eq Prop A B)",
                       env.names())
     assert alpha_eq(env.lookup("Omega").type_, want)
