@@ -15,17 +15,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable
 
 from . import corpus as corpus_mod
 from .convert import ConversionCycle
-from .parser import ParseError, parse_program
+from .parser import ParseError, Program, parse_program
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM, trace_to_json_lines,
     trace_to_text,
 )
 from .rules import DEFAULT_FUEL, DEFAULT_RULES, FuelExhausted
 from .syntax import ScopeError, pretty
-from .typecheck import TypeCheckError, elaborate
+from .typecheck import PragmaResult, TypeCheckError, elaborate, name_declaration
 
 
 class _Usage(Exception):
@@ -127,29 +128,44 @@ def _read_source(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc}")
 
 
+def _print_result(program: Program, res: PragmaResult,
+                  render: Callable[[PragmaResult], str]) -> None:
+    """Print ``render(res)``.  A result too deep to render is an error of
+    the pragma that produced it, and is named so."""
+    try:
+        text = render(res)
+    except RecursionError as exc:
+        name_declaration(exc, res.index, program.declarations[res.index])
+        raise
+    print(text)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     rules = DEFAULT_RULES.updated(**_rule_fields(args))
     program = parse_program(_read_source(args.path))
     _, results = elaborate(program, rules, run_reduce=False)
     for res in results:
-        if res.kind == "check":
-            print(f"{pretty(res.term)} : {pretty(res.type_)}")
+        _print_result(program, res,
+                      lambda r: f"{pretty(r.term)} : {pretty(r.type_)}")
     return 0
+
+
+# --trace value -> the printed form of a #reduce result
+_TRACE_RENDER: dict[str, Callable[[PragmaResult], str]] = {
+    "text": lambda r: trace_to_text(r.trace),
+    "json": lambda r: "\n".join(trace_to_json_lines(r.trace)),
+    "off": lambda r: r.trace.status_line(),
+}
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     rules = DEFAULT_RULES.updated(**_rule_fields(args))
     program = parse_program(_read_source(args.path))
     _, results = elaborate(program, rules, reduce_strategy=args.strategy)
-    traces = [res.trace for res in results if res.kind == "reduce"]
-    for trace in traces:
-        if args.trace == "text":
-            print(trace_to_text(trace))
-        elif args.trace == "json":
-            print("\n".join(trace_to_json_lines(trace)))
-        else:
-            print(trace.status_line())
-    return max((_STATUS_CODES[t.status] for t in traces), default=0)
+    reduced = [res for res in results if res.kind == "reduce"]
+    for res in reduced:
+        _print_result(program, res, _TRACE_RENDER[args.trace])
+    return max((_STATUS_CODES[r.trace.status] for r in reduced), default=0)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:

@@ -24,11 +24,20 @@ The primitive forms must be fully applied; under-application is an arity
 error, since the reduction rules only ever match saturated nodes.  Scope is
 resolved during parsing: binders become de Bruijn indices, known globals
 become Global references, anything else is an unbound-identifier error.
+
+Lexing: a token is its text.  One regex, ``_SCAN_RE``, skips blanks and
+comments and captures every token's text in a single ``findall``; ``_KINDS``
+gives the kind of each text that is not a name, and the parser walks the
+list of texts by index.  Positions are computed only for an error:
+``tokenize`` lexes again with lines and columns, and gives the ``line:col``
+of a text that is no token, of a parse error, and of the token the parser
+had reached when the input nested too deeply.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -87,8 +96,6 @@ _SORTS = {s.sort: s for s in (PROP, TYPE, KIND)}
 _ATOM_KEYWORDS = {*_SORTS, *PRIMITIVES}
 KEYWORDS = {"def", "axiom", "assume", "forall", "fun", *_ATOM_KEYWORDS}
 
-_ALIASES = {"∀": "forall", "λ": "fun"}
-
 
 class Token(NamedTuple):
     kind: str  # NAME KEYWORD PRAGMA LPAREN RPAREN COLON COLONEQ COMMA DOT ARROW EOF
@@ -97,103 +104,118 @@ class Token(NamedTuple):
     col: int
 
 
-# One alternative per token kind, tried in order at each offset: longer
-# tokens first ("--" before "->", ":=" before ":"); ERROR takes any other
-# character.  Only SKIP can contain a newline.  Identifiers are ASCII-only.
-_TOKEN_RE = re.compile(r"""
-    (?P<SKIP>    [ \t\r\n]+ | --[^\n]* )
-  | (?P<PRAGMA>  \#[A-Za-z0-9_]* )
-  | (?P<ARROW>   -> | → )
-  | (?P<ALIAS>   [∀λ] )
-  | (?P<COLONEQ> := )
-  | (?P<LPAREN>  \( )
-  | (?P<RPAREN>  \) )
-  | (?P<COLON>   : )
-  | (?P<COMMA>   , )
-  | (?P<DOT>     \. )
-  | (?P<NAME>    [A-Za-z_][A-Za-z0-9_]* )
-  | (?P<ERROR>   . )
-""", re.VERBOSE)
+# The kind of every token text that is not a name; EOF's text is "".
+_KINDS = {
+    **dict.fromkeys(KEYWORDS, "KEYWORD"), "∀": "KEYWORD", "λ": "KEYWORD",
+    "#check": "PRAGMA", "#reduce": "PRAGMA", "(": "LPAREN", ")": "RPAREN",
+    ":": "COLON", ":=": "COLONEQ", ",": "COMMA", ".": "DOT", "->": "ARROW",
+    "→": "ARROW", "": "EOF",
+}
+_ASCII = {"∀": "forall", "λ": "fun", "→": "->"}
+_NAME_START = frozenset(string.ascii_letters + "_")
+# the texts that cannot start an atom, so end an application
+_NO_ATOM = _KINDS.keys() - {"(", *_ATOM_KEYWORDS}
+
+# Each match skips blanks and comments, then captures one token's text,
+# longest first: an arrow or ":=", a name or pragma (identifiers are
+# ASCII-only), any other character, or EOF's "".  Only a skip can contain a
+# newline.  Since the capture matches wherever the skip stops, a comment
+# that runs to the end of the input is never backtracked into.
+_SCAN_RE = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*(->|→|:=|[#A-Za-z_][A-Za-z0-9_]*|.|\Z)")
+
+
+def _lex_error(text: str) -> str | None:
+    """Why a captured text is no token, or None if it is one."""
+    if text in _KINDS or text[0] in _NAME_START:
+        return None
+    if text[0] == "#":
+        return f"unknown pragma {text!r}"
+    return f"unexpected character {text!r}"
+
+
+def token_texts(src: str) -> list[str]:
+    """The text of each token of ``src``, ending in EOF's "", with the
+    Unicode aliases in ASCII.  Positions are not computed: a text that is
+    no token is reported by ``tokenize``, at the first one in the source."""
+    texts = _SCAN_RE.findall(src)
+    if len(texts) > 1 and texts[-2] == "":
+        del texts[-1]  # a skip that ends the source also captured ""
+    distinct = set(texts)
+    if any(map(_lex_error, distinct - _KINDS.keys())):
+        tokenize(src)  # raises at the first text that is no token
+    if not distinct.isdisjoint(_ASCII):
+        texts = [_ASCII.get(t, t) for t in texts]
+    return texts
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of ``src`` with their kinds and positions, ending in EOF.
+    Raises ParseError at the first text that is no token."""
     toks: list[Token] = []
     line, line_start = 1, 0  # line_start: offset of the current line's first char
-    for m in _TOKEN_RE.finditer(src):
-        kind, value = m.lastgroup, m.group()
-        if kind == "SKIP":
-            newline = value.rfind("\n")
-            if newline >= 0:
-                line += value.count("\n")
-                line_start = m.start() + newline + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "NAME":
-            if value in KEYWORDS:
-                kind = "KEYWORD"
-        elif kind == "ALIAS":
-            kind, value = "KEYWORD", _ALIASES[value]
-        elif kind == "ARROW":
-            value = "->"
-        elif kind == "PRAGMA":
-            if value not in ("#check", "#reduce"):
-                raise ParseError(f"unknown pragma {value!r}", line, col)
-        elif kind == "ERROR":
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        toks.append(Token(kind, value, line, col))
-    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
+    for m in _SCAN_RE.finditer(src):
+        text, start = m.group(1), m.start(1)
+        newline = src.rfind("\n", m.start(), start)
+        if newline >= 0:
+            line += src.count("\n", m.start(), start)
+            line_start = newline + 1
+        col = start - line_start + 1
+        if (error := _lex_error(text)) is not None:
+            raise ParseError(error, line, col)
+        toks.append(Token(_KINDS.get(text, "NAME"), _ASCII.get(text, text),
+                          line, col))
+        if not text:
+            break
     return toks
 
 
-_ATOM_START = {"NAME", "LPAREN"}
+class _Failure(Exception):
+    """A parse error at a token index; its ``line:col`` is computed by
+    ``_positioned`` once the parser's frames are gone."""
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], globals_in_scope: Iterable[str]) -> None:
+    def __init__(self, toks: list[str], globals_in_scope: Iterable[str]) -> None:
         self.toks = toks
         self.pos = 0
         self.globals = set(globals_in_scope)
         self.locals: list[str] = []  # innermost last
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
+    def found(self, what: str) -> _Failure:
+        tok = self.toks[self.pos]
+        return _Failure(f"expected {what}, found {tok or 'end of input'!r}",
+                        self.pos)
 
-    def bump(self) -> Token:
-        tok = self.cur
+    def expect(self, text: str, what: str) -> None:
+        if self.toks[self.pos] != text:
+            raise self.found(what)
+        self.pos += 1
+
+    def name(self, what: str) -> str:
+        tok = self.toks[self.pos]
+        if tok in _KINDS:
+            raise self.found(what)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        if self.cur.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {self.cur.value or 'end of input'!r}",
-                self.cur.line, self.cur.col)
-        return self.bump()
-
-    def at_atom_start(self) -> bool:
-        tok = self.cur
-        if tok.kind in _ATOM_START:
-            return True
-        return tok.kind == "KEYWORD" and tok.value in _ATOM_KEYWORDS
-
     # term := forall/fun binder "," term | term "->" term | app
     def parse_term(self) -> Term:
-        tok = self.cur
-        if tok.kind == "KEYWORD" and tok.value in ("forall", "fun"):
-            self.bump()
+        tok = self.toks[self.pos]
+        if tok == "forall" or tok == "fun":
+            self.pos += 1
             name, dom = self.parse_binder()
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             self.locals.append(name)
             try:
                 body = self.parse_term()
             finally:
                 self.locals.pop()
-            node = Pi if tok.value == "forall" else Lam
+            node = Pi if tok == "forall" else Lam
             return node(dom, body, name=name)
         lhs = self.parse_app()
-        if self.cur.kind == "ARROW":
-            self.bump()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             rhs = self.parse_term()
             # non-dependent function space: the binder is unused, so indices
             # in the codomain step over it
@@ -201,113 +223,121 @@ class _Parser:
         return lhs
 
     def parse_binder(self) -> tuple[str, Term]:
-        self.expect("LPAREN", "'('")
-        name = self.expect("NAME", "binder name").value
-        self.expect("COLON", "':'")
+        self.expect("(", "'('")
+        name = self.name("binder name")
+        self.expect(":", "':'")
         ty = self.parse_term()
-        self.expect("RPAREN", "')'")
+        self.expect(")", "')'")
         return name, ty
 
     def parse_app(self) -> Term:
         t = self.parse_atom()
-        while self.at_atom_start():
+        while self.toks[self.pos] not in _NO_ATOM:
             t = App(t, self.parse_atom())
         return t
 
     def parse_atom(self) -> Term:
-        tok = self.cur
-        if tok.kind == "LPAREN":
-            self.bump()
+        tok = self.toks[self.pos]
+        if tok == "(":
+            self.pos += 1
             t = self.parse_term()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return t
-        if tok.kind == "NAME":
-            self.bump()
+        if tok not in _KINDS:
+            self.pos += 1
             return self.resolve(tok)
-        if tok.kind == "KEYWORD":
-            if tok.value in _SORTS:
-                self.bump()
-                return _SORTS[tok.value]
-            if tok.value in PRIMITIVES:
-                self.bump()
-                return PRIMITIVES[tok.value](*self.parse_prim_args(tok))
-        raise ParseError(
-            f"expected a term, found {tok.value or 'end of input'!r}",
-            tok.line, tok.col)
+        if tok in _SORTS:
+            self.pos += 1
+            return _SORTS[tok]
+        if tok in PRIMITIVES:
+            self.pos += 1
+            return PRIMITIVES[tok](*self.parse_prim_args(tok))
+        raise self.found("a term")
 
-    def parse_prim_args(self, kw: Token) -> list[Term]:
-        want = len(CHILDREN[PRIMITIVES[kw.value]])
+    def parse_prim_args(self, kw: str) -> list[Term]:
+        at = self.pos - 1
+        want = len(CHILDREN[PRIMITIVES[kw]])
         args: list[Term] = []
         for _ in range(want):
-            if not self.at_atom_start():
-                raise ParseError(
-                    f"{kw.value} expects {want} arguments, got {len(args)}",
-                    kw.line, kw.col)
+            if self.toks[self.pos] in _NO_ATOM:
+                raise _Failure(f"{kw} expects {want} arguments, got {len(args)}",
+                               at)
             args.append(self.parse_atom())
         return args
 
-    def resolve(self, tok: Token) -> Term:
-        for depth, name in enumerate(reversed(self.locals)):
-            if name == tok.value:
+    def resolve(self, name: str) -> Term:
+        for depth, bound in enumerate(reversed(self.locals)):
+            if bound == name:
                 return Var(depth)
-        if tok.value in self.globals:
-            return Global(tok.value)
-        raise ParseError(f"unbound identifier {tok.value!r}", tok.line, tok.col)
+        if name in self.globals:
+            return Global(name)
+        raise _Failure(f"unbound identifier {name!r}", self.pos - 1)
+
+
+def _positioned(src: str, failure: _Failure) -> ParseError:
+    message, at = failure.args
+    tok = tokenize(src)[at]
+    return ParseError(message, tok.line, tok.col)
 
 
 def parse_term(src: str, scope: Iterable[str] = ()) -> Term:
     """Parse a single term; ``scope`` lists the global names in scope."""
-    p = _Parser(tokenize(src), scope)
-    t = p.parse_term()
-    p.expect("EOF", "end of input")
+    p = _Parser(token_texts(src), scope)
+    try:
+        t = p.parse_term()
+        p.expect("", "end of input")
+    except _Failure as failure:
+        raise _positioned(src, failure) from None
     return t
 
 
 def parse_program(src: str) -> Program:
     """Parse a whole program.  A RecursionError from input nested too deeply
     is re-raised with the ``line:col`` of the token the parser had reached."""
-    p = _Parser(tokenize(src), ())
+    p = _Parser(token_texts(src), ())
     try:
         return _parse_declarations(p)
+    except _Failure as failure:
+        raise _positioned(src, failure) from None
     except RecursionError as exc:
-        exc.args = (f"{p.cur.line}:{p.cur.col}: {exc}",)
+        tok = tokenize(src)[p.pos]
+        exc.args = (f"{tok.line}:{tok.col}: {exc}",)
         raise
+
+
+_DECLARATION_STARTS = {"def", "axiom", "assume", "#check", "#reduce"}
 
 
 def _parse_declarations(p: _Parser) -> Program:
     decls: list[Declaration] = []
     names: set[str] = set()
     p.globals = names  # live alias: each declaration extends the scope
-    while p.cur.kind != "EOF":
-        tok = p.cur
-        if tok.kind == "KEYWORD" and tok.value in ("def", "axiom", "assume"):
-            p.bump()
-            name_tok = p.expect("NAME", "declaration name")
-            if name_tok.value in names:
-                raise ParseError(f"duplicate name {name_tok.value!r}",
-                                 name_tok.line, name_tok.col)
-            if tok.value == "def":
+    toks = p.toks
+    while (tok := toks[p.pos]) != "":
+        if tok not in _DECLARATION_STARTS:
+            raise p.found("a declaration")
+        p.pos += 1
+        if tok in ("def", "axiom", "assume"):
+            name = p.name("declaration name")
+            if name in names:
+                raise _Failure(f"duplicate name {name!r}", p.pos - 1)
+            if tok == "def":
                 stated: Term | None = None
-                if p.cur.kind == "COLON":
-                    p.bump()
+                if toks[p.pos] == ":":
+                    p.pos += 1
                     stated = p.parse_term()
-                p.expect("COLONEQ", "':='")
+                p.expect(":=", "':='")
                 body = p.parse_term()
-                decls.append(Def(name_tok.value, stated, body))
+                decls.append(Def(name, stated, body))
             else:
-                p.expect("COLON", "':'")
+                p.expect(":", "':'")
                 ty = p.parse_term()
-                cls = Axiom if tok.value == "axiom" else Assume
-                decls.append(cls(name_tok.value, ty))
-            names.add(name_tok.value)
-        elif tok.kind == "PRAGMA":
-            p.bump()
-            term = p.parse_term()
-            decls.append(PragmaCheck(term) if tok.value == "#check"
-                         else PragmaReduce(term))
+                cls = Axiom if tok == "axiom" else Assume
+                decls.append(cls(name, ty))
+            names.add(name)
         else:
-            raise ParseError(
-                f"expected a declaration, found {tok.value or 'end of input'!r}",
-                tok.line, tok.col)
-        p.expect("DOT", "'.'")
+            term = p.parse_term()
+            decls.append(PragmaCheck(term) if tok == "#check"
+                         else PragmaReduce(term))
+        p.expect(".", "'.'")
     return Program(tuple(decls))

@@ -38,7 +38,7 @@ from . import convert as _convert
 from . import reduce as _reduce
 from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
 from .parser import (
-    Assume, Axiom, Def, PragmaCheck, PragmaReduce, Program,
+    Assume, Axiom, Declaration, Def, PragmaCheck, PragmaReduce, Program,
 )
 from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
 from .syntax import (
@@ -189,9 +189,17 @@ def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
 @dataclass(frozen=True)
 class PragmaResult:
     kind: str  # "check" | "reduce"
+    index: int  # the pragma's position among the program's declarations
     term: Term
     type_: Term | None = None
     trace: _reduce.Trace | None = None
+
+
+def name_declaration(exc: Exception, index: int, decl: Declaration) -> None:
+    """Prefix ``exc``'s message with the index and name of the declaration
+    it came from."""
+    name = getattr(decl, "name", type(decl).__name__)
+    exc.args = (f"declaration {index} ({name}): {exc}",)
 
 
 def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
@@ -226,15 +234,16 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                     env.add(EnvEntry(name, ty, None, kind))
                 case PragmaCheck(term):
                     ty = infer(env, (), term, rules, budget)
-                    results.append(PragmaResult("check", term, type_=ty))
+                    results.append(PragmaResult("check", index, term,
+                                                type_=ty))
                 case PragmaReduce(term):
                     infer(env, (), term, rules, budget)
                     if run_reduce:
                         trace = _reduce.reduce_with(env, (), term, rules,
                                                     reduce_strategy)
-                        results.append(PragmaResult("reduce", term, trace=trace))
+                        results.append(PragmaResult("reduce", index, term,
+                                                    trace=trace))
         except (TypeCheckError, FuelExhausted, RecursionError) as exc:
-            name = getattr(decl, "name", type(decl).__name__)
-            exc.args = (f"declaration {index} ({name}): {exc}",)
+            name_declaration(exc, index, decl)
             raise
     return env, results

@@ -77,3 +77,14 @@ CE2_G = """
 axiom G : Top -> Prop.
 """
 CE2_I = "(fun (A : Prop), fun (a : A), a)"
+
+
+# The texts that fuzzed token streams are drawn from: every keyword and its
+# Unicode alias, names, every punctuation token, good and bad pragmas, a
+# comment, a newline, and texts that are no token.
+TOKEN_TEXTS = (
+    "def", "axiom", "assume", "forall", "fun", "∀", "λ", "Prop", "Type",
+    "Eq", "refl", "Eq_rec", "cast", "J", "x", "y", "A", "Top", "Bot", "d0",
+    "d1", "(", ")", ":", ":=", ",", ".", "->", "→",
+    "#check", "#reduce", "#oops", "-- note\n", "\n", "@", "0", "_",
+)

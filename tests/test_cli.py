@@ -101,6 +101,29 @@ def test_deep_normal_form_names_declaration(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+FUNS_900 = "".join(f"fun (a{i} : Prop), " for i in range(900)) + "a0"
+
+
+@pytest.mark.parametrize("source, options, where", [
+    (f"#check {FUNS_900}.\n", (), "declaration 0 (PragmaCheck)"),
+    (f"def d := {FUNS_900}.\n#reduce d.\n", ("--trace", "text"),
+     "declaration 1 (PragmaReduce)"),
+    (f"def d := {FUNS_900}.\n#reduce d.\n", ("--trace", "json"),
+     "declaration 1 (PragmaReduce)"),
+], ids=["check", "reduce-text", "reduce-json"])
+def test_result_too_deep_to_print_names_declaration(tmp_path, source, options,
+                                                    where):
+    # 900 binders elaborate, but the printer overflows on the result: the
+    # #check's type, or the #reduce step that unfolds d
+    src = tmp_path / "deep.itt"
+    src.write_text(source)
+    command = "reduce" if options else "check"
+    proc = _run_itt(command, str(src), *options)
+    assert proc.returncode == 5
+    assert proc.stderr == (f"input nested too deeply: {where}: "
+                           "maximum recursion depth exceeded\n")
+
+
 def test_conversion_cycle_while_checking_exits_4(tmp_path):
     src = tmp_path / "bad.itt"
     src.write_text(CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\n"

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -8,8 +12,14 @@ from itt import (
     App, Assume, Def, Global, Lam, ParseError, Pi, PragmaCheck, PragmaReduce,
     Var, alpha_eq, load_example, parse_program, parse_term, pretty,
 )
-from itt.parser import tokenize
+from itt.parser import token_texts, tokenize
+from helpers import TOKEN_TEXTS
 from term_strategies import GLOBAL_POOL, closed_terms
+
+# The fuzzed token texts, and texts at the edge of the lexer: blanks it does
+# not skip, a non-ASCII letter, a stray character, a bare comment start, a
+# space, and a name that the scope of ``parse_term`` below resolves.
+EDGE_TEXTS = (*TOKEN_TEXTS, "\f", "\r", "é", "$", "--", " ", "a")
 
 
 def test_forall_parses_to_pi():
@@ -117,6 +127,52 @@ def test_lexical_errors_are_pinned(src, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_program(src)
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("src, message, line, col", [
+    ("def x := ) $", "unexpected character '$'", 1, 12),
+    ("def x : Prop := Prop.\n#chek x.", "unknown pragma '#chek'", 2, 1),
+])
+def test_lexical_errors_win_over_earlier_syntax_errors(src, message, line, col):
+    # the whole source is lexed before parsing starts
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+@given(st.lists(st.sampled_from(EDGE_TEXTS), max_size=30).map("".join))
+def test_parser_token_texts_are_the_token_values(src):
+    try:
+        tokens = tokenize(src)
+    except ParseError as err:
+        with pytest.raises(ParseError) as again:
+            token_texts(src)
+        assert ((again.value.message, again.value.line, again.value.col)
+                == (err.message, err.line, err.col))
+    else:
+        assert token_texts(src) == [t.value for t in tokens]
+        assert tokens[-1].value == ""
+
+
+def _outcome(parse, src):
+    try:
+        return repr(parse(src))
+    except ParseError as err:
+        return repr((err.message, err.line, err.col))
+
+
+def test_front_end_outcomes_are_pinned():
+    # The digest was computed before the lexer became one findall, so this
+    # and any later change to lexing or parsing is checked against it.
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        src = "".join(rng.choices(EDGE_TEXTS, k=rng.randrange(16)))
+        for parse in (parse_program, lambda s: parse_term(s, ("a", "b")),
+                      tokenize):
+            digest.update(_outcome(parse, src).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "dfc06949c9c92bbe2fd8c9407152b2c5babd223c418f648d51fccaf4e6c8b4e5")
 
 
 @pytest.mark.parametrize("src", [
