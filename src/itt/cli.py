@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
+from contextlib import contextmanager
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from .convert import ConversionCycle
@@ -128,16 +129,14 @@ def _read_source(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc}")
 
 
-def _print_result(program: Program, res: PragmaResult,
-                  render: Callable[[PragmaResult], str]) -> None:
-    """Print ``render(res)``.  A result too deep to render is an error of
-    the pragma that produced it, and is named so."""
+@contextmanager
+def _printing(program: Program, res: PragmaResult) -> Iterator[None]:
+    """A result too deep to print is an error of the pragma that produced it."""
     try:
-        text = render(res)
+        yield
     except RecursionError as exc:
         name_declaration(exc, res.index, program.declarations[res.index])
         raise
-    print(text)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -145,17 +144,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     program = parse_program(_read_source(args.path))
     _, results = elaborate(program, rules, run_reduce=False)
     for res in results:
-        _print_result(program, res,
-                      lambda r: f"{pretty(r.term)} : {pretty(r.type_)}")
+        with _printing(program, res):
+            print(f"{pretty(res.term)} : {pretty(res.type_)}")
     return 0
-
-
-# --trace value -> the printed form of a #reduce result
-_TRACE_RENDER: dict[str, Callable[[PragmaResult], str]] = {
-    "text": lambda r: trace_to_text(r.trace),
-    "json": lambda r: "\n".join(trace_to_json_lines(r.trace)),
-    "off": lambda r: r.trace.status_line(),
-}
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -164,7 +155,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     _, results = elaborate(program, rules, reduce_strategy=args.strategy)
     reduced = [res for res in results if res.kind == "reduce"]
     for res in reduced:
-        _print_result(program, res, _TRACE_RENDER[args.trace])
+        with _printing(program, res):
+            if args.trace == "text":
+                print(trace_to_text(res.trace))
+            elif args.trace == "json":
+                print("\n".join(trace_to_json_lines(res.trace)))
+            else:
+                print(res.trace.status_line())
     return max((_STATUS_CODES[r.trace.status] for r in reduced), default=0)
 
 

@@ -119,8 +119,9 @@ _NO_ATOM = _KINDS.keys() - {"(", *_ATOM_KEYWORDS}
 # Each match skips blanks and comments, then captures one token's text,
 # longest first: an arrow or ":=", a name or pragma (identifiers are
 # ASCII-only), any other character, or EOF's "".  Only a skip can contain a
-# newline.  Since the capture matches wherever the skip stops, a comment
-# that runs to the end of the input is never backtracked into.
+# newline.  With \Z the capture matches wherever the skip stops, so a
+# comment that runs to the end is never backtracked into ("x-->y" would
+# otherwise lex a "y").
 _SCAN_RE = re.compile(
     r"(?:[ \t\r\n]+|--[^\n]*)*(->|→|:=|[#A-Za-z_][A-Za-z0-9_]*|.|\Z)")
 
@@ -129,9 +130,8 @@ def _lex_error(text: str) -> str | None:
     """Why a captured text is no token, or None if it is one."""
     if text in _KINDS or text[0] in _NAME_START:
         return None
-    if text[0] == "#":
-        return f"unknown pragma {text!r}"
-    return f"unexpected character {text!r}"
+    return (f"unknown pragma {text!r}" if text[0] == "#"
+            else f"unexpected character {text!r}")
 
 
 def token_texts(src: str) -> list[str]:
@@ -305,19 +305,14 @@ def parse_program(src: str) -> Program:
         raise
 
 
-_DECLARATION_STARTS = {"def", "axiom", "assume", "#check", "#reduce"}
-
-
 def _parse_declarations(p: _Parser) -> Program:
     decls: list[Declaration] = []
     names: set[str] = set()
     p.globals = names  # live alias: each declaration extends the scope
     toks = p.toks
     while (tok := toks[p.pos]) != "":
-        if tok not in _DECLARATION_STARTS:
-            raise p.found("a declaration")
-        p.pos += 1
         if tok in ("def", "axiom", "assume"):
+            p.pos += 1
             name = p.name("declaration name")
             if name in names:
                 raise _Failure(f"duplicate name {name!r}", p.pos - 1)
@@ -335,9 +330,12 @@ def _parse_declarations(p: _Parser) -> Program:
                 cls = Axiom if tok == "axiom" else Assume
                 decls.append(cls(name, ty))
             names.add(name)
-        else:
+        elif tok == "#check" or tok == "#reduce":
+            p.pos += 1
             term = p.parse_term()
             decls.append(PragmaCheck(term) if tok == "#check"
                          else PragmaReduce(term))
+        else:
+            raise p.found("a declaration")
         p.expect(".", "'.'")
     return Program(tuple(decls))
