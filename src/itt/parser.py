@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import re
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .syntax import (
     KIND, PROP, TYPE,
@@ -274,20 +275,31 @@ class _Parser:
         raise _Failure(f"unbound identifier {name!r}", self.pos - 1)
 
 
-def _positioned(src: str, failure: _Failure) -> ParseError:
-    message, at = failure.args
-    tok = tokenize(src)[at]
-    return ParseError(message, tok.line, tok.col)
+@contextmanager
+def _positioned(src: str, p: _Parser) -> Iterator[None]:
+    """Give the parse run inside the block its positions: a ``_Failure``
+    becomes a ``ParseError`` at its token, and a RecursionError from input
+    nested too deeply is re-raised with the ``line:col`` of the token the
+    parser had reached."""
+    try:
+        yield
+    except _Failure as failure:
+        message, at = failure.args
+        tok = tokenize(src)[at]
+        raise ParseError(message, tok.line, tok.col) from None
+    except RecursionError as exc:
+        tok = tokenize(src)[p.pos]
+        exc.args = (f"{tok.line}:{tok.col}: {exc}",)
+        raise
 
 
 def parse_term(src: str, scope: Iterable[str] = ()) -> Term:
-    """Parse a single term; ``scope`` lists the global names in scope."""
+    """Parse a single term; ``scope`` lists the global names in scope.
+    Errors are positioned as in ``parse_program``."""
     p = _Parser(token_texts(src), scope)
-    try:
+    with _positioned(src, p):
         t = p.parse_term()
         p.expect("", "end of input")
-    except _Failure as failure:
-        raise _positioned(src, failure) from None
     return t
 
 
@@ -295,14 +307,8 @@ def parse_program(src: str) -> Program:
     """Parse a whole program.  A RecursionError from input nested too deeply
     is re-raised with the ``line:col`` of the token the parser had reached."""
     p = _Parser(token_texts(src), ())
-    try:
+    with _positioned(src, p):
         return _parse_declarations(p)
-    except _Failure as failure:
-        raise _positioned(src, failure) from None
-    except RecursionError as exc:
-        tok = tokenize(src)[p.pos]
-        exc.args = (f"{tok.line}:{tok.col}: {exc}",)
-        raise
 
 
 def _parse_declarations(p: _Parser) -> Program:

@@ -35,7 +35,7 @@ from . import convert as _convert
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import Fuel, FuelExhausted, RuleSet
 from .syntax import (
-    CHILDREN, Cast, EqRec, Global, J, Lam, Term,
+    CHILDREN, App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
     build_apps, canonical_key, pretty, subst, unwind_apps,
 )
 
@@ -193,9 +193,23 @@ def unfold(env: GlobalEnv, head: Global, args: list[Term],
     return None
 
 
+# Heads on which no rule fires, whatever the arguments and the rule set.
+_STABLE = frozenset({SortT, Pi, Eq, Refl, Var})
+
+
 def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
               budget: Fuel, unfold_heads: bool = True) -> Term:
-    """Weak-head form without tracing (used by checking and conversion)."""
+    """Weak-head form without tracing (used by checking and conversion).
+
+    A spine headed by a ``SortT``, ``Pi``, ``Eq``, ``Refl`` or ``Var``, or by
+    a ``Global`` when ``unfold_heads`` is False, is returned at once: itself,
+    with no call to ``head_step`` and no fuel spent, as ``head_step`` would
+    have stepped nothing."""
+    head = t
+    while type(head) is App:
+        head = head.fn
+    if type(head) in _STABLE or (not unfold_heads and type(head) is Global):
+        return t
     while (r := head_step(env, ctx, t, rules, budget, unfold_heads)) is not None:
         t = r[0]
     return t

@@ -13,6 +13,7 @@ from itt import (
     Var, alpha_eq, load_example, parse_program, parse_term, pretty,
 )
 from itt.parser import token_texts, tokenize
+from itt.syntax import CHILDREN, PRIMITIVES
 from helpers import TOKEN_TEXTS
 from term_strategies import GLOBAL_POOL, closed_terms
 
@@ -173,6 +174,67 @@ def test_front_end_outcomes_are_pinned():
             digest.update(_outcome(parse, src).encode() + b"\0")
     assert digest.hexdigest() == (
         "dfc06949c9c92bbe2fd8c9407152b2c5babd223c418f648d51fccaf4e6c8b4e5")
+
+
+def _grammar_term(rng, scope, depth):
+    """A well-scoped term in the surface syntax: binders, arrows,
+    applications, fully applied primitives, and names from ``scope``."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(("Prop", "Type", *scope))
+    def sub(n):
+        return [_grammar_term(rng, scope, depth - 1) for _ in range(n)]
+    form = rng.randrange(4)
+    if form == 0:
+        name = rng.choice(("x", "y", "A", "B"))
+        body = _grammar_term(rng, [*scope, name], depth - 1)
+        binder = rng.choice(("forall", "fun", "∀", "λ"))
+        text = f"{binder} ({name} : {sub(1)[0]}), {body}"
+    elif form == 1:
+        text = f" {rng.choice(('->', '→'))} ".join(sub(2))
+    elif form == 2:
+        text = " ".join(sub(rng.randrange(2, 4)))
+    else:
+        kw = rng.choice(("cast", "Eq", "refl", "Eq_rec", "J"))
+        text = " ".join([kw, *sub(len(CHILDREN[PRIMITIVES[kw]]))])
+    return f"({text})"
+
+
+def _grammar_program(rng):
+    names: list[str] = []
+    decls = []
+    for _ in range(rng.randrange(1, 5)):
+        form = rng.randrange(6)
+        a, b = (_grammar_term(rng, names, 3) for _ in range(2))
+        name = f"d{len(names)}"
+        decls.append((f"def {name} : {a} := {b}.", f"def {name} := {a}.",
+                      f"axiom {name} : {a}.", f"assume {name} : {a}.",
+                      f"#check {a}.", f"#reduce {a}.")[form])
+        if form < 4:
+            names.append(name)
+    return "\n".join(decls)
+
+
+def test_successful_parses_are_pinned():
+    # The digest was computed before ``parse_term`` and ``parse_program``
+    # shared their RecursionError handler, so a change to how a successful
+    # parse builds terms is checked against it.
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    for _ in range(2_000):
+        outcome = _outcome(parse_program, _grammar_program(rng))
+        assert outcome.startswith("Program(")
+        digest.update(outcome.encode() + b"\0")
+    assert digest.hexdigest() == (
+        "85f8e6454f4b7b6898be71b3c82b26e151af2da1016dcaf482ab95ee52485d42")
+
+
+@pytest.mark.parametrize("parse", [parse_term, parse_program])
+def test_nesting_too_deep_names_where_the_parser_stopped(parse):
+    term = "(" * 400 + "Prop" + ")" * 400
+    with pytest.raises(RecursionError) as err:
+        parse(term if parse is parse_term else f"#check {term}.")
+    assert str(err.value).startswith("1:")
+    assert str(err.value).endswith("maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("src", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import hypothesis.strategies as st
 import pytest
@@ -8,16 +9,17 @@ from hypothesis import given, settings
 
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
-    App, Cast, CycleDetector, Global, Lam, RuleSet, Var,
-    alpha_eq, canonical_key, convert, elaborate, head_step, infer,
+    App, Cast, CycleDetector, Eq, Fuel, Global, Lam, Pi, Refl, RuleSet, Term,
+    Var,
+    alpha_eq, build_apps, canonical_key, convert, elaborate, head_step, infer,
     load_example, normalize, parse_program, parse_term, pretty, replay_trace,
-    step, trace_to_json_lines, trace_to_text, unwind_apps, whnf,
+    step, trace_to_json_lines, trace_to_text, unwind_apps, whnf, whnf_term,
 )
 import itt.reduce
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
 from itt.syntax import CHILDREN
 from helpers import parse_trace_json
-from term_strategies import church_numeral
+from term_strategies import church_numeral, open_terms
 
 
 def _env(name, **flags):
@@ -440,3 +442,76 @@ def test_snapshots_built_on_demand_match_a_fresh_run(name, flags):
                    step(env, (), before, rules, budget))
             assert got is not None and got[1] == s.kind
             assert alpha_eq(got[0], after)
+
+
+STABLE_HEADS = (PROP, Pi(PROP, Var(0)), Eq(PROP, PROP, PROP), Refl(PROP, PROP),
+                Var(0))
+
+
+@pytest.mark.parametrize("args", [(), (PROP,), (Var(0), Global("Top"))])
+@pytest.mark.parametrize("head, unfold_heads",
+                         [(h, True) for h in STABLE_HEADS]
+                         + [(Global("Top"), False), (Global("delta"), False)])
+def test_stable_spine_answers_at_once(monkeypatch, head, unfold_heads, args):
+    # a head that no rule steps returns the spine itself, spends no fuel and
+    # asks head_step nothing; the globals are defined, so unfolding would
+    # step them
+    _, env, rules = _env("counterexample1")
+    t = build_apps(head, args)
+    budget = Fuel(10)
+
+    def no_step(*_):
+        raise AssertionError("head_step called")
+
+    monkeypatch.setattr(itt.reduce, "head_step", no_step)
+    assert whnf_term(env, (PROP,), t, rules, budget, unfold_heads) is t
+    assert budget.remaining == 10
+
+
+@functools.cache
+def _case_env(name):
+    return _env(name)[1]
+
+
+def _looped_whnf(env, ctx, t, rules, budget, unfold_heads):
+    """The weak-head loop before stable heads answered at once."""
+    while (r := head_step(env, ctx, t, rules, budget, unfold_heads)) is not None:
+        t = r[0]
+    return t
+
+
+def _whnf_outcome(whnf_fn, env, ctx, t, rules, unfold_heads):
+    budget = Fuel(200)
+    try:
+        result = whnf_fn(env, ctx, t, rules, budget, unfold_heads)
+    except Exception as exc:  # every failure must match too
+        return (type(exc), str(exc)), budget.remaining
+    return result, budget.remaining
+
+
+def _rename_globals(t, names, offset):
+    """``t`` with each pool global ``g<i>`` renamed to a name of the case."""
+    if isinstance(t, Global):
+        return Global(names[(int(t.name[1:]) + offset) % len(names)])
+    return dataclasses.replace(t, **{
+        f: _rename_globals(getattr(t, f), names, offset)
+        for f, _ in CHILDREN[type(t)]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CASE_NAMES), open_terms, st.integers(0, 7),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_whnf_term_matches_the_head_step_loop(name, t, offset, unfold_heads,
+                                              cast_rule, eqrec_rule, j_rule):
+    env = _case_env(name)
+    t = _rename_globals(t, env.names(), offset)
+    rules = RuleSet(cast_rule=cast_rule, eqrec_rule=eqrec_rule, j_rule=j_rule)
+    ctx = (PROP,) * 3
+    got, got_left = _whnf_outcome(whnf_term, env, ctx, t, rules, unfold_heads)
+    want, want_left = _whnf_outcome(_looped_whnf, env, ctx, t, rules,
+                                    unfold_heads)
+    assert got_left == want_left
+    if isinstance(want, Term):
+        assert isinstance(got, Term) and alpha_eq(got, want)
+    else:
+        assert got == want
