@@ -228,11 +228,14 @@ def test_successful_parses_are_pinned():
         "85f8e6454f4b7b6898be71b3c82b26e151af2da1016dcaf482ab95ee52485d42")
 
 
-@pytest.mark.parametrize("parse", [parse_term, parse_program])
-def test_nesting_too_deep_names_where_the_parser_stopped(parse):
-    term = "(" * 400 + "Prop" + ")" * 400
+DEEP = "(" * 400 + "Prop" + ")" * 400
+
+
+@pytest.mark.parametrize("parse, src", [(parse_term, DEEP),
+                                        (parse_program, f"#check {DEEP}.")])
+def test_nesting_too_deep_names_where_the_parser_stopped(parse, src):
     with pytest.raises(RecursionError) as err:
-        parse(term if parse is parse_term else f"#check {term}.")
+        parse(src)
     assert str(err.value).startswith("1:")
     assert str(err.value).endswith("maximum recursion depth exceeded")
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
-    App, Cast, CycleDetector, Eq, Fuel, Global, Lam, Pi, Refl, RuleSet, Term,
-    Var,
+    App, Cast, CycleDetector, Eq, Fuel, Global, Lam, Pi, Refl, RuleSet,
+    Term, Var,
     alpha_eq, build_apps, canonical_key, convert, elaborate, head_step, infer,
     load_example, normalize, parse_program, parse_term, pretty, replay_trace,
     step, trace_to_json_lines, trace_to_text, unwind_apps, whnf, whnf_term,
