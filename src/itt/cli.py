@@ -25,7 +25,7 @@ from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM, trace_to_json_lines,
     trace_to_text,
 )
-from .rules import DEFAULT_FUEL, DEFAULT_RULES, FuelExhausted
+from .rules import DEFAULT_FUEL, DEFAULT_RULES, RULES, FuelExhausted
 from .syntax import ScopeError, pretty
 from .typecheck import PragmaResult, TypeCheckError, elaborate, name_declaration
 
@@ -55,21 +55,13 @@ def _outcome(exc: Exception) -> tuple[str, int]:
     return next(out for cls, out in _OUTCOMES.items() if isinstance(exc, cls))
 
 
-# flag -> (RuleSet field, value, help).  An absent flag reads None and leaves
-# its field to the default rules, or to a corpus case's own rules.
-_RULE_FLAGS = {
-    "--no-cast-rule": ("cast_rule", False, "disable the cast reduction rule"),
-    "--no-eqrec-rule": ("eqrec_rule", False, "disable the Eq_rec reduction rule"),
-    "--enable-j": ("j_rule", True, "enable the J operator and its rule"),
-    "--no-proof-irrelevance": ("proof_irrelevance", False,
-                               "disable proof irrelevance in conversion"),
-}
-
-
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
-    for flag, (field, value, help_) in _RULE_FLAGS.items():
-        p.add_argument(flag, action="store_const", dest=field, const=value,
-                       help=help_)
+    # A flag sets its field off the default; an absent flag reads None and
+    # leaves the field to the default rules, or to a corpus case's own rules.
+    for f in RULES:
+        flag, _, help_ = f.metadata["rule"]
+        p.add_argument(flag, action="store_const", dest=f.name,
+                       const=not f.default, help=help_)
     p.add_argument("--max-steps", type=int, metavar="N",
                    help="step budget (default 100000; env ITT_MAX_STEPS)")
 
@@ -114,8 +106,7 @@ def _resolve_fuel(args: argparse.Namespace) -> int:
 def _rule_fields(args: argparse.Namespace) -> dict[str, object]:
     """``fuel``, and the ``RuleSet`` field of each rule flag given."""
     fields: dict[str, object] = {
-        field: value for field, _, _ in _RULE_FLAGS.values()
-        if (value := getattr(args, field)) is not None}
+        f.name: value for f in RULES if (value := getattr(args, f.name)) is not None}
     return fields | {"fuel": _resolve_fuel(args)}
 
 

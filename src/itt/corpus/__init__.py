@@ -17,7 +17,7 @@ from importlib import resources
 
 from ..convert import convert
 from ..parser import Program, parse_program, parse_term
-from ..rules import DEFAULT_RULES, FuelExhausted, RuleSet
+from ..rules import DEFAULT_RULES, RULES, FuelExhausted, RuleSet
 from ..typecheck import TypeCheckError, elaborate
 
 # name -> (reduction strategy, required rule flags, expected #check types).
@@ -38,11 +38,9 @@ CASE_NAMES = tuple(_CASES)
 
 
 def ruleset_label(rules: RuleSet) -> str:
-    def onoff(b: bool) -> str:
-        return "on" if b else "off"
-
-    return (f"cast:{onoff(rules.cast_rule)},eqrec:{onoff(rules.eqrec_rule)},"
-            f"j:{onoff(rules.j_rule)},irrel:{onoff(rules.proof_irrelevance)}")
+    """``key:on`` or ``key:off`` for each of ``RULES``, comma-separated."""
+    return ",".join(f.metadata["rule"][1] + (":on" if getattr(rules, f.name) else ":off")
+                    for f in RULES)
 
 
 @dataclass(frozen=True)

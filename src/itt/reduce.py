@@ -152,12 +152,8 @@ class _CycleFound(Exception):
 
 
 def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-              budget: Fuel, unfold_heads: bool = True) -> tuple[Term, StepKind] | None:
-    """One step at the head of the application spine, or None if head-stable.
-
-    ``unfold_heads=False`` suppresses Delta so that conversion can unfold
-    incrementally on its own terms.
-    """
+              budget: Fuel) -> tuple[Term, StepKind] | None:
+    """One step at the head of the application spine, or None if head-stable."""
     head, args = unwind_apps(t)
     match head:
         case Lam(_, body) if args:
@@ -175,7 +171,7 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             if _convert.convert(env, ctx, src, dst, rules=rules, budget=budget):
                 budget.spend()
                 return build_apps(val, args), J_FIRE
-        case Global(name) if unfold_heads:
+        case Global(name):
             unfolded = unfold(env, head, args, budget)
             if unfolded is not None:
                 return unfolded, delta(name)
@@ -201,18 +197,20 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
               budget: Fuel, unfold_heads: bool = True) -> Term:
     """Weak-head form without tracing (used by checking and conversion).
 
-    A spine headed by a ``SortT``, ``Pi``, ``Eq``, ``Refl`` or ``Var``, or by
-    a ``Global`` when ``unfold_heads`` is False, is returned at once: itself,
-    with no call to ``head_step`` and no fuel spent, as ``head_step`` would
-    have stepped nothing."""
-    head = t
-    while type(head) is App:
-        head = head.fn
-    if type(head) in _STABLE or (not unfold_heads and type(head) is Global):
-        return t
-    while (r := head_step(env, ctx, t, rules, budget, unfold_heads)) is not None:
+    ``unfold_heads=False`` suppresses Delta at the head, so that conversion
+    can unfold incrementally on its own terms.  Before each step, a spine
+    headed by a ``SortT``, ``Pi``, ``Eq``, ``Refl`` or ``Var``, or by a
+    ``Global`` when ``unfold_heads`` is False, is returned as it stands, with
+    no call to ``head_step`` and no fuel spent: no rule would step it."""
+    while True:
+        head = t
+        while type(head) is App:
+            head = head.fn
+        if type(head) in _STABLE or (not unfold_heads and type(head) is Global):
+            return t
+        if (r := head_step(env, ctx, t, rules, budget)) is None:
+            return t
         t = r[0]
-    return t
 
 
 def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,

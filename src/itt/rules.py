@@ -1,5 +1,9 @@
 """Rule toggles and the shared step budget.
 
+Each toggle is declared once, as a ``RuleSet`` field whose metadata gives
+its command-line flag, its key in corpus labels and its help text; the CLI
+flags and ``corpus.ruleset_label`` iterate over ``RULES``.
+
 Conversion and reduction are mutually recursive (the coercion side condition
 asks for convertibility of the endpoints, which may unfold and reduce), so a
 single decrementing budget threads through both to guarantee the checker
@@ -9,7 +13,7 @@ itself always terminates with a classified outcome.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DEFAULT_FUEL = 100_000
 
@@ -34,10 +38,14 @@ class Fuel:
 
 @dataclass(frozen=True)
 class RuleSet:
-    cast_rule: bool = True
-    eqrec_rule: bool = True
-    j_rule: bool = False
-    proof_irrelevance: bool = True
+    cast_rule: bool = field(default=True, metadata={"rule": (
+        "--no-cast-rule", "cast", "disable the cast reduction rule")})
+    eqrec_rule: bool = field(default=True, metadata={"rule": (
+        "--no-eqrec-rule", "eqrec", "disable the Eq_rec reduction rule")})
+    j_rule: bool = field(default=False, metadata={"rule": (
+        "--enable-j", "j", "enable the J operator and its rule")})
+    proof_irrelevance: bool = field(default=True, metadata={"rule": (
+        "--no-proof-irrelevance", "irrel", "disable proof irrelevance in conversion")})
     fuel: int = DEFAULT_FUEL
 
     def __post_init__(self) -> None:
@@ -52,3 +60,5 @@ class RuleSet:
 
 
 DEFAULT_RULES = RuleSet()
+# the rule toggles in declaration order; metadata["rule"] is (flag, label, help)
+RULES = tuple(f for f in dataclasses.fields(RuleSet) if f.name != "fuel")

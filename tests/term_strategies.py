@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from itt import (
     PROP, TYPE,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var,
+    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var, build_apps,
 )
 
 GLOBAL_POOL = ("g0", "g1", "g2")
@@ -41,6 +41,28 @@ def terms(depth: int = 3, ctx: int = 0) -> st.SearchStrategy:
 
 closed_terms = terms(depth=3, ctx=0)
 open_terms = terms(depth=3, ctx=3)
+
+
+def _head_redexes(ctx: int) -> st.SearchStrategy:
+    """Spines that a rule may step at the head: a beta redex, a pool global,
+    or a cast, Eq_rec or J with equal endpoints, applied to up to two more
+    terms.  ``terms`` rarely draws one."""
+    sub = terms(2, ctx)
+
+    def spines(head: st.SearchStrategy) -> st.SearchStrategy:
+        return st.builds(build_apps, head, st.lists(sub, max_size=2))
+
+    return st.one_of(
+        spines(st.builds(App, st.builds(Lam, sub, terms(2, ctx + 1)), sub)),
+        spines(st.sampled_from([Global(g) for g in GLOBAL_POOL])),
+        spines(st.builds(lambda a, e, x: Cast(a, a, e, x), sub, sub, sub)),
+        spines(st.builds(lambda ty, p, a, x, e: EqRec(ty, p, a, a, x, e),
+                         sub, sub, sub, sub, sub)),
+        spines(st.builds(lambda a, x: J(a, a, x), sub, sub)),
+    )
+
+
+head_redexes = _head_redexes(ctx=3)
 
 
 def church_numeral(k: int):

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from itt import (
-    CASE_NAMES, DEFAULT_RULES, alpha_eq, elaborate, load_example, parse_program,
-    parse_term, ruleset_label,
+    CASE_NAMES, DEFAULT_RULES, RuleSet, alpha_eq, elaborate, load_example,
+    parse_program, parse_term, ruleset_label,
 )
 from itt import corpus as corpus_mod
-from itt.cli import _RULE_FLAGS, main
+from itt.cli import _build_parser, main
+from itt.rules import RULES
 from helpers import CE2_DEFS, CE2_G, CE2_I, parse_trace_json
 
 CE1 = "src/itt/corpus/examples/counterexample1.itt"
@@ -317,14 +318,29 @@ def test_corpus_single_case(capsys):
     assert "sanity-church" in out and out.count("PASS") == 1
 
 
-@pytest.mark.parametrize("flag", sorted(_RULE_FLAGS))
-def test_corpus_flag_sets_its_field(capsys, flag):
-    field, value, _ = _RULE_FLAGS[flag]
-    rules = load_example("sanity-church").rules.updated(**{field: value})
+@pytest.mark.parametrize("rule", RULES, ids=lambda f: f.metadata["rule"][0])
+def test_corpus_flag_sets_its_field(capsys, rule):
+    flag = rule.metadata["rule"][0]
+    rules = load_example("sanity-church").rules.updated(
+        **{rule.name: not rule.default})
     assert main(["corpus", "--case", "sanity-church", flag]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first == f"PASS sanity-church [{ruleset_label(rules)}]"
-    assert getattr(DEFAULT_RULES, field) != value  # the flag changes the label
+
+
+def test_each_rule_toggle_is_declared_once_with_its_flag_and_label():
+    toggles = [f for f in dataclasses.fields(RuleSet) if f.type in (bool, "bool")]
+    assert toggles and [f.name for f in RULES] == [f.name for f in toggles]
+    flags, labels, helps = zip(*(f.metadata["rule"] for f in RULES))
+    assert all(flags) and all(labels) and all(helps)
+    assert len(set(flags)) == len(flags) and len(set(labels)) == len(labels)
+    assert ruleset_label(DEFAULT_RULES) == "cast:on,eqrec:on,j:off,irrel:on"
+    parser = _build_parser()
+    for command in (["check", "-"], ["reduce", "-"], ["corpus"]):
+        for f in RULES:
+            given = parser.parse_args([*command, f.metadata["rule"][0]])
+            assert getattr(given, f.name) is (not f.default)  # the flag's const
+            assert getattr(parser.parse_args(command), f.name) is None
 
 
 def test_corpus_keeps_case_flags_without_rule_flags(capsys):

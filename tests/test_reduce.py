@@ -19,7 +19,7 @@ import itt.reduce
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
 from itt.syntax import CHILDREN
 from helpers import parse_trace_json
-from term_strategies import church_numeral, open_terms
+from term_strategies import church_numeral, head_redexes, open_terms
 
 
 def _env(name, **flags):
@@ -468,14 +468,33 @@ def test_stable_spine_answers_at_once(monkeypatch, head, unfold_heads, args):
     assert budget.remaining == 10
 
 
+def test_held_back_delta_asks_head_step_once(monkeypatch):
+    # the beta step leaves a defined global at the head; with Delta held
+    # back, that spine is returned without asking head_step again
+    _, env, rules = _env("counterexample1")
+    asked = []
+
+    def counting(*args):
+        asked.append(args[2])
+        return head_step(*args)
+
+    monkeypatch.setattr(itt.reduce, "head_step", counting)
+    t = App(Lam(PROP, Global("delta")), PROP)
+    got = whnf_term(env, (), t, rules, rules.new_budget(), unfold_heads=False)
+    assert got == Global("delta") and asked == [t]
+
+
 @functools.cache
 def _case_env(name):
     return _env(name)[1]
 
 
 def _looped_whnf(env, ctx, t, rules, budget, unfold_heads):
-    """The weak-head loop before stable heads answered at once."""
-    while (r := head_step(env, ctx, t, rules, budget, unfold_heads)) is not None:
+    """The weak-head loop before stable heads answered at once; it holds
+    Delta back by stopping at a global head."""
+    while unfold_heads or not isinstance(unwind_apps(t)[0], Global):
+        if (r := head_step(env, ctx, t, rules, budget)) is None:
+            break
         t = r[0]
     return t
 
@@ -499,8 +518,9 @@ def _rename_globals(t, names, offset):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(CASE_NAMES), open_terms, st.integers(0, 7),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans())
+@given(st.sampled_from(CASE_NAMES), st.one_of(open_terms, head_redexes),
+       st.integers(0, 7), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans())
 def test_whnf_term_matches_the_head_step_loop(name, t, offset, unfold_heads,
                                               cast_rule, eqrec_rule, j_rule):
     env = _case_env(name)
