@@ -62,6 +62,18 @@ _GROW_DEFS = _CE2_DEFS.replace(
     b"z (Top -> Top) id z.",
     b"z (Top -> Top) id (z (Top -> Top) id z).")
 
+# counterexample2's Top, id and tautext, then bad with delta, omega and Omega
+# written inline: checking it loops inside one head reduction.
+_INLINE_OMEGA = (
+    b"".join(line for line in _CE2_DEFS.splitlines(keepends=True)
+             if line.startswith((b"def Top", b"def id", b"axiom tautext")))
+    + b"axiom G : Top -> Prop.\n"
+    b"axiom g : G (fun (A : Prop), fun (a : A), a).\n"
+    b"def bad : G ((fun (z : Top), z (Top -> Top) (fun (x : Top), x) z)\n"
+    b"  (fun (A : Prop), fun (a : A), cast (Top -> Top) A\n"
+    b"    (tautext (Top -> Top) A (fun (x : Top), x) a)\n"
+    b"    (fun (z : Top), z (Top -> Top) (fun (x : Top), x) z))) := g.\n")
+
 # Generated inputs, fed through standard input so that the decode path runs
 # and no temporary file path appears in the dump.
 INPUTS = {
@@ -71,6 +83,7 @@ INPUTS = {
     "counterexample1": _example("counterexample1"),
     "conversion-cycle": _CE2_DEFS + _BAD,
     "grow-diverge": _GROW_DEFS + _BAD,
+    "inline-omega": _INLINE_OMEGA,
     "deep": b"#check " + b"(" * 400 + b"Prop" + b")" * 400 + b".\n",
 }
 # Each error exit, from a command, the input it reads (None: none) and the
@@ -87,6 +100,8 @@ ERROR_CASES = (
     (["corpus", "--max-steps", "5"], None, None),
     (["check", "-", "--max-steps", "3000"], "grow-diverge", None),
     (["check", "-"], "conversion-cycle", None),  # exit 4
+    (["check", "-"], "inline-omega", None),
+    (["check", "-", "--no-proof-irrelevance"], "inline-omega", None),
     (["check", "-"], "deep", None),  # exit 5
 )
 HELP = (["--help"], ["check", "--help"], ["reduce", "--help"],

@@ -37,14 +37,15 @@ from .syntax import (
 
 
 class ConversionCycle(FuelExhausted):
-    """A conversion query whose unfolding states repeat.
+    """A conversion query whose unfolding states repeat, or (``what`` is
+    "reduction") a head reduction whose states repeat.
 
     Its loop would spend any budget, so it is a FuelExhausted found early;
-    ``period`` is the number of unfoldings between the two equal states.
+    ``period`` is the number of steps between the two equal states.
     """
 
-    def __init__(self, period: int) -> None:
-        super().__init__(f"unfolding repeats with period {period}")
+    def __init__(self, period: int, what: str = "unfolding") -> None:
+        super().__init__(f"{what} repeats with period {period}")
         self.period = period
 
 

@@ -14,13 +14,14 @@ the endpoints are compared.  Delta is need-driven: a global unfolds when its
 weak-head form is demanded (it heads the spine being reduced) or during
 strong normalization, so traces keep named forms as long as possible.
 
-Divergence is not observed as a timeout but *detected*, in two stages.  As a
-spine runs, Brent's check compares each state with one saved state by
-``==``, which is alpha-equality, and hashes nothing.  When it sees a repeat,
-or the budget or the stack runs out, ``CycleDetector`` certifies: it replays
-the spine's recorded states, reports the first repeat with its period, and
-the steps after that repeat are dropped.  So the first repeat is exact, and
-a cycle is only ever reported where ``==`` confirmed one.
+Divergence is not observed as a timeout but *detected*.  Every head
+reduction, traced or not, runs Brent's check in ``whnf_term``: each state is
+compared by ``==`` (alpha-equality) with one state, re-saved at each power of
+two steps, and a repeat raises ``ConversionCycle`` with its period.  A traced
+spine then certifies, as when the budget or the stack runs out:
+``CycleDetector`` replays its recorded states, reports the first repeat and
+its period, and drops the later steps.  So the first repeat is exact, and a
+cycle is only ever reported where ``==`` confirmed one.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class Trace:
 
 class CycleDetector:
     """Term-index map over one reduction spine: the certifier that
-    ``_spine`` runs over the spine's recorded states.
+    ``_certify`` runs over the spine's recorded states.
 
     A term is looked up by its hash, which comes from its digest, and
     confirmed by ``==`` (alpha-equality), so terms with equal hashes that
@@ -194,14 +195,18 @@ _STABLE = frozenset({SortT, Pi, Eq, Refl, Var})
 
 
 def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-              budget: Fuel, unfold_heads: bool = True) -> Term:
-    """Weak-head form without tracing (used by checking and conversion).
+              budget: Fuel, unfold_heads: bool = True,
+              steps: list[TraceStep] | None = None, frame: Frame = None) -> Term:
+    """Weak-head form: the only loop that calls ``head_step``.
 
     ``unfold_heads=False`` suppresses Delta at the head, so that conversion
     can unfold incrementally on its own terms.  Before each step, a spine
     headed by a ``SortT``, ``Pi``, ``Eq``, ``Refl`` or ``Var``, or by a
     ``Global`` when ``unfold_heads`` is False, is returned as it stands, with
-    no call to ``head_step`` and no fuel spent: no rule would step it."""
+    no call to ``head_step`` and no fuel spent: no rule would step it.  Each
+    step runs Brent's check, and is appended to ``steps`` (if given) as a
+    ``TraceStep`` at ``frame``."""
+    saved, power, since = t, 1, 0
     while True:
         head = t
         while type(head) is App:
@@ -210,7 +215,18 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             return t
         if (r := head_step(env, ctx, t, rules, budget)) is None:
             return t
-        t = r[0]
+        t, kind = r
+        if steps is not None:
+            steps.append(TraceStep(kind, t, frame))
+        since += 1
+        try:
+            repeat = t == saved
+        except RecursionError:  # == recurses: too deep to confirm a repeat
+            repeat = False
+        if repeat:
+            raise _convert.ConversionCycle(since, "reduction")
+        if since == power:
+            saved, power, since = t, 2 * power, 0
 
 
 def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
@@ -234,34 +250,16 @@ def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
 
 def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame,
            rules: RuleSet, budget: Fuel, steps: list[TraceStep]) -> Term:
-    """Head-reduce the spine ``sub`` in place at ``frame``, recording each step.
-
-    Each step compares the new state with one saved state by ``==`` (Brent's
-    check, as in ``convert``): the state is re-saved when the steps since the
-    last save reach the next power of two, so a repeat is seen within a small
-    multiple of the steps to the first one, keeping one state and hashing
-    none.  A hit, an exhausted budget or excessive depth then runs
-    ``_certify``, which finds the exact first repeat or proves there is none.
-    """
-    start, initial = len(steps), sub
-    saved, power, since = sub, 1, 0
+    """Head-reduce the spine ``sub`` at ``frame`` by ``whnf_term``, recording
+    each step; on a repeat (``ConversionCycle``), an exhausted budget or
+    excessive depth, ``_certify`` finds the exact first repeat or proves
+    there is none."""
+    start = len(steps)
     try:
-        while (r := head_step(env, ctx, sub, rules, budget)) is not None:
-            sub, kind = r
-            steps.append(TraceStep(kind, sub, frame))
-            since += 1
-            try:
-                repeat = sub == saved
-            except RecursionError:  # == recurses: too deep to confirm a repeat
-                repeat = False
-            if repeat:
-                _certify(initial, frame, steps, start)
-            if since == power:
-                saved, power, since = sub, 2 * power, 0
+        return whnf_term(env, ctx, sub, rules, budget, True, steps, frame)
     except (FuelExhausted, RecursionError):
-        _certify(initial, frame, steps, start)  # it may have repeated first
+        _certify(sub, frame, steps, start)  # it may have repeated first
         raise
-    return sub
 
 
 def _certify(initial: Term, frame: Frame, steps: list[TraceStep],

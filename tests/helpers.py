@@ -78,6 +78,22 @@ axiom G : Top -> Prop.
 """
 CE2_I = "(fun (A : Prop), fun (a : A), a)"
 
+# counterexample2's Top, id and tautext (declarations 0-2), G and a proof of
+# G at the identity (3-4), then ``bad`` (5), whose type has delta, omega and
+# Omega written inline: checking it loops by Beta and CastFire steps inside
+# one head reduction, not across conversion's unfolding states.
+INLINE_OMEGA = f"""
+def Top : Prop := forall (A : Prop), A -> A.
+def id : Top -> Top := fun (x : Top), x.
+axiom tautext : forall (A : Prop), forall (B : Prop), A -> B -> Eq Prop A B.
+{CE2_G}
+axiom g : G {CE2_I}.
+def bad : G ((fun (z : Top), z (Top -> Top) (fun (x : Top), x) z)
+             (fun (A : Prop), fun (a : A),
+              cast (Top -> Top) A (tautext (Top -> Top) A (fun (x : Top), x) a)
+                (fun (z : Top), z (Top -> Top) (fun (x : Top), x) z))) := g.
+"""
+
 
 # The texts that fuzzed token streams are drawn from: every keyword and its
 # Unicode alias, names, every punctuation token, good and bad pragmas, a

@@ -17,7 +17,7 @@ from itt import (
 from itt import corpus as corpus_mod
 from itt.cli import _build_parser, main
 from itt.rules import RULES
-from helpers import CE2_DEFS, CE2_G, CE2_I, parse_trace_json
+from helpers import CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, parse_trace_json
 
 CE1 = "src/itt/corpus/examples/counterexample1.itt"
 CE2 = "src/itt/corpus/examples/counterexample2.itt"
@@ -150,6 +150,21 @@ def test_conversion_diverging_without_repeat_exits_3(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == ("fuel exhausted: declaration 8 (bad): "
                            "step budget exhausted\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-proof-irrelevance",)])
+def test_head_reduction_cycle_while_checking_exits_4(tmp_path, flags):
+    # the loop is inside one head reduction that conversion runs, and that
+    # reduction's own Brent check stops it
+    src = tmp_path / "inline.itt"
+    src.write_text(INLINE_OMEGA)
+    start = time.perf_counter()
+    proc = _run_itt("check", str(src), *flags)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 4
+    assert proc.stderr == ("conversion cycle: declaration 5 (bad): "
+                           "reduction repeats with period 4\n")
+    assert elapsed < 1.0
 
 
 def test_reduce_whose_cast_condition_loops_exits_3(capsys, tmp_path):

@@ -17,7 +17,7 @@ from itt import (
 from itt import reduce as reduce_module
 from itt.convert import PROOF_FIELDS
 from itt.syntax import CHILDREN
-from helpers import CE2_DEFS, CE2_G, CE2_I, case_env
+from helpers import CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, case_env
 from term_strategies import GLOBAL_POOL, open_terms
 
 
@@ -305,6 +305,27 @@ def test_divergent_conversion_is_a_detected_cycle():
     assert isinstance(info.value, FuelExhausted)
     assert info.value.period == 2
     assert "period 2" in str(info.value)
+
+
+@pytest.mark.parametrize("irrelevance", [True, False])
+def test_head_reduction_cycle_is_detected_while_checking(monkeypatch,
+                                                         irrelevance):
+    # bad's loop runs inside one whnf_term call, not across convert's
+    # unfolding states; whnf_term's own check reports it within 50 units
+    budgets = []
+    new_budget = RuleSet.new_budget
+
+    def counting(rules):
+        budgets.append(new_budget(rules))
+        return budgets[-1]
+
+    monkeypatch.setattr(RuleSet, "new_budget", counting)
+    rules = RuleSet(proof_irrelevance=irrelevance)
+    with pytest.raises(ConversionCycle, match=r"^declaration 5 \(bad\): "
+                       r"reduction repeats with period 4$") as info:
+        elaborate(parse_program(INLINE_OMEGA), rules)
+    assert info.value.period == 4
+    assert rules.fuel - budgets[-1].remaining < 50
 
 
 def test_cast_whose_side_condition_loops_exhausts_the_reduction():

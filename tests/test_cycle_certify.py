@@ -1,10 +1,10 @@
 """Differential gate for traced cycle detection.
 
-``reduce._spine`` spots a repeat with Brent's check and then certifies it
-with ``CycleDetector``.  The reference below is the exact detector alone: it
-puts every state of the spine into one ``CycleDetector`` and stops at the
-first repeat.  Swapping it in for ``_spine`` must not change any trace text
-or status line, at any budget, under either strategy.
+``reduce._spine`` spots a repeat with the Brent check of ``whnf_term`` and
+then certifies it with ``CycleDetector``.  The reference below is the exact
+detector alone: it puts every state of the spine into one ``CycleDetector``
+and stops at the first repeat.  Swapping it in for ``_spine`` must not
+change any trace text or status line, at any budget, under either strategy.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import sys
 import pytest
 
 from itt import (
-    CASE_NAMES, CYCLE_DETECTED, CycleDetector, FuelExhausted, PragmaReduce,
-    alpha_eq, elaborate, head_step, load_example, parse_term, reduce_with,
-    trace_to_text,
+    CASE_NAMES, CYCLE_DETECTED, ConversionCycle, CycleDetector, FuelExhausted,
+    PragmaReduce, alpha_eq, elaborate, head_step, load_example, parse_term,
+    reduce_with, step, trace_to_text, whnf_term,
 )
 import itt.reduce
 from itt.reduce import TraceStep, _CycleFound
@@ -46,12 +46,15 @@ def reference_spine(env, ctx, sub, frame, rules, budget, steps):
 @pytest.fixture
 def certified_after_exhaustion(monkeypatch):
     """Count the runs whose cycle is certified only after the budget ran
-    out."""
+    out.  A ``ConversionCycle`` is a ``FuelExhausted`` too, but it is a
+    repeat that Brent's check saw, so it does not count."""
     count = [0]
     certify = itt.reduce._certify
 
     def counting(*args):
-        exhausted = isinstance(sys.exc_info()[1], FuelExhausted)
+        error = sys.exc_info()[1]
+        exhausted = (isinstance(error, FuelExhausted)
+                     and not isinstance(error, ConversionCycle))
         try:
             certify(*args)
         except _CycleFound:
@@ -135,3 +138,35 @@ def test_long_tails_match_the_exact_detector(monkeypatch,
                         render=False, stride=4)
     assert max(firsts) > 32
     assert certified_after_exhaustion[0] > 0
+
+
+def test_corpus_cycle_reports_are_certificates():
+    """A cycle report claims that ``period`` steps from its witness return to
+    the witness, and that no fewer do.  Re-run exactly those steps with no
+    detector: ``head_step`` for whnf, the leftmost-outermost ``step`` for nf.
+    From a whnf witness, ``whnf_term`` must report the same period."""
+    checked = 0
+    for name in CASE_NAMES:
+        case = load_example(name)
+        for flags in VARIANTS:
+            rules = case.rules.updated(**flags)
+            env, _ = elaborate(case.program, rules, run_reduce=False)
+            for decl in case.program.declarations:
+                if not isinstance(decl, PragmaReduce):
+                    continue
+                for strategy, one_step in (("whnf", head_step), ("nf", step)):
+                    trace = reduce_with(env, (), decl.term, rules, strategy)
+                    if trace.status != CYCLE_DETECTED:
+                        continue
+                    witness, period = trace.cycle.witness, trace.cycle.period
+                    state, budget = witness, rules.new_budget()
+                    for n in range(1, period + 1):
+                        state, _ = one_step(env, (), state, rules, budget)
+                        assert alpha_eq(state, witness) == (n == period)
+                    if strategy == "whnf":
+                        with pytest.raises(ConversionCycle) as info:
+                            whnf_term(env, (), witness, rules,
+                                      rules.new_budget())
+                        assert info.value.period == period
+                    checked += 1
+    assert checked >= 10
