@@ -18,6 +18,14 @@ only earlier globals, two aliases meet at their common alias without
 unfolding past it, and comparisons stay close to the named forms they
 started from.  Two heads of height 0 (no defined global) do not convert.
 
+A query of two different bound globals is answered once per environment and
+rule set: ``GlobalEnv.conversions`` keeps its answer and the fuel its live
+run spent after its own unit, which cannot change, as a body names only
+earlier globals and no entry is replaced.  A repeat spends that fuel again,
+or runs live if the budget holds less, to run out at the same step; so only
+a query too deep for Python's stack may end differently (answered from the
+memo, not RecursionError).  A raise stores nothing; the key omits ``ctx``.
+
 Unfolding can loop, since this theory does not normalize.  A pair of
 weak-head forms equal to an earlier pair raises ConversionCycle, a
 FuelExhausted that gives the period; the check spends no fuel.  While
@@ -71,19 +79,29 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     budget.spend()  # conversion queries consume the shared budget
     # identity, not ==: dataclass == recurses and costs O(size); but two
     # leaves (Var, SortT, Global) compare in O(1)
-    if t1 is t2 or (not CHILDREN[type(t1)] and t1 == t2):
+    if t1 is t2:
         return True
+    key = None
+    if not CHILDREN[type(t1)]:
+        if t1 == t2:
+            return True
+        if type(t1) is Global is type(t2) and env.lookup(t1.name) and env.lookup(t2.name):
+            key, start = (rules, t1.name, t2.name), budget.remaining
+            if (hit := env.conversions.get(key)) and hit[1] <= start:
+                budget.remaining -= hit[1]  # replay the live query's fuel
+                return hit[0]
     w1 = _reduce.whnf_term(env, ctx, t1, rules, budget, unfold_heads=False)
     w2 = _reduce.whnf_term(env, ctx, t2, rules, budget, unfold_heads=False)
     # Brent's cycle check: the next state depends only on (w1, w2), so a
     # state equal to the one saved at the last power of two never returns.
     saved, power, period = (w1, w2), 1, 0
     while True:
-        if type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, rules, budget):
-            return True
+        answer = type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, rules, budget)
+        if answer:
+            break
         h1, h2 = _height(env, w1), _height(env, w2)
         if h1 == h2 == 0:
-            return False
+            break
         if h1 >= h2:
             u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
             w1 = _reduce.whnf_term(env, ctx, u1, rules, budget, unfold_heads=False)
@@ -99,6 +117,9 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             raise ConversionCycle(period)
         if period == power:
             saved, power, period = (w1, w2), 2 * power, 0
+    if key is not None:
+        env.conversions[key] = (answer, start - budget.remaining)
+    return answer
 
 
 def _height(env: GlobalEnv, t: Term) -> int:

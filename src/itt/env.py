@@ -32,11 +32,13 @@ class EnvEntry:
 
 
 class GlobalEnv:
-    """Ordered global declarations; immutable once elaboration finishes."""
+    """Ordered global declarations.  Entries are immutable; the conversion
+    memo (``conversions``, see ``itt.convert``) only grows."""
 
     def __init__(self) -> None:
         self._entries: dict[str, EnvEntry] = {}
         self._heights: dict[str, int] = {}
+        self.conversions: dict[tuple, tuple[bool, int]] = {}
 
     def add(self, entry: EnvEntry) -> None:
         if entry.name in self._entries:

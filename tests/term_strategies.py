@@ -65,6 +65,27 @@ def _head_redexes(ctx: int) -> st.SearchStrategy:
 head_redexes = _head_redexes(ctx=3)
 
 
+def _head_loops(ctx: int) -> st.SearchStrategy:
+    """Spines whose head reduction may loop: the self-application
+    ``(fun (x : A), x x) (fun (x : A), x x)``, a pool global alone or applied
+    to pool globals (once renamed to a corpus program's names, ``Omega`` or
+    ``delta omega`` unfolds into its loop), and casts with equal endpoints of
+    either, applied to up to two more terms.  Neither ``terms`` nor
+    ``head_redexes`` builds one except by chance."""
+    sub = terms(1, ctx)
+    pool = st.sampled_from([Global(g) for g in GLOBAL_POOL])
+    self_app = st.builds(lambda a: App(Lam(a, App(Var(0), Var(0))),
+                                       Lam(a, App(Var(0), Var(0)))), sub)
+    unfolding = st.builds(build_apps, pool, st.lists(pool, max_size=2))
+    loops = st.one_of(self_app, unfolding)
+    casts = st.builds(lambda a, e, x: Cast(a, a, e, x), sub, sub, loops)
+    return st.builds(build_apps, st.one_of(loops, casts),
+                     st.lists(sub, max_size=2))
+
+
+head_loops = _head_loops(ctx=3)
+
+
 def church_numeral(k: int):
     """Church numeral ``k`` in normal form:
     ``fun (A : Prop), fun (s : A -> A), fun (x : A), s (... (s x))``."""

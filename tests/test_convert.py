@@ -4,12 +4,14 @@ import dataclasses
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from itt import (
     CASE_NAMES, DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
-    App, Cast, ConversionCycle, Eq, EqRec, Fuel, FuelExhausted, Global, J, Lam,
+    App, Cast, ConversionCycle, EnvEntry, Eq, EqRec, Fuel, FuelExhausted,
+    Global, J, Lam,
     PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
     convert, ctx_extend, elaborate, infer, is_proposition, load_example,
     normalize, parse_program, parse_term, pretty,
@@ -397,3 +399,90 @@ def test_equal_leaves_answer_without_reducing(monkeypatch):
         budget = Fuel(1)
         assert convert(env, (PROP,) * 3, t1, t2, budget=budget)
         assert budget.remaining == 0
+
+
+# An alias forest: N0 is an axiom; each later N_k is an axiom or names an
+# earlier N_j.  Two names convert exactly when they reach the same axiom.
+_alias_forests = st.integers(2, 8).flatmap(lambda n: st.tuples(*(
+    st.one_of(st.none(), st.integers(0, k - 1)) if k else st.none()
+    for k in range(n))))
+
+
+def _alias_program(parents):
+    return parse_program("".join(
+        f"axiom N{k} : Prop.\n" if j is None else f"def N{k} : Prop := N{j}.\n"
+        for k, j in enumerate(parents)))
+
+
+def _outcome(env, t1, t2, fuel, rules=RuleSet()):
+    budget = Fuel(fuel)
+    try:
+        result = convert(env, (), t1, t2, rules=rules, budget=budget)
+    except FuelExhausted as exc:
+        result = type(exc)
+    return result, budget.remaining
+
+
+@settings(max_examples=100, deadline=None)
+@given(_alias_forests, st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                          st.integers(1, 12)), max_size=20))
+def test_a_memo_hit_replays_the_live_fuel(parents, queries):
+    # every query on the warm environment (which answers repeats from its
+    # memo) ends as on a fresh one, with the same budget left, even when
+    # the budget runs out
+    program = _alias_program(parents)
+    warm, _ = elaborate(program)
+    for i, j, fuel in queries:
+        pair = Global(f"N{i % len(parents)}"), Global(f"N{j % len(parents)}")
+        cold, _ = elaborate(program)
+        assert _outcome(warm, *pair, fuel) == _outcome(cold, *pair, fuel)
+
+
+def _alias_chain(n):
+    return elaborate(parse_program(
+        "def T0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
+            f"def T{k} : Prop := T{k - 1}.\n" for k in range(1, n + 1))))[0]
+
+
+def test_a_memo_hit_without_enough_fuel_runs_out_at_the_live_step():
+    # the memo knows the query's cost, but a budget one unit short still
+    # runs out at the same step as on a fresh environment, leaving -1
+    warm, pair = _alias_chain(30), (Global("T30"), Global("T0"))
+    cost = _fuel_spent(warm, *pair)
+    assert cost == 31
+    assert _outcome(_alias_chain(30), *pair, cost - 1) == (FuelExhausted, -1)
+    assert _outcome(warm, *pair, cost - 1) == (FuelExhausted, -1)
+    assert _outcome(warm, *pair, cost) == (True, 0)
+
+
+# fired unfolds to a cast that fires to top_value only under the cast rule
+_CAST_PAIR_SRC = """
+def Top : Prop := forall (A : Prop), A -> A.
+axiom top_eq : Eq Prop Top Top.
+axiom top_value : Top.
+def fired : Top := cast Top Top top_eq top_value.
+def plain : Top := top_value.
+"""
+
+
+def test_the_rule_set_is_part_of_the_memo_key():
+    on, off = RuleSet(), RuleSet(cast_rule=False)
+    pair = Global("fired"), Global("plain")
+    for order in [(on, off), (off, on)]:
+        env, _ = elaborate(parse_program(_CAST_PAIR_SRC))
+        for rules in order + order:  # the second round repeats the first
+            assert convert(env, (), *pair, rules=rules) == (rules is on)
+
+
+def test_a_pair_with_an_unbound_name_is_not_memoized():
+    env, _ = elaborate(parse_program("axiom X : Prop.\ndef A : Prop := X.\n"))
+    pair = Global("A"), Global("B")
+    assert not convert(env, (), *pair)
+    env.add(EnvEntry("B", PROP, Global("X"), "def"))
+    assert convert(env, (), *pair)
+
+
+def test_a_query_that_runs_out_of_fuel_stores_nothing():
+    env, pair = _alias_chain(30), (Global("T30"), Global("T0"))
+    assert _outcome(env, *pair, 10) == (FuelExhausted, -1)
+    assert _fuel_spent(env, *pair) == 31

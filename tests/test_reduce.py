@@ -19,7 +19,7 @@ import itt.reduce
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
 from itt.syntax import CHILDREN
 from helpers import parse_trace_json
-from term_strategies import church_numeral, head_redexes, open_terms
+from term_strategies import church_numeral, head_loops, head_redexes, open_terms
 
 
 def _env(name, **flags):
@@ -524,7 +524,8 @@ _SELF_APPLY = Lam(PROP, App(Var(0), Var(0)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(CASE_NAMES), st.one_of(open_terms, head_redexes),
+@given(st.sampled_from(CASE_NAMES),
+       st.one_of(open_terms, head_redexes, head_loops),
        st.integers(0, 7), st.booleans(), st.booleans(), st.booleans(),
        st.booleans())
 @example("counterexample2", App(_SELF_APPLY, _SELF_APPLY), 0, True, True,
