@@ -349,13 +349,18 @@ def _fuel_spent(env, t1, t2):
     return DEFAULT_FUEL - budget.remaining
 
 
+def _alias_chain(n):
+    """``def T_k : Prop := T_(k-1)`` for k = 1..n, after a closed T0."""
+    return elaborate(parse_program(
+        "def T0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
+            f"def T{k} : Prop := T{k - 1}.\n" for k in range(1, n + 1))))[0]
+
+
 def test_long_alias_chain_is_not_a_cycle():
     # 300 distinct unfolding states in a row; the budget pays 1 for the
     # query and 1 per unfolding, and nothing for the cycle check.  Only the
     # later definition unfolds, in either order, until the heads meet
-    src = "def T0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
-        f"def T{k} : Prop := T{k - 1}.\n" for k in range(1, 301))
-    env, _ = elaborate(parse_program(src))
+    env = _alias_chain(300)
     for a, b, cost in [(300, 0, 301), (200, 100, 101)]:
         assert _fuel_spent(env, Global(f"T{a}"), Global(f"T{b}")) == cost
         assert _fuel_spent(env, Global(f"T{b}"), Global(f"T{a}")) == cost
@@ -414,10 +419,10 @@ def _alias_program(parents):
         for k, j in enumerate(parents)))
 
 
-def _outcome(env, t1, t2, fuel, rules=RuleSet()):
+def _outcome(env, t1, t2, fuel):
     budget = Fuel(fuel)
     try:
-        result = convert(env, (), t1, t2, rules=rules, budget=budget)
+        result = convert(env, (), t1, t2, budget=budget)
     except FuelExhausted as exc:
         result = type(exc)
     return result, budget.remaining
@@ -436,12 +441,6 @@ def test_a_memo_hit_replays_the_live_fuel(parents, queries):
         pair = Global(f"N{i % len(parents)}"), Global(f"N{j % len(parents)}")
         cold, _ = elaborate(program)
         assert _outcome(warm, *pair, fuel) == _outcome(cold, *pair, fuel)
-
-
-def _alias_chain(n):
-    return elaborate(parse_program(
-        "def T0 : Prop := forall (A : Prop), A -> A.\n" + "".join(
-            f"def T{k} : Prop := T{k - 1}.\n" for k in range(1, n + 1))))[0]
 
 
 def test_a_memo_hit_without_enough_fuel_runs_out_at_the_live_step():
