@@ -37,7 +37,7 @@ from .env import Context, GlobalEnv, ctx_extend
 from .rules import Fuel, FuelExhausted, RuleSet
 from .syntax import (
     CHILDREN, App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    build_apps, canonical_key, pretty, subst, unwind_apps,
+    build_apps, canonical_key, pretty, rebuild, subst, unwind_apps,
 )
 
 NORMAL_FORM = "NormalForm"
@@ -69,11 +69,18 @@ def delta(name: str) -> StepKind:
 Frame = tuple[Term, str, "Frame"] | None
 
 
+def _with_child(node: Term, attr: str, child: Term) -> Term:
+    """``node`` with ``child`` in its field ``attr``, built by one
+    constructor call."""
+    return rebuild(node, [child if a == attr else getattr(node, a)
+                          for a, _ in CHILDREN[type(node)]])
+
+
 def _plug(sub: Term, frame: Frame) -> Term:
     """The whole term with ``sub`` in the hole that ``frame`` describes."""
     while frame is not None:
         node, attr, frame = frame
-        sub = dataclasses.replace(node, **{attr: sub})
+        sub = _with_child(node, attr, sub)
     return sub
 
 
@@ -244,7 +251,7 @@ def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
         sub = step(env, child_ctx, child, rules, budget)
         if sub is not None:
             new_child, kind = sub
-            return dataclasses.replace(t, **{attr: new_child}), kind
+            return _with_child(t, attr, new_child), kind
     return None
 
 
@@ -322,7 +329,9 @@ def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             child = getattr(cur, attr)
             new_child = rec(child, (cur, attr, frame), child_ctx)
             if new_child is not child:
-                cur = dataclasses.replace(cur, **{attr: new_child})
+                # rebuilt at each changed child: the frames of the later
+                # children show this child's normal form
+                cur = _with_child(cur, attr, new_child)
         return cur
 
     return _traced(trace, lambda: rec(t, None, ctx))

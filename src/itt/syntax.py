@@ -175,6 +175,16 @@ def subterms(t: Term) -> Iterator[Term]:
     return (getattr(t, attr) for attr, _ in CHILDREN[type(t)])
 
 
+def rebuild(t: Term, kids: Sequence[Term]) -> Term:
+    """A node of ``t``'s class with children ``kids``, in ``CHILDREN`` order,
+    and ``t``'s binder name if it has one.  One constructor call, and the
+    new node starts without a digest."""
+    cls = type(t)
+    if cls is Pi or cls is Lam:
+        return cls(*kids, name=t.name)
+    return cls(*kids)
+
+
 def _map_vars(t: Term, depth: int, on_var: Callable[[Var, int], Term]) -> Term:
     """``t`` with each ``Var`` whose index is at least ``depth`` replaced by
     ``on_var(var, depth)``, where ``depth`` starts at the given value and
@@ -190,11 +200,7 @@ def _map_vars(t: Term, depth: int, on_var: Callable[[Var, int], Term]) -> Term:
         new = _map_vars(old, depth + under, on_var)
         changed = changed or new is not old
         kids.append(new)
-    if not changed:
-        return t
-    if cls is Pi or cls is Lam:
-        return cls(*kids, name=t.name)
-    return cls(*kids)
+    return rebuild(t, kids) if changed else t
 
 
 def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
@@ -224,32 +230,8 @@ def subst(t: Term, target: int, value: Term) -> Term:
     return _map_vars(t, target, replaced)
 
 
-def has_free_var(t: Term, lo: int = 0, hi: int | None = None) -> bool:
-    """Does a free index in ``[lo, hi)`` occur in ``t``?  No ``hi``: no bound."""
-    todo = [(t, 0)]
-    while todo:
-        cur, depth = todo.pop()
-        if type(cur) is Var:
-            if lo <= cur.index - depth and (hi is None or cur.index - depth < hi):
-                return True
-        else:
-            todo.extend((getattr(cur, a), depth + u) for a, u in CHILDREN[type(cur)])
-    return False
-
-
-def collect_globals(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Global):
-            out.add(cur.name)
-        stack.extend(subterms(cur))
-    return out
-
-
 # The digest's memo slot in a node's __dict__, outside its fields: equality
-# is unchanged, and a node built by ``dataclasses.replace`` starts without it.
+# is unchanged, and a node built anew, by ``rebuild`` too, starts without it.
 _DIGEST = "_digest"
 
 
@@ -308,6 +290,44 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}{k}"
 
 
+def _print_scan(t: Term) -> tuple[set[str], set[int]]:
+    """The global names in ``t``, and the ids of its ``Pi`` nodes whose
+    binder no variable refers to, which print as arrows.
+
+    One depth-first walk by an explicit stack.  ``binders[k]`` is set to the
+    binder at binder depth ``k`` when the walk enters that binder's bound
+    child; depth-first order keeps every slot below the current depth on the
+    current path, so ``Var(i)`` at depth ``d`` refers to ``binders[d-1-i]``.
+    """
+    names: set[str] = set()
+    pis: list[Term] = []
+    used: set[int] = set()
+    binders: list[Term] = []
+    todo: list[tuple[Term, int, Term | None]] = [(t, 0, None)]
+    while todo:
+        cur, depth, binder = todo.pop()
+        if binder is not None:  # cur is binder's bound child
+            if depth > len(binders):
+                binders.append(binder)
+            else:
+                binders[depth - 1] = binder
+        cls = type(cur)
+        if cls is Var:
+            if cur.index < depth:
+                used.add(id(binders[depth - 1 - cur.index]))
+        elif cls is Global:
+            names.add(cur.name)
+        else:
+            if cls is Pi:
+                pis.append(cur)
+            for attr, under in CHILDREN[cls]:
+                if under:
+                    todo.append((getattr(cur, attr), depth + 1, cur))
+                else:
+                    todo.append((getattr(cur, attr), depth, None))
+    return names, {id(p) for p in pis if id(p) not in used}
+
+
 def pretty(t: Term) -> str:
     """Render ``t`` in the surface syntax; ``parse_term(pretty(t))`` is
     alpha-equal to ``t``.
@@ -315,38 +335,38 @@ def pretty(t: Term) -> str:
     Binder names that would shadow an enclosing name or a referenced global
     are freshened with a numeric suffix.  A free variable has no name to
     print; it shows as ``_x<k>``, where ``k`` is its index at the top level.
+    One pre-pass finds the globals and the arrows, so each node is visited
+    twice, not once more for each ``Pi`` above it.
     """
-    taken = collect_globals(t)
+    taken, arrows = _print_scan(t)
     stack: list[str] = []
 
-    def var_name(i: int) -> str:
-        if i < len(stack):
-            return stack[-(i + 1)]
-        return f"_x{i - len(stack)}"
-
     def go(t: Term, pos: int) -> str:
-        match t:
-            case Var(i):
-                return var_name(i)
-            case SortT(n) | Global(n):
-                return n
-            case Pi(d, c, name=n):
-                if not has_free_var(c, 0, 1):
-                    dom = go(d, _APP)
-                    stack.append("_")  # codomain sits under the unused binder
-                    try:
-                        cod = go(c, _ARROW)
-                    finally:
-                        stack.pop()
-                    s = f"{dom} -> {cod}"
-                    return f"({s})" if pos > _ARROW else s
-                return binder("forall", n, d, c, pos)
-            case Lam(d, b, name=n):
-                return binder("fun", n, d, b, pos)
-            case App(f, a):
-                s = f"{go(f, _APP)} {go(a, _ATOM)}"
-                return f"({s})" if pos > _APP else s
-        kw = _KEYWORD.get(type(t))
+        cls = type(t)
+        if cls is App:
+            s = f"{go(t.fn, _APP)} {go(t.arg, _ATOM)}"
+            return f"({s})" if pos > _APP else s
+        if cls is Var:
+            i = t.index
+            return stack[-(i + 1)] if i < len(stack) else f"_x{i - len(stack)}"
+        if cls is Global:
+            return t.name
+        if cls is SortT:
+            return t.sort
+        if cls is Pi:
+            if id(t) in arrows:
+                dom = go(t.domain, _APP)
+                stack.append("_")  # codomain sits under the unused binder
+                try:
+                    cod = go(t.codomain, _ARROW)
+                finally:
+                    stack.pop()
+                s = f"{dom} -> {cod}"
+                return f"({s})" if pos > _ARROW else s
+            return binder("forall", t.name, t.domain, t.codomain, pos)
+        if cls is Lam:
+            return binder("fun", t.name, t.domain, t.body, pos)
+        kw = _KEYWORD.get(cls)
         if kw is None:
             raise ScopeError(f"pretty: unknown node {t!r}")
         s = " ".join([kw, *(go(a, _ATOM) for a in subterms(t))])

@@ -1,15 +1,18 @@
-"""Readers that only tests need: JSON trace lines back into records, a
-closure check over a global environment, and counts over corpus cases; and
-the inputs that several test files share."""
+"""Readers that only tests need: JSON trace lines back into records, the
+free-variable and global-name walks that ``pretty``'s pre-pass is checked
+against, a closure check over a global environment, and counts over corpus
+cases; and the inputs that several test files share."""
 
 from __future__ import annotations
 
 import json
 from typing import Iterable
 
-from itt import GlobalEnv, PragmaReduce, RuleSet, Term, elaborate, load_example
+from itt import (
+    Global, GlobalEnv, PragmaReduce, RuleSet, Term, Var, elaborate, load_example,
+)
 from itt.corpus import CaseReport, ExampleCase
-from itt.syntax import collect_globals, has_free_var
+from itt.syntax import CHILDREN, subterms
 
 
 def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:
@@ -25,6 +28,30 @@ def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:
             continue
         records.append(json.loads(line))
     return records, status
+
+
+def has_free_var(t: Term, lo: int = 0, hi: int | None = None) -> bool:
+    """Does a free index in ``[lo, hi)`` occur in ``t``?  No ``hi``: no bound."""
+    todo = [(t, 0)]
+    while todo:
+        cur, depth = todo.pop()
+        if type(cur) is Var:
+            if lo <= cur.index - depth and (hi is None or cur.index - depth < hi):
+                return True
+        else:
+            todo.extend((getattr(cur, a), depth + u) for a, u in CHILDREN[type(cur)])
+    return False
+
+
+def collect_globals(t: Term) -> set[str]:
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Global):
+            out.add(cur.name)
+        stack.extend(subterms(cur))
+    return out
 
 
 def closed_over_axioms(env: GlobalEnv, t: Term) -> bool:

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from itt import (
-    PROP,
-    App, Global, Lam, Pi, ScopeError, SortT, Var,
-    alpha_eq, canonical_key, parse_term, pretty, shift, subst,
+    DEFAULT_RULES, PROP, TYPE,
+    App, GlobalEnv, Global, Lam, Pi, ScopeError, SortT, TraceStep, Var,
+    alpha_eq, canonical_key, normalize, parse_term, pretty, shift, subst,
 )
-from itt.syntax import CHILDREN, has_free_var
+from itt.reduce import BETA
+from itt.syntax import CHILDREN, PRIMITIVES, _print_scan, subterms
+from helpers import collect_globals, has_free_var
 from term_strategies import (
     GLOBAL_POOL, church_numeral, closed_terms, open_terms, terms,
 )
@@ -148,25 +152,44 @@ def test_key_equal_exactly_when_alpha_equal(a, b):
     assert (canonical_key(a) == canonical_key(b)) == alpha_eq(a, b)
 
 
-def test_key_memo_is_not_carried_by_replace():
-    t = App(Global("f"), Var(0))
+# ``f ((fun (x : Prop), x) _x1)`` with its argument replaced by ``_x1`` in
+# each way that a term is rebuilt: by ``dataclasses.replace``, by plugging a
+# trace snapshot, and by ``normalize`` after the argument's Beta step.  The
+# last snapshot of ``t ((fun (x : Prop), x) _x1)`` is plugged around the
+# node that ``normalize`` rebuilt from ``t``.
+_REBUILT = {
+    "replace": lambda t: dataclasses.replace(t, arg=Var(1)),
+    "plug": lambda t: TraceStep(BETA, Var(1), (t, "arg", None)).term,
+    "normalize": lambda t: normalize(
+        GlobalEnv(), (), App(t, t.arg), DEFAULT_RULES).final.fn,
+}
+
+
+def _redex_arg():
+    return App(Global("f"), App(Lam(PROP, Var(0)), Var(1)))
+
+
+@pytest.mark.parametrize("rebuilt", _REBUILT.values(), ids=_REBUILT)
+def test_key_memo_is_not_carried_by_replace(rebuilt):
+    t = _redex_arg()
     before = canonical_key(t)
-    changed = dataclasses.replace(t, arg=Var(1))
-    assert "_digest" not in vars(changed)  # the replaced node starts unkeyed
+    changed = rebuilt(t)
+    assert "_digest" not in vars(changed)  # the rebuilt node starts unkeyed
     assert canonical_key(changed) == canonical_key(App(Global("f"), Var(1)))
     assert canonical_key(changed) != before
     # the memo sits outside the fields: equality and hashing are unchanged
-    assert t == App(Global("f"), Var(0))
-    assert hash(t) == hash(App(Global("f"), Var(0)))
+    assert t == _redex_arg()
+    assert hash(t) == hash(_redex_arg())
     assert canonical_key(t) == before
 
 
-def test_hash_memo_is_not_carried_by_replace():
+@pytest.mark.parametrize("rebuilt", _REBUILT.values(), ids=_REBUILT)
+def test_hash_memo_is_not_carried_by_replace(rebuilt):
     # the hash is memoized through the digest, the bytes behind canonical_key
-    t = App(Global("f"), Var(0))
+    t = _redex_arg()
     before = hash(t)
     assert before == hash(bytes.fromhex(canonical_key(t)))  # one fingerprint
-    changed = dataclasses.replace(t, arg=Var(1))
+    changed = rebuilt(t)
     assert "_digest" not in vars(changed)
     assert hash(changed) == hash(App(Global("f"), Var(1)))
     assert hash(changed) != before
@@ -187,6 +210,22 @@ def test_hash_of_a_deep_term_does_not_recurse():
     a, b = church_numeral(2 ** 10), church_numeral(2 ** 10)
     assert hash(a) == hash(b)
     assert hash(a) != hash(church_numeral(2 ** 10 - 1))
+
+
+def _nodes(t):
+    yield t
+    for kid in subterms(t):
+        yield from _nodes(kid)
+
+
+@given(open_terms)
+def test_print_scan_agrees_with_the_tree_walks(t):
+    # pretty's one pre-pass against a walk per question: the globals, and
+    # each Pi whose codomain has no free index 0
+    names, arrows = _print_scan(t)
+    assert names == collect_globals(t)
+    assert arrows == {id(p) for p in _nodes(t)
+                      if type(p) is Pi and not has_free_var(p.codomain, 0, 1)}
 
 
 @given(closed_terms)
@@ -217,3 +256,70 @@ def test_pretty_freshens_shadowing_binders():
     t = Lam(PROP, inner, name="x")
     printed = pretty(t)
     assert alpha_eq(parse_term(printed), t)
+
+
+# Binder names drawn for the pinned printing test: each collides with a
+# global of ``_PRINTED_GLOBALS``, with another binder, or with the name that
+# freshening another would give.
+_PRINTED_BINDERS = ("x", "x", "y", "A", "g0", "x1", "_")
+_PRINTED_GLOBALS = ("g0", "x1", "A", "h")
+
+
+def _printed_term(rng, depth: int, ctx: int):
+    """A seeded term in scope of ``ctx`` binders, plus up to two free indices
+    when ``ctx`` counts them; leaves, binders, arrows nested on either side,
+    applications and every primitive."""
+    def sub(extra: int = 0):
+        return _printed_term(rng, depth - 1, ctx + extra)
+
+    form = rng.randrange(9) if depth > 0 else rng.randrange(3)
+    name = rng.choice(_PRINTED_BINDERS)
+    if form == 0:
+        return rng.choice((PROP, SortT("Type"), SortT("Kind")))
+    if form == 1:
+        return Global(rng.choice(_PRINTED_GLOBALS))
+    if form == 2:
+        return Var(rng.randrange(ctx)) if ctx else PROP
+    if form == 3:
+        return Pi(sub(), sub(1), name=name)
+    if form == 4:  # an arrow: the codomain skips the binder
+        return Pi(sub(), shift(sub(), 0, 1), name=name)
+    if form == 5:  # the binder is used only in a nested arrow's domain
+        inner = Pi(App(Var(0), sub(1)), shift(sub(), 0, 2), name=name)
+        return Pi(sub(), inner, name=rng.choice(_PRINTED_BINDERS))
+    if form == 6:
+        return Lam(sub(), sub(1), name=name)
+    if form == 7:
+        return App(sub(), sub())
+    cls = rng.choice(list(PRIMITIVES.values()))
+    return cls(*(sub() for _ in CHILDREN[cls]))
+
+
+def _printed_chains():
+    """300-arrow chains nested on the right and on the left, one under a
+    ``forall`` whose binder only the last codomain uses, and 300-deep
+    ``forall`` chains whose binders all share one name."""
+    right = left = PROP
+    used_last = Var(300)
+    for k in range(300):  # Var(299 - k) is the free index 0 at its depth
+        right = Pi(Global("h") if k % 2 else Var(299 - k), right, name="x")
+        left = Pi(left, PROP, name="x")
+        used_last = Pi(PROP, used_last, name="x")
+    nested = Var(0)
+    for _ in range(300):
+        nested = Pi(PROP, App(nested, Var(0)), name="x")
+    return [right, left, Pi(TYPE, used_last, name="x"), nested,
+            Lam(PROP, nested, name="g0")]
+
+
+def test_printed_text_is_pinned():
+    # The digest was computed before ``pretty`` found arrows and globals in
+    # one pre-pass, so a change to how a term prints is checked against it.
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    terms = [_printed_term(rng, rng.randrange(1, 6), rng.choice((0, 0, 2, 3)))
+             for _ in range(2_000)]
+    for t in [*terms, *_printed_chains()]:
+        digest.update(pretty(t).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "ede6e4250cde2e0b47a58778be29eaf8f01f7bacd4d6568e4cf1b86e0882c26b")
