@@ -7,7 +7,9 @@ J is the blunt ancestor of cast: no proof argument at all, same firing
 condition, same loop potential.
 """
 
-from itt import alpha_eq, elaborate, load_example, parse_term, pretty, step
+from itt import (
+    alpha_eq, elaborate, head_step, load_example, parse_term, pretty,
+)
 
 
 def main() -> None:
@@ -30,9 +32,9 @@ def main() -> None:
             print(f"    #check  {pretty(res.term)} : {pretty(res.type_)}")
     scope = env.names()
     fires = parse_term("J Top Top top_id", scope)
-    print(f"    step(J Top Top top_id) = {step(env, (), fires, case.rules)[0]}")
+    fired = head_step(env, (), fires, case.rules, case.rules.new_budget())[0]
+    print(f"    step(J Top Top top_id) = {fired}")
     stuck = parse_term("J Top Bot top_id", scope)
-    from itt import head_step
     r = head_step(env, (), stuck, case.rules, case.rules.new_budget())
     print(f"    head step on J Top Bot top_id: {r}  (stuck, as it should be)")
 

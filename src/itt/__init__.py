@@ -17,7 +17,9 @@ from .syntax import (
     Term, Var, alpha_eq, build_apps, canonical_key, pretty, shift, subst,
     unwind_apps,
 )
-from .rules import DEFAULT_FUEL, DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
+from .rules import (
+    DEFAULT_FUEL, DEFAULT_RULES, ConversionCycle, Fuel, FuelExhausted, RuleSet,
+)
 from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
 from .parser import (
     Assume, Axiom, Declaration, Def, ParseError, PragmaCheck, PragmaReduce,
@@ -26,10 +28,10 @@ from .parser import (
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM,
     CycleDetector, CycleReport, StepKind, Trace, TraceStep,
-    head_step, normalize, reduce_with, replay_trace, step, trace_to_json_lines,
+    head_step, normalize, reduce_with, replay_trace, trace_to_json_lines,
     trace_to_text, whnf, whnf_term,
 )
-from .convert import ConversionCycle, convert, is_proposition
+from .convert import is_proposition
 from .typecheck import (
     PragmaResult, TypeCheckError, check, elaborate, infer,
 )

@@ -13,19 +13,21 @@ budget; an explicit --max-steps wins over the environment.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator
 
 from . import corpus as corpus_mod
-from .convert import ConversionCycle
 from .parser import ParseError, Program, parse_program
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM, trace_to_json_lines,
     trace_to_text,
 )
-from .rules import DEFAULT_FUEL, DEFAULT_RULES, RULES, FuelExhausted
+from .rules import (
+    DEFAULT_FUEL, DEFAULT_RULES, RULES, ConversionCycle, FuelExhausted,
+)
 from .syntax import ScopeError, pretty
 from .typecheck import PragmaResult, TypeCheckError, elaborate, name_declaration
 
@@ -113,7 +115,13 @@ def _rule_fields(args: argparse.Namespace) -> dict[str, object]:
 def _read_source(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # decoded as open() decodes a file, whatever the locale; detached
+            # after, so that closing the wrapper leaves stdin open
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                return stdin.read()
+            finally:
+                stdin.detach()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

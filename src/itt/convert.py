@@ -38,23 +38,10 @@ from __future__ import annotations
 from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
-from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
+from .rules import DEFAULT_RULES, ConversionCycle, Fuel, RuleSet
 from .syntax import (
     CHILDREN, PROP, App, Cast, EqRec, Global, J, Term, alpha_eq, unwind_apps,
 )
-
-
-class ConversionCycle(FuelExhausted):
-    """A conversion query whose unfolding states repeat, or (``what`` is
-    "reduction") a head reduction whose states repeat.
-
-    Its loop would spend any budget, so it is a FuelExhausted found early;
-    ``period`` is the number of steps between the two equal states.
-    """
-
-    def __init__(self, period: int, what: str = "unfolding") -> None:
-        super().__init__(f"{what} repeats with period {period}")
-        self.period = period
 
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, rules: RuleSet,

@@ -1,4 +1,4 @@
-"""Small-step reduction: single steps, weak-head and strong drivers, step
+"""Small-step reduction: head steps, weak-head and strong drivers, step
 tracing, and online cycle detection.
 
 Reduction rules (the three firings are gated by the active RuleSet):
@@ -34,7 +34,7 @@ from typing import Callable
 
 from . import convert as _convert
 from .env import Context, GlobalEnv, ctx_extend
-from .rules import Fuel, FuelExhausted, RuleSet
+from .rules import ConversionCycle, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     CHILDREN, App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
     build_apps, canonical_key, pretty, rebuild, subst, unwind_apps,
@@ -231,28 +231,9 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
         except RecursionError:  # == recurses: too deep to confirm a repeat
             repeat = False
         if repeat:
-            raise _convert.ConversionCycle(since, "reduction")
+            raise ConversionCycle(since, "reduction")
         if since == power:
             saved, power, since = t, 2 * power, 0
-
-
-def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-         budget: Fuel | None = None) -> tuple[Term, StepKind] | None:
-    """Contract the leftmost-outermost redex, or None if ``t`` is in normal
-    form with respect to the enabled rules."""
-    if budget is None:
-        budget = rules.new_budget()
-    r = head_step(env, ctx, t, rules, budget)
-    if r is not None:
-        return r
-    for attr, under_binder in CHILDREN[type(t)]:
-        child = getattr(t, attr)
-        child_ctx = ctx_extend(ctx, t.domain) if under_binder else ctx  # type: ignore[attr-defined]
-        sub = step(env, child_ctx, child, rules, budget)
-        if sub is not None:
-            new_child, kind = sub
-            return _with_child(t, attr, new_child), kind
-    return None
 
 
 def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame,

@@ -1,4 +1,4 @@
-"""Rule toggles and the shared step budget.
+"""Rule toggles, the shared step budget, and the outcomes that end it.
 
 Each toggle is declared once, as a ``RuleSet`` field whose metadata gives
 its command-line flag, its key in corpus labels and its help text; the CLI
@@ -7,7 +7,8 @@ flags and ``corpus.ruleset_label`` iterate over ``RULES``.
 Conversion and reduction are mutually recursive (the coercion side condition
 asks for convertibility of the endpoints, which may unfold and reduce), so a
 single decrementing budget threads through both to guarantee the checker
-itself always terminates with a classified outcome.
+itself always terminates with a classified outcome: ``FuelExhausted``, or
+``ConversionCycle`` when a repeated state proves the budget would run out.
 """
 
 from __future__ import annotations
@@ -24,6 +25,19 @@ class FuelExhausted(Exception):
     A third outcome, distinct from both "not convertible" and "no step";
     callers must propagate it, never coerce it to False.
     """
+
+
+class ConversionCycle(FuelExhausted):
+    """A conversion query whose unfolding states repeat, or (``what`` is
+    "reduction") a head reduction whose states repeat.
+
+    Its loop would spend any budget, so it is a FuelExhausted found early;
+    ``period`` is the number of steps between the two equal states.
+    """
+
+    def __init__(self, period: int, what: str = "unfolding") -> None:
+        super().__init__(f"{what} repeats with period {period}")
+        self.period = period
 
 
 @dataclass

@@ -10,12 +10,14 @@ from __future__ import annotations
 from itt import (
     CYCLE_DETECTED, NORMAL_FORM,
     Cast, EnvEntry, Global, Var,
-    alpha_eq, convert, elaborate, infer, load_example, normalize, parse_term,
-    pretty, replay_trace, step, trace_to_json_lines, unwind_apps, whnf,
+    alpha_eq, elaborate, infer, load_example, normalize, parse_term,
+    pretty, replay_trace, trace_to_json_lines, unwind_apps, whnf,
 )
+from itt.convert import convert
 from itt.parser import Assume, Axiom, Def, PragmaCheck, PragmaReduce
 from itt.reduce import CAST_FIRE, J_FIRE
 from helpers import parse_trace_json
+from reference import step
 
 
 def _elaborated(name, **flags):

@@ -60,10 +60,11 @@ def test_fuel_exhaustion_while_checking_names_declaration(capsys):
 
 def _run_itt(*args, stdin=None, **environ):
     """``python -m itt args`` in a subprocess, on this checkout's kernel, with
-    ``environ`` added to its environment."""
+    ``environ`` added to its environment; a None value removes a variable."""
     env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")])}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, "-m", "itt", *args], stdin=stdin,
                           capture_output=True, text=True, env=env)
 
@@ -223,6 +224,22 @@ def test_invalid_utf8_on_strict_stdin_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8", "POSIX"])
+def test_invalid_utf8_on_stdin_exits_2_in_any_locale(tmp_path, locale):
+    # these locales give stdin the surrogateescape handler, which would
+    # pass the bad bytes on to the parser as exit 1; stdin is decoded as a
+    # file is instead
+    bad = tmp_path / "bad.itt"
+    bad.write_bytes(_INVALID_UTF8)
+    with bad.open("rb") as stdin:
+        proc = _run_itt("check", "-", stdin=stdin, LC_ALL=locale,
+                        PYTHONIOENCODING=None, PYTHONUTF8=None)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: cannot read -: 'utf-8' codec can't decode byte 0xff in "
+        "position 16: invalid start byte\n")
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["reduce", CE2, "--frobnicate"]) == 2
 
@@ -244,7 +261,8 @@ def test_type_error_exits_1(capsys, tmp_path):
 
 def test_stdin_input(capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("#check Prop.\n"))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(b"#check Prop.\n")))
     assert main(["check", "-"]) == 0
     assert "Prop : Type" in capsys.readouterr().out
 

@@ -73,7 +73,8 @@ def _runs(source: str) -> list[tuple[int, str]]:
     runs = []
     for argv in COMMANDS:
         stdin = sys.stdin
-        sys.stdin = io.StringIO(source)
+        sys.stdin = io.TextIOWrapper(io.BytesIO(source.encode()),
+                                     encoding="utf-8")
         stderr = io.StringIO()
         try:
             with redirect_stdout(io.StringIO()), redirect_stderr(stderr):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import itertools
 import random
 
@@ -13,11 +14,12 @@ from itt import (
     App, Cast, ConversionCycle, EnvEntry, Eq, EqRec, Fuel, FuelExhausted,
     Global, J, Lam,
     PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
-    convert, ctx_extend, elaborate, infer, is_proposition, load_example,
+    ctx_extend, elaborate, infer, is_proposition, load_example,
     normalize, parse_program, parse_term, pretty,
 )
+import itt
 from itt import reduce as reduce_module
-from itt.convert import PROOF_FIELDS
+from itt.convert import PROOF_FIELDS, convert
 from itt.syntax import CHILDREN
 from helpers import CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, case_env
 from term_strategies import GLOBAL_POOL, open_terms
@@ -485,3 +487,20 @@ def test_a_query_that_runs_out_of_fuel_stores_nothing():
     env, pair = _alias_chain(30), (Global("T30"), Global("T0"))
     assert _outcome(env, *pair, 10) == (FuelExhausted, -1)
     assert _fuel_spent(env, *pair) == 31
+
+
+@pytest.mark.parametrize("name", ["syntax", "parser", "rules", "env", "convert",
+                                  "reduce", "typecheck", "corpus", "cli"])
+def test_package_attribute_is_its_module(name):
+    # no function is re-exported under its module's name
+    module = importlib.import_module(f"itt.{name}")
+    assert getattr(itt, name) is module
+
+
+def test_kernel_surface():
+    assert itt.convert.convert is convert
+    # declared next to FuelExhausted, and reachable where it was
+    assert itt.convert.ConversionCycle is itt.rules.ConversionCycle
+    assert itt.ConversionCycle is itt.rules.ConversionCycle
+    # one leftmost-outermost traversal: normalize; tests keep their own step
+    assert not hasattr(itt.reduce, "step") and not hasattr(itt, "step")

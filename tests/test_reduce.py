@@ -11,14 +11,16 @@ from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
     App, Cast, ConversionCycle, CycleDetector, Eq, Fuel, FuelExhausted,
     Global, Lam, Pi, Refl, RuleSet, Term, Var,
-    alpha_eq, build_apps, canonical_key, convert, elaborate, head_step, infer,
+    alpha_eq, build_apps, canonical_key, elaborate, head_step, infer,
     load_example, normalize, parse_program, parse_term, pretty, replay_trace,
-    step, trace_to_json_lines, trace_to_text, unwind_apps, whnf, whnf_term,
+    trace_to_json_lines, trace_to_text, unwind_apps, whnf, whnf_term,
 )
 import itt.reduce
+from itt.convert import convert
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
 from itt.syntax import CHILDREN
 from helpers import parse_trace_json
+from reference import step
 from term_strategies import church_numeral, head_loops, head_redexes, open_terms
 
 

@@ -12,9 +12,10 @@ from itt import (
     KIND, PROP, TYPE,
     Fuel, FuelExhausted, Global, GlobalEnv, RuleSet,
     TypeCheckError, Var,
-    alpha_eq, check, convert, elaborate, infer, parse_program,
+    alpha_eq, check, elaborate, infer, parse_program,
     parse_term, pretty,
 )
+from itt.convert import convert
 from helpers import case_env
 
 
