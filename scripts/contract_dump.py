@@ -85,6 +85,8 @@ INPUTS = {
     "grow-diverge": _GROW_DEFS + _BAD,
     "inline-omega": _INLINE_OMEGA,
     "deep": b"#check " + b"(" * 400 + b"Prop" + b")" * 400 + b".\n",
+    "stray-char": b"#check Prop.\ndef y := ($).\n",
+    "bad-pragma": b"#check Prop.\n#chek Prop.\n",
 }
 # Each error exit, from a command, the input it reads (None: none) and the
 # ITT_MAX_STEPS it runs under (None: unset).
@@ -103,6 +105,8 @@ ERROR_CASES = (
     (["check", "-"], "inline-omega", None),
     (["check", "-", "--no-proof-irrelevance"], "inline-omega", None),
     (["check", "-"], "deep", None),  # exit 5
+    (["check", "-"], "stray-char", None),  # exit 1, from the lexer
+    (["check", "-"], "bad-pragma", None),
 )
 HELP = (["--help"], ["check", "--help"], ["reduce", "--help"],
         ["corpus", "--help"])

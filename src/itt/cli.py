@@ -50,7 +50,8 @@ _OUTCOMES: dict[type[Exception], tuple[str, int]] = {
     AssertionError: ("internal error", 70),
 }
 # trace status -> exit code
-_STATUS_CODES = {NORMAL_FORM: 0, FUEL_EXHAUSTED: 3, CYCLE_DETECTED: 4}
+_STATUS_CODES = {NORMAL_FORM: 0, FUEL_EXHAUSTED: _OUTCOMES[FuelExhausted][1],
+                 CYCLE_DETECTED: _OUTCOMES[ConversionCycle][1]}
 
 
 def _outcome(exc: Exception) -> tuple[str, int]:
@@ -65,7 +66,7 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, action="store_const", dest=f.name,
                        const=not f.default, help=help_)
     p.add_argument("--max-steps", type=int, metavar="N",
-                   help="step budget (default 100000; env ITT_MAX_STEPS)")
+                   help=f"step budget (default {DEFAULT_FUEL}; env ITT_MAX_STEPS)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

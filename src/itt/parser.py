@@ -26,12 +26,12 @@ resolved during parsing: binders become de Bruijn indices, known globals
 become Global references, anything else is an unbound-identifier error.
 
 Lexing: a token is its text.  One regex, ``_SCAN_RE``, skips blanks and
-comments and captures every token's text in a single ``findall``; ``_KINDS``
-gives the kind of each text that is not a name, and the parser walks the
-list of texts by index.  Positions are computed only for an error:
-``tokenize`` lexes again with lines and columns, and gives the ``line:col``
-of a text that is no token, of a parse error, and of the token the parser
-had reached when the input nested too deeply.
+comments and captures every token's text in a single ``findall``, and the
+parser walks the list of texts by index; ``_RESERVED`` holds the texts that
+are not names.  Positions are computed only for an error: ``_position``
+scans again up to a token's index and gives its ``line:col``, for a text
+that is no token, for a parse error, and for the token the parser had
+reached when the input nested too deeply.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import re
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .syntax import (
     KIND, PROP, TYPE,
@@ -98,24 +99,13 @@ _ATOM_KEYWORDS = {*_SORTS, *PRIMITIVES}
 KEYWORDS = {"def", "axiom", "assume", "forall", "fun", *_ATOM_KEYWORDS}
 
 
-class Token(NamedTuple):
-    kind: str  # NAME KEYWORD PRAGMA LPAREN RPAREN COLON COLONEQ COMMA DOT ARROW EOF
-    value: str
-    line: int
-    col: int
-
-
-# The kind of every token text that is not a name; EOF's text is "".
-_KINDS = {
-    **dict.fromkeys(KEYWORDS, "KEYWORD"), "∀": "KEYWORD", "λ": "KEYWORD",
-    "#check": "PRAGMA", "#reduce": "PRAGMA", "(": "LPAREN", ")": "RPAREN",
-    ":": "COLON", ":=": "COLONEQ", ",": "COMMA", ".": "DOT", "->": "ARROW",
-    "→": "ARROW", "": "EOF",
-}
+# The token texts that are not names; EOF's text is "".
+_RESERVED = {*KEYWORDS, "∀", "λ", "#check", "#reduce", "(", ")", ":", ":=",
+             ",", ".", "->", "→", ""}
 _ASCII = {"∀": "forall", "λ": "fun", "→": "->"}
 _NAME_START = frozenset(string.ascii_letters + "_")
 # the texts that cannot start an atom, so end an application
-_NO_ATOM = _KINDS.keys() - {"(", *_ATOM_KEYWORDS}
+_NO_ATOM = _RESERVED - {"(", *_ATOM_KEYWORDS}
 
 # Each match skips blanks and comments, then captures one token's text,
 # longest first: an arrow or ":=", a name or pragma (identifiers are
@@ -129,46 +119,34 @@ _SCAN_RE = re.compile(
 
 def _lex_error(text: str) -> str | None:
     """Why a captured text is no token, or None if it is one."""
-    if text in _KINDS or text[0] in _NAME_START:
+    if text in _RESERVED or text[0] in _NAME_START:
         return None
     return (f"unknown pragma {text!r}" if text[0] == "#"
             else f"unexpected character {text!r}")
 
 
+def _position(src: str, i: int) -> tuple[int, int]:
+    """The ``(line, col)`` of the ``i``-th token of ``src``."""
+    start = next(islice(_SCAN_RE.finditer(src), i, None)).start(1)
+    line_start = src.rfind("\n", 0, start) + 1
+    return src.count("\n", 0, start) + 1, start - line_start + 1
+
+
 def token_texts(src: str) -> list[str]:
     """The text of each token of ``src``, ending in EOF's "", with the
-    Unicode aliases in ASCII.  Positions are not computed: a text that is
-    no token is reported by ``tokenize``, at the first one in the source."""
+    Unicode aliases in ASCII.  Raises ParseError at the first text that is
+    no token."""
     texts = _SCAN_RE.findall(src)
     if len(texts) > 1 and texts[-2] == "":
         del texts[-1]  # a skip that ends the source also captured ""
     distinct = set(texts)
-    if any(map(_lex_error, distinct - _KINDS.keys())):
-        tokenize(src)  # raises at the first text that is no token
+    if any(map(_lex_error, distinct - _RESERVED)):
+        i, error = next((i, e) for i, e in enumerate(map(_lex_error, texts))
+                        if e)
+        raise ParseError(error, *_position(src, i))
     if not distinct.isdisjoint(_ASCII):
         texts = [_ASCII.get(t, t) for t in texts]
     return texts
-
-
-def tokenize(src: str) -> list[Token]:
-    """The tokens of ``src`` with their kinds and positions, ending in EOF.
-    Raises ParseError at the first text that is no token."""
-    toks: list[Token] = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first char
-    for m in _SCAN_RE.finditer(src):
-        text, start = m.group(1), m.start(1)
-        newline = src.rfind("\n", m.start(), start)
-        if newline >= 0:
-            line += src.count("\n", m.start(), start)
-            line_start = newline + 1
-        col = start - line_start + 1
-        if (error := _lex_error(text)) is not None:
-            raise ParseError(error, line, col)
-        toks.append(Token(_KINDS.get(text, "NAME"), _ASCII.get(text, text),
-                          line, col))
-        if not text:
-            break
-    return toks
 
 
 class _Failure(Exception):
@@ -195,7 +173,7 @@ class _Parser:
 
     def name(self, what: str) -> str:
         tok = self.toks[self.pos]
-        if tok in _KINDS:
+        if tok in _RESERVED:
             raise self.found(what)
         self.pos += 1
         return tok
@@ -244,7 +222,7 @@ class _Parser:
             t = self.parse_term()
             self.expect(")", "')'")
             return t
-        if tok not in _KINDS:
+        if tok not in _RESERVED:
             self.pos += 1
             return self.resolve(tok)
         if tok in _SORTS:
@@ -285,11 +263,10 @@ def _positioned(src: str, p: _Parser) -> Iterator[None]:
         yield
     except _Failure as failure:
         message, at = failure.args
-        tok = tokenize(src)[at]
-        raise ParseError(message, tok.line, tok.col) from None
+        raise ParseError(message, *_position(src, at)) from None
     except RecursionError as exc:
-        tok = tokenize(src)[p.pos]
-        exc.args = (f"{tok.line}:{tok.col}: {exc}",)
+        line, col = _position(src, p.pos)
+        exc.args = (f"{line}:{col}: {exc}",)
         raise
 
 
@@ -313,14 +290,12 @@ def parse_program(src: str) -> Program:
 
 def _parse_declarations(p: _Parser) -> Program:
     decls: list[Declaration] = []
-    names: set[str] = set()
-    p.globals = names  # live alias: each declaration extends the scope
     toks = p.toks
     while (tok := toks[p.pos]) != "":
         if tok in ("def", "axiom", "assume"):
             p.pos += 1
             name = p.name("declaration name")
-            if name in names:
+            if name in p.globals:
                 raise _Failure(f"duplicate name {name!r}", p.pos - 1)
             if tok == "def":
                 stated: Term | None = None
@@ -335,7 +310,7 @@ def _parse_declarations(p: _Parser) -> Program:
                 ty = p.parse_term()
                 cls = Axiom if tok == "axiom" else Assume
                 decls.append(cls(name, ty))
-            names.add(name)
+            p.globals.add(name)  # in scope from the next declaration
         elif tok == "#check" or tok == "#reduce":
             p.pos += 1
             term = p.parse_term()

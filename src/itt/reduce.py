@@ -291,8 +291,7 @@ def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
                                          rules.new_budget(), trace.steps))
 
 
-def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-              budget: Fuel | None = None) -> Trace:
+def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     """Strong normalization: head-reduce, then recurse under binders and into
     arguments.  Every snapshot is the whole term, so consecutive snapshots
     are related by exactly one step.
@@ -300,7 +299,7 @@ def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
     Cycle detection restarts per reduction spine: a repeat on one spine is
     already a divergence proof, while repeats across spines are not cycles.
     """
-    fuel = rules.new_budget() if budget is None else budget
+    fuel = rules.new_budget()
     trace = Trace(t, [], "nf")
 
     def rec(sub: Term, frame: Frame, sctx: Context) -> Term:

@@ -281,15 +281,6 @@ def canonical_key(t: Term) -> str:
 _TERM, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    k = 1
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"
-
-
 def _print_scan(t: Term) -> tuple[set[str], set[int]]:
     """The global names in ``t``, and the ids of its ``Pi`` nodes whose
     binder no variable refers to, which print as arrows.
@@ -340,6 +331,9 @@ def pretty(t: Term) -> str:
     """
     taken, arrows = _print_scan(t)
     stack: list[str] = []
+    # base name -> the suffix a binder tries first (0: none); every lower one
+    # is taken, by a global or an enclosing binder
+    first: dict[str, int] = {}
 
     def go(t: Term, pos: int) -> str:
         cls = type(t)
@@ -373,15 +367,22 @@ def pretty(t: Term) -> str:
         return f"({s})" if pos > _APP else s
 
     def binder(kw: str, name: str, d: Term, body: Term, pos: int) -> str:
-        shown = _fresh_name(name or "_", taken)
+        base = name or "_"
+        outer = k = first.get(base, 0)
+        shown = f"{base}{k or ''}"
+        while shown in taken:  # freshen: the smallest suffix not taken
+            k += 1
+            shown = f"{base}{k}"
         dom = go(d, _TERM)
         taken.add(shown)
+        first[base] = k + 1
         stack.append(shown)
         try:
             s = f"{kw} ({shown} : {dom}), {go(body, _TERM)}"
         finally:
             stack.pop()
             taken.discard(shown)
+            first[base] = outer
         return f"({s})" if pos > _TERM else s
 
     return go(t, _TERM)

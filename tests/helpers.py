@@ -1,7 +1,8 @@
 """Readers that only tests need: JSON trace lines back into records, the
 free-variable and global-name walks that ``pretty``'s pre-pass is checked
-against, a closure check over a global environment, and counts over corpus
-cases; and the inputs that several test files share."""
+against, the binder name ``pretty`` should show, a closure check over a
+global environment, and counts over corpus cases; and the inputs that
+several test files share."""
 
 from __future__ import annotations
 
@@ -52,6 +53,17 @@ def collect_globals(t: Term) -> set[str]:
             out.add(cur.name)
         stack.extend(subterms(cur))
     return out
+
+
+def smallest_free_name(base: str, taken: set[str]) -> str:
+    """``base`` if it is not taken, else ``base<k>`` for the smallest
+    ``k >= 1`` not taken, found by trying every suffix from 1."""
+    if base not in taken:
+        return base
+    k = 1
+    while f"{base}{k}" in taken:
+        k += 1
+    return f"{base}{k}"
 
 
 def closed_over_axioms(env: GlobalEnv, t: Term) -> bool:

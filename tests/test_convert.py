@@ -332,16 +332,24 @@ def test_head_reduction_cycle_is_detected_while_checking(monkeypatch,
     assert rules.fuel - budgets[-1].remaining < 50
 
 
-def test_cast_whose_side_condition_loops_exhausts_the_reduction():
+def test_cast_whose_side_condition_loops_exhausts_the_reduction(monkeypatch):
     # the cast's endpoints only convert if Omega does: the trace ends as
     # FuelExhausted, with no step, long before its budget is spent
     env, _ = elaborate(parse_program(
         CE2_DEFS + CE2_G + f"axiom p : Eq Prop (G Omega) (G {CE2_I}).\n"
         "axiom x : G Omega.\n"))
     term = parse_term(f"cast (G Omega) (G {CE2_I}) p x", env.names())
-    budget = Fuel(DEFAULT_FUEL)
-    trace = normalize(env, (), term, RuleSet(), budget)
+    budgets = []
+    new_budget = RuleSet.new_budget
+
+    def counting(rules):
+        budgets.append(new_budget(rules))
+        return budgets[-1]
+
+    monkeypatch.setattr(RuleSet, "new_budget", counting)
+    trace = normalize(env, (), term, RuleSet())
     assert trace.status == FUEL_EXHAUSTED and trace.steps == []
+    [budget] = budgets
     assert budget.remaining > DEFAULT_FUEL - 100
 
 

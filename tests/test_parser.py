@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -12,7 +14,7 @@ from itt import (
     App, Assume, Def, Global, Lam, ParseError, Pi, PragmaCheck, PragmaReduce,
     Var, alpha_eq, load_example, parse_program, parse_term, pretty,
 )
-from itt.parser import token_texts, tokenize
+from itt.parser import _position, token_texts
 from itt.syntax import CHILDREN, PRIMITIVES
 from helpers import TOKEN_TEXTS
 from term_strategies import GLOBAL_POOL, closed_terms
@@ -79,38 +81,34 @@ def test_lexical_error_has_position():
     assert (err.value.line, err.value.col) == (1, 8)
 
 
+def _stream(src):
+    """Each token's text and ``(line, col)``."""
+    return [(text, *_position(src, i))
+            for i, text in enumerate(token_texts(src))]
+
+
 def test_token_stream_is_pinned():
     src = ("-- Church numerals\r\n"
            "def id:∀ (A : Prop), A → A:=\r\n"
            "\tλ (A : Prop), fun (a : A), a.\n"
            "#check id -- trailing\n"
            " axiom x_1 : Prop->Prop.\n")
-    got = [(t.kind, t.value, t.line, t.col) for t in tokenize(src)]
-    assert got == [
-        ("KEYWORD", "def", 2, 1), ("NAME", "id", 2, 5), ("COLON", ":", 2, 7),
-        ("KEYWORD", "forall", 2, 8), ("LPAREN", "(", 2, 10),
-        ("NAME", "A", 2, 11), ("COLON", ":", 2, 13),
-        ("KEYWORD", "Prop", 2, 15), ("RPAREN", ")", 2, 19),
-        ("COMMA", ",", 2, 20), ("NAME", "A", 2, 22), ("ARROW", "->", 2, 24),
-        ("NAME", "A", 2, 26), ("COLONEQ", ":=", 2, 27),
-        ("KEYWORD", "fun", 3, 2), ("LPAREN", "(", 3, 4), ("NAME", "A", 3, 5),
-        ("COLON", ":", 3, 7), ("KEYWORD", "Prop", 3, 9),
-        ("RPAREN", ")", 3, 13), ("COMMA", ",", 3, 14),
-        ("KEYWORD", "fun", 3, 16), ("LPAREN", "(", 3, 20),
-        ("NAME", "a", 3, 21), ("COLON", ":", 3, 23), ("NAME", "A", 3, 25),
-        ("RPAREN", ")", 3, 26), ("COMMA", ",", 3, 27), ("NAME", "a", 3, 29),
-        ("DOT", ".", 3, 30),
-        ("PRAGMA", "#check", 4, 1), ("NAME", "id", 4, 8),
-        ("KEYWORD", "axiom", 5, 2), ("NAME", "x_1", 5, 8),
-        ("COLON", ":", 5, 12), ("KEYWORD", "Prop", 5, 14),
-        ("ARROW", "->", 5, 18), ("KEYWORD", "Prop", 5, 20),
-        ("DOT", ".", 5, 24),
-        ("EOF", "", 6, 1),
+    assert _stream(src) == [
+        ("def", 2, 1), ("id", 2, 5), (":", 2, 7), ("forall", 2, 8),
+        ("(", 2, 10), ("A", 2, 11), (":", 2, 13), ("Prop", 2, 15),
+        (")", 2, 19), (",", 2, 20), ("A", 2, 22), ("->", 2, 24),
+        ("A", 2, 26), (":=", 2, 27),
+        ("fun", 3, 2), ("(", 3, 4), ("A", 3, 5), (":", 3, 7),
+        ("Prop", 3, 9), (")", 3, 13), (",", 3, 14), ("fun", 3, 16),
+        ("(", 3, 20), ("a", 3, 21), (":", 3, 23), ("A", 3, 25),
+        (")", 3, 26), (",", 3, 27), ("a", 3, 29), (".", 3, 30),
+        ("#check", 4, 1), ("id", 4, 8),
+        ("axiom", 5, 2), ("x_1", 5, 8), (":", 5, 12), ("Prop", 5, 14),
+        ("->", 5, 18), ("Prop", 5, 20), (".", 5, 24),
+        ("", 6, 1),
     ]
-    assert [(t.kind, t.line, t.col) for t in tokenize("a\r\nb")] == [
-        ("NAME", 1, 1), ("NAME", 2, 1), ("EOF", 2, 2)]
-    assert [(t.kind, t.value) for t in tokenize("x-->y")] == [
-        ("NAME", "x"), ("EOF", "")]
+    assert _stream("a\r\nb") == [("a", 1, 1), ("b", 2, 1), ("", 2, 2)]
+    assert _stream("x-->y") == [("x", 1, 1), ("", 1, 6)]
 
 
 @pytest.mark.parametrize("src, message, line, col", [
@@ -141,18 +139,42 @@ def test_lexical_errors_win_over_earlier_syntax_errors(src, message, line, col):
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
+_UNICODE = {"forall": "∀", "fun": "λ", "->": "→"}
+# what may lie between two tokens: blanks and comments
+_SKIP = re.compile(r"(?:[ \t\r\n]+|--[^\n]*)*")
+
+
+def _offset(src, line, col):
+    return sum(len(s) + 1 for s in src.split("\n")[:line - 1]) + col - 1
+
+
 @given(st.lists(st.sampled_from(EDGE_TEXTS), max_size=30).map("".join))
-def test_parser_token_texts_are_the_token_values(src):
+def test_token_positions_point_at_their_texts(src):
     try:
-        tokens = tokenize(src)
+        texts = token_texts(src)
     except ParseError as err:
-        with pytest.raises(ParseError) as again:
-            token_texts(src)
-        assert ((again.value.message, again.value.line, again.value.col)
-                == (err.message, err.line, err.col))
-    else:
-        assert token_texts(src) == [t.value for t in tokens]
-        assert tokens[-1].value == ""
+        # at the first text that is no token: the source starts with the
+        # reported text there, that text alone is no token, and every text
+        # before it is one
+        at = _offset(src, err.line, err.col)
+        bad = ast.literal_eval(err.message.split(" ", 2)[2])
+        assert src.startswith(bad, at)
+        with pytest.raises(ParseError, match=re.escape(err.message)):
+            token_texts(bad)
+        assert token_texts(src[:at])[-1] == ""
+        return
+    assert texts[-1] == ""
+    prev_end = 0
+    for text, line, col in _stream(src):
+        at = _offset(src, line, col)
+        # the token's text, or its Unicode alias, starts there
+        shown = text if src.startswith(text, at) else _UNICODE.get(text, text)
+        assert src.startswith(shown, at)
+        # after the previous token, so positions strictly increase, with
+        # only blanks and comments between the two
+        assert at >= prev_end and _SKIP.fullmatch(src, prev_end, at)
+        prev_end = at + len(shown)
+    assert at == len(src)  # EOF
 
 
 def _outcome(parse, src):
@@ -163,17 +185,18 @@ def _outcome(parse, src):
 
 
 def test_front_end_outcomes_are_pinned():
-    # The digest was computed before the lexer became one findall, so this
-    # and any later change to lexing or parsing is checked against it.
+    # The digest was computed before errors were positioned by scanning
+    # again to their token, so this and any later change to lexing or
+    # parsing is checked against it.
     rng = random.Random(15)
     digest = hashlib.sha256()
     for _ in range(20_000):
         src = "".join(rng.choices(EDGE_TEXTS, k=rng.randrange(16)))
         for parse in (parse_program, lambda s: parse_term(s, ("a", "b")),
-                      tokenize):
+                      token_texts):
             digest.update(_outcome(parse, src).encode() + b"\0")
     assert digest.hexdigest() == (
-        "dfc06949c9c92bbe2fd8c9407152b2c5babd223c418f648d51fccaf4e6c8b4e5")
+        "12c10d93fe7041834ac12596daac8b9cd249e7c5f129e6a4923578cb50cbe3c1")
 
 
 def _grammar_term(rng, scope, depth):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -15,7 +16,7 @@ from itt import (
 )
 from itt.reduce import BETA
 from itt.syntax import CHILDREN, PRIMITIVES, _print_scan, subterms
-from helpers import collect_globals, has_free_var
+from helpers import collect_globals, has_free_var, smallest_free_name
 from term_strategies import (
     GLOBAL_POOL, church_numeral, closed_terms, open_terms, terms,
 )
@@ -323,3 +324,22 @@ def test_printed_text_is_pinned():
         digest.update(pretty(t).encode() + b"\0")
     assert digest.hexdigest() == (
         "ede6e4250cde2e0b47a58778be29eaf8f01f7bacd4d6568e4cf1b86e0882c26b")
+
+
+def test_same_name_binders_show_the_smallest_free_suffix():
+    # binders all named x, alternately forall and fun, under globals x1 and
+    # x3.  Each domain applies the enclosing binder, so no forall is an
+    # arrow, to a forall on x printed before its own binder's name is taken,
+    # so it shows that same name.
+    t = App(App(Global("x1"), Global("x3")), Var(0))
+    for k in reversed(range(40)):
+        inner = Pi(PROP, Var(0), name="x")
+        node = Pi if k % 2 else Lam
+        t = node(App(Var(0), inner) if k else inner, t, name="x")
+    taken, want = {"x1", "x3"}, []
+    for _ in range(40):
+        want.append(smallest_free_name("x", taken))
+        taken.add(want[-1])
+    assert want[:4] == ["x", "x2", "x4", "x5"]
+    shown = re.findall(r"(?:forall|fun) \((\w+) :", pretty(t))
+    assert shown == [name for name in want for _ in range(2)]
