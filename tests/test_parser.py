@@ -149,7 +149,7 @@ def _offset(src, line, col):
 
 
 @given(st.lists(st.sampled_from(EDGE_TEXTS), max_size=30).map("".join))
-def test_token_positions_point_at_their_texts(src):
+def test_parser_token_texts_are_the_token_values(src):
     try:
         texts = token_texts(src)
     except ParseError as err:
