@@ -59,13 +59,25 @@ def _num(x: float) -> str:
     return f"{x:.4g}" if abs(x) < 1e4 else f"{x:.0f}"
 
 
-def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
-    """Per workload and end-to-end metric, each tree's median, its ratio to
-    the first tree's median, and the pairs of runs (one seed each) it won
-    against the first tree by the metric's ``better`` direction, ties
-    counting for neither:
+def iqr(values: list[float]) -> float:
+    """The distance between the quartiles of ``values``."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
-        check-chain  wall_s  parent 0.1728  change 0.157 (0.909, won 5 of 5)
+
+def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
+    """Per workload and end-to-end metric: the first tree's median and
+    the distance between its quartiles (``iqr``); then each other tree's
+    median, its ratio to the first tree's median, and the pairs of runs (one
+    seed each) it won against the first tree by the metric's ``better``
+    direction, ties counting for neither:
+
+        check-chain  wall_s  parent 0.1728 iqr 0.003  change 0.157 (0.909, won 5 of 5)
+
+    A gain holds when the change wins nine tenths of the pairs and its
+    median differs from the first tree's by more than that ``iqr``.
     """
     first, *others = runs
     lines = []
@@ -73,7 +85,7 @@ def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
         for metric in spec["end_to_end"]:
             m, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             base, ref = medians[first][w][m], runs[first][w][m]
-            cells = [f"{first} {_num(base)}"]
+            cells = [f"{first} {_num(base)} iqr {_num(iqr(ref))}"]
             for label in others:
                 median, mine = medians[label][w][m], runs[label][w][m]
                 won = sum(sign * (a - b) > 0 for a, b in zip(mine, ref))

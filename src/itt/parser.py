@@ -22,8 +22,9 @@ accepted on input, ASCII is emitted on output):
 
 The primitive forms must be fully applied; under-application is an arity
 error, since the reduction rules only ever match saturated nodes.  Scope is
-resolved during parsing: binders become de Bruijn indices, known globals
-become Global references, anything else is an unbound-identifier error.
+resolved during parsing: binders become de Bruijn indices (the shared
+``var``), known globals become Global references, anything else is an
+unbound-identifier error.
 
 Lexing: a token is its text.  One regex, ``_SCAN_RE``, skips blanks and
 comments and captures every token's text in a single ``findall``, and the
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator
 
 from .syntax import (
     KIND, PROP, TYPE,
-    CHILDREN, PRIMITIVES, App, Global, Lam, Pi, Term, Var, shift,
+    CHILDREN, PRIMITIVES, App, Global, Lam, Pi, Term, shift, var,
 )
 
 
@@ -247,7 +248,7 @@ class _Parser:
     def resolve(self, name: str) -> Term:
         for depth, bound in enumerate(reversed(self.locals)):
             if bound == name:
-                return Var(depth)
+                return var(depth)
         if name in self.globals:
             return Global(name)
         raise _Failure(f"unbound identifier {name!r}", self.pos - 1)

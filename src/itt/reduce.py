@@ -303,7 +303,9 @@ def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     trace = Trace(t, [], "nf")
 
     def rec(sub: Term, frame: Frame, sctx: Context) -> Term:
-        cur = _spine(env, sctx, sub, frame, rules, fuel, trace.steps)
+        # a stable node is its own head, so already head-normal
+        cur = (sub if type(sub) in _STABLE
+               else _spine(env, sctx, sub, frame, rules, fuel, trace.steps))
         for attr, under_binder in CHILDREN[type(cur)]:
             child_ctx = ctx_extend(sctx, cur.domain) if under_binder else sctx  # type: ignore[attr-defined]
             child = getattr(cur, attr)

@@ -61,6 +61,21 @@ class Var(Term, tag=b"V"):
     index: int
 
 
+class _Vars(dict):
+    """The shared ``Var`` of each index, built on first use."""
+
+    def __missing__(self, index: int) -> Var:
+        v = self[index] = Var(index)
+        return v
+
+
+# ``var(i)`` is the one shared ``Var(i)``, so a variable's digest is computed
+# once per index.  A ``Var`` built elsewhere is equal to the shared one but
+# need not be it, so compare variables with ``==``, as sorts.  A dict's own
+# lookup is used because it is cheaper per hit than ``functools.cache``.
+var: Callable[[int], Var] = _Vars().__getitem__
+
+
 @dataclass(frozen=True)
 class SortT(Term, tag=b"S"):
     sort: str  # "Prop" | "Type" | "Kind"
@@ -193,9 +208,16 @@ def _map_vars(t: Term, depth: int, on_var: Callable[[Var, int], Term]) -> Term:
     cls = type(t)
     if cls is Var:
         return on_var(t, depth) if t.index >= depth else t
+    if cls is App:  # the commonest node: two children and no binder
+        fn = _map_vars(t.fn, depth, on_var)
+        arg = _map_vars(t.arg, depth, on_var)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    attrs = CHILDREN[cls]
+    if not attrs:
+        return t
     kids = []
     changed = False
-    for attr, under in CHILDREN[cls]:
+    for attr, under in attrs:
         old = getattr(t, attr)
         new = _map_vars(old, depth + under, on_var)
         changed = changed or new is not old
@@ -208,7 +230,7 @@ def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
     def moved(v: Var, depth: int) -> Term:
         if v.index + amount < 0:
             raise ScopeError(f"shift would send index {v.index} below zero")
-        return Var(v.index + amount)
+        return var(v.index + amount)
 
     return _map_vars(t, cutoff, moved)
 
@@ -222,7 +244,7 @@ def subst(t: Term, target: int, value: Term) -> Term:
 
     def replaced(v: Var, depth: int) -> Term:
         if v.index > depth:
-            return Var(v.index - 1)
+            return var(v.index - 1)
         if depth not in shifted:
             shifted[depth] = shift(value, 0, depth - target)
         return shifted[depth]

@@ -1,19 +1,60 @@
 """Readers that only tests need: JSON trace lines back into records, the
 free-variable and global-name walks that ``pretty``'s pre-pass is checked
 against, the binder name ``pretty`` should show, a closure check over a
-global environment, and counts over corpus cases; and the inputs that
-several test files share."""
+global environment, and counts over corpus cases; the fuel a run spends;
+the benchmark's program generators; and the inputs that several test files
+share."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
-from typing import Iterable
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, Iterable, TypeVar
 
 from itt import (
     Global, GlobalEnv, PragmaReduce, RuleSet, Term, Var, elaborate, load_example,
 )
 from itt.corpus import CaseReport, ExampleCase
 from itt.syntax import CHILDREN, subterms
+
+R = TypeVar("R")
+
+# The benchmark's program generators, loaded by path; the module uses only
+# the standard library and reaches the kernel through the namespace it is
+# given (``kernel``).
+_WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               _WORKLOADS_PATH)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def kernel(*modules: str) -> SimpleNamespace:
+    """The namespace of ``itt`` modules that a workload reaches the kernel by."""
+    return SimpleNamespace(**{m: importlib.import_module(f"itt.{m}")
+                              for m in modules})
+
+
+def spent_fuel(monkeypatch, run: Callable[[], R]) -> tuple[R, int]:
+    """``run()``'s result, and the fuel spent from every budget that
+    ``RuleSet.new_budget`` handed out while it ran, as the benchmark's traced
+    run counts it."""
+    budgets = []
+    new_budget = RuleSet.new_budget
+
+    def counting(rules: RuleSet):
+        budget = new_budget(rules)
+        budgets.append((budget, budget.remaining))
+        return budget
+
+    with monkeypatch.context() as m:
+        m.setattr(RuleSet, "new_budget", counting)
+        out = run()
+    return out, sum(initial - b.remaining for b, initial in budgets)
 
 
 def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:

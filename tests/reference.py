@@ -1,18 +1,72 @@
-"""The leftmost-outermost single step that the tests check the kernel's
-``nf`` traces against: consecutive snapshots of a strong-normalization trace
-must be one ``step`` apart, and an ``nf`` cycle report must return to its
-witness after exactly ``period`` steps.
+"""References that the tests check the kernel against.
 
-It is not used by ``itt`` itself, which has one traversal, ``normalize``.
-It still contracts each redex by the kernel's ``head_step``, so it checks
-the traversal order and the snapshots, not the rules.
+``shift`` and ``subst`` are written case by case from the de Bruijn
+definitions, as plain recursion that builds every node anew.  They share no
+code with the kernel's ``shift`` and ``subst``: not its traversal, its
+``rebuild`` nor its shared variables.
+
+``step`` is the leftmost-outermost single step that the kernel's ``nf``
+traces are checked against: consecutive snapshots of a strong-normalization
+trace must be one ``step`` apart, and an ``nf`` cycle report must return to
+its witness after exactly ``period`` steps.  It is not used by ``itt``
+itself, which has one traversal, ``normalize``.  It still contracts each
+redex by the kernel's ``head_step``, so it checks the traversal order and
+the snapshots, not the rules.
 """
 
 from __future__ import annotations
 
-from itt import Context, Fuel, GlobalEnv, RuleSet, StepKind, Term, ctx_extend
+from dataclasses import fields
+
+from itt import (
+    App, Context, Fuel, Global, GlobalEnv, Lam, Pi, RuleSet, ScopeError, SortT,
+    StepKind, Term, Var, ctx_extend,
+)
 from itt.reduce import _with_child, head_step
 from itt.syntax import CHILDREN
+
+
+def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
+    """``t`` with every index ``i >= cutoff`` made ``i + amount``; the cutoff
+    grows by one under a binder.  An index sent below zero is a
+    ``ScopeError``."""
+    match t:
+        case Var(i) if i >= cutoff:
+            if i + amount < 0:
+                raise ScopeError(f"index {i} shifted below zero")
+            return Var(i + amount)
+        case Var() | SortT() | Global():
+            return t
+        case Pi(dom, cod):
+            return Pi(shift(dom, cutoff, amount), shift(cod, cutoff + 1, amount),
+                      name=t.name)
+        case Lam(dom, body):
+            return Lam(shift(dom, cutoff, amount), shift(body, cutoff + 1, amount),
+                       name=t.name)
+        case App(fn, arg):
+            return App(shift(fn, cutoff, amount), shift(arg, cutoff, amount))
+    # Eq, Refl, EqRec, Cast and J: every field is a child, none under a binder
+    return type(t)(*(shift(getattr(t, f.name), cutoff, amount) for f in fields(t)))
+
+
+def subst(t: Term, target: int, value: Term) -> Term:
+    """``t`` with ``Var(target)`` replaced by ``value`` and every index above
+    ``target`` lowered by one.  Under a binder the target is one more and the
+    value is shifted by one."""
+    match t:
+        case Var(i):
+            return value if i == target else Var(i - 1) if i > target else t
+        case SortT() | Global():
+            return t
+        case Pi(dom, cod):
+            return Pi(subst(dom, target, value),
+                      subst(cod, target + 1, shift(value)), name=t.name)
+        case Lam(dom, body):
+            return Lam(subst(dom, target, value),
+                       subst(body, target + 1, shift(value)), name=t.name)
+        case App(fn, arg):
+            return App(subst(fn, target, value), subst(arg, target, value))
+    return type(t)(*(subst(getattr(t, f.name), target, value) for f in fields(t)))
 
 
 def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,

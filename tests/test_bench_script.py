@@ -21,8 +21,15 @@ def test_compare_gives_ratio_and_pairs_won_by_direction():
                              "decls_per_s": [150.0, 10000.0, 100.0]}}}
     medians = {label: {"w": {m: sorted(v)[1] for m, v in per["w"].items()}}
                for label, per in runs.items()}
-    # ties count for neither side; a higher-is-better metric wins upward
+    # ties count for neither side; a higher-is-better metric wins upward; the
+    # parent's spread is the distance between its quartiles
     assert bench.compare(spec, runs, medians) == [
-        "w            wall_s         parent 2  change 2 (1.000, won 1 of 3)",
-        "w            decls_per_s    parent 100  change 150 (1.500, won 1 of 3)",
+        "w            wall_s         parent 2 iqr 0  change 2 (1.000, won 1 of 3)",
+        "w            decls_per_s    parent 100 iqr 9950  change 150 (1.500, won 1 of 3)",
     ]
+
+
+def test_iqr_is_the_distance_between_the_quartiles():
+    assert bench.iqr([0.5]) == 0.0
+    assert bench.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
+    assert bench.iqr([4.0, 1.0, 3.0, 2.0]) == 1.5

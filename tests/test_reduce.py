@@ -19,7 +19,7 @@ import itt.reduce
 from itt.convert import convert
 from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
 from itt.syntax import CHILDREN
-from helpers import parse_trace_json
+from helpers import kernel, parse_trace_json, spent_fuel, workloads
 from reference import step
 from term_strategies import church_numeral, head_loops, head_redexes, open_terms
 
@@ -399,6 +399,22 @@ def test_deep_church_exponentiation_normalizes(m, n, steps):
     trace = results[-1].trace
     assert trace.status == NORMAL_FORM and len(trace.steps) == steps
     assert canonical_key(trace.final) == canonical_key(church_numeral(m ** n))
+
+
+def test_church_nf_steps_and_fuel_are_pinned(monkeypatch):
+    # the 28 seed-1 church-nf programs: each normalizes to the numeral m^n
+    # in the benchmark's pinned number of steps, and together they spend the
+    # fuel the benchmark's traced run counts; a change that alters either
+    # changes what normalization does, not only its speed
+    church = workloads.ChurchNf(kernel("parser", "typecheck", "syntax"), 1)
+    suffix, spent = workloads.Suffixes(1), 0
+    assert len(church.specs()) == 28
+    for m, n in church.specs():
+        prog = church.make((m, n), suffix())
+        verdict, fuel = spent_fuel(monkeypatch, lambda: church.run(prog))
+        spent += fuel
+        assert church.check(prog, verdict) is None
+    assert spent == 5_755
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itt import (
@@ -15,7 +15,8 @@ from itt import (
     alpha_eq, canonical_key, normalize, parse_term, pretty, shift, subst,
 )
 from itt.reduce import BETA
-from itt.syntax import CHILDREN, PRIMITIVES, _print_scan, subterms
+from itt.syntax import CHILDREN, PRIMITIVES, _print_scan, subterms, var
+import reference
 from helpers import collect_globals, has_free_var, smallest_free_name
 from term_strategies import (
     GLOBAL_POOL, church_numeral, closed_terms, open_terms, terms,
@@ -52,6 +53,73 @@ def test_subst_outer_index_drops():
 def test_subst_capture_avoided_under_binder():
     got = subst(Lam(PROP, Var(1)), 0, Global("c"))
     assert got == Lam(PROP, Global("c"))
+
+
+def _nodes_of(cls: type) -> st.SearchStrategy:
+    """Terms of class ``cls`` whose children are open terms, with one more
+    free index in scope under the node's binder."""
+    if not CHILDREN[cls]:
+        return {Var: st.integers(0, 5).map(var), SortT: st.sampled_from([PROP, TYPE]),
+                Global: st.sampled_from([Global(g) for g in GLOBAL_POOL])}[cls]
+    return st.builds(cls, *(terms(1, ctx=4 + under) for _, under in CHILDREN[cls]))
+
+
+_NODES = {cls: _nodes_of(cls) for cls in CHILDREN}
+_FREE_VALUES = open_terms.filter(has_free_var)
+
+
+@pytest.mark.parametrize("cls", list(CHILDREN), ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shift_and_subst_agree_with_the_reference(cls, data):
+    t = data.draw(_NODES[cls], "t")
+    target, cutoff = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    amount = data.draw(st.integers(-1, 2))
+    value = data.draw(_FREE_VALUES, "value")
+    got = subst(t, target, value)
+    want = reference.subst(t, target, value)
+    assert got == want and pretty(got) == pretty(want)
+    try:
+        want = reference.shift(t, cutoff, amount)
+    except ScopeError:
+        with pytest.raises(ScopeError):
+            shift(t, cutoff, amount)
+        return
+    got = shift(t, cutoff, amount)
+    assert got == want and pretty(got) == pretty(want)
+
+
+def test_reference_shifts_the_value_across_two_binders():
+    # the target occurs under two binders, and the value's free variables
+    # are shifted across them
+    t = Lam(Var(0), Pi(Var(1), App(Var(2), Var(3)), name="y"), name="x")
+    value = App(Var(0), Var(2))
+    want = Lam(App(Var(0), Var(2)),
+               Pi(App(Var(1), Var(3)), App(App(Var(2), Var(4)), Var(2))))
+    assert subst(t, 0, value) == reference.subst(t, 0, value) == want
+    want = Lam(Var(0), Pi(Var(1), App(Var(2), Var(5))))
+    assert shift(t, 1, 2) == reference.shift(t, 1, 2) == want
+
+
+def test_variables_are_shared_and_equal_to_a_copy():
+    names = [f"x{k}" for k in range(6)]
+    binders = "".join(f"fun ({x} : Prop), " for x in names)
+    for i in range(6):
+        shared = var(i)
+        assert var(i) is shared
+        # the body of six lambdas names the binder i levels out
+        body = parse_term(binders + names[-1 - i])
+        for _ in names:
+            body = body.body
+        assert body is shared
+        assert subst(Var(i + 1), 0, PROP) is shared
+        assert shift(Var(i), 0, 1) is var(i + 1)
+        copy = Var(i)
+        assert copy is not shared
+        assert copy == shared and hash(copy) == hash(shared)
+        assert canonical_key(copy) == canonical_key(shared)
+        assert pretty(copy) == pretty(shared)
+        assert pretty(Lam(PROP, copy)) == pretty(Lam(PROP, shared))
 
 
 def test_alpha_ignores_display_names():

@@ -1,22 +1,16 @@
 from __future__ import annotations
 
-import importlib
-import importlib.util
-import sys
-from pathlib import Path
-from types import SimpleNamespace
-
 import pytest
 
 from itt import (
     KIND, PROP, TYPE,
-    Fuel, FuelExhausted, Global, GlobalEnv, RuleSet,
+    Fuel, FuelExhausted, Global, GlobalEnv,
     TypeCheckError, Var,
     alpha_eq, check, elaborate, infer, parse_program,
     parse_term, pretty,
 )
 from itt.convert import convert
-from helpers import case_env
+from helpers import case_env, kernel, spent_fuel, workloads
 
 
 def test_pts_ladder():
@@ -196,37 +190,15 @@ def test_stated_types_stored_verbatim():
         "Neg (forall (A : Prop), forall (B : Prop), Eq Prop A B)")
 
 
-# The benchmark's program generators, loaded by path; the module uses only
-# the standard library and reaches the kernel through the namespace it is
-# given.
-_WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               _WORKLOADS_PATH)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
-
-
 def test_check_chain_fuel_is_pinned(monkeypatch):
     # the fuel of the ten seed-1 check-chain programs, as the benchmark's
     # traced run counts it (every budget handed out while elaborating); a
     # change that alters it changes what checking does, not only its speed
-    budgets = []
-    new_budget = RuleSet.new_budget
-
-    def counting(rules):
-        budget = new_budget(rules)
-        budgets.append((budget, budget.remaining))
-        return budget
-
-    k = SimpleNamespace(**{m: importlib.import_module(f"itt.{m}")
-                           for m in ("parser", "typecheck", "convert")})
+    k = kernel("parser", "typecheck", "convert")
     chain, suffix, spent = workloads.CheckChain(k, 1), workloads.Suffixes(1), 0
     for spec in chain.specs():
         prog = chain.make(spec, suffix())
-        with monkeypatch.context() as m:
-            m.setattr(RuleSet, "new_budget", counting)
-            verdict = chain.run(prog)
-        spent += sum(initial - b.remaining for b, initial in budgets)
-        budgets.clear()
+        verdict, fuel = spent_fuel(monkeypatch, lambda: chain.run(prog))
+        spent += fuel
         assert chain.check(prog, verdict) is None
     assert spent == 21_467
