@@ -24,7 +24,7 @@ def show(name: str) -> None:
         if cycle is not None:
             print(f"--> the term at step {cycle.first_index} recurs "
                   f"{cycle.period} steps later:")
-            print(f"    {pretty(cycle.witness)}")
+            print(f"    {pretty(res.trace.snapshots()[cycle.first_index])}")
     print()
 
 

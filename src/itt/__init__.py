@@ -27,7 +27,7 @@ from .parser import (
 )
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM,
-    CycleDetector, CycleReport, StepKind, Trace, TraceStep,
+    CycleDetector, CycleReport, Trace, TraceStep,
     head_step, normalize, reduce_with, replay_trace, trace_to_json_lines,
     trace_to_text, whnf, whnf_term,
 )

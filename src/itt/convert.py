@@ -40,7 +40,7 @@ from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, ConversionCycle, Fuel, RuleSet
 from .syntax import (
-    CHILDREN, PROP, App, Cast, EqRec, Global, J, Term, alpha_eq, unwind_apps,
+    CHILDREN, PROP, App, Cast, EqRec, Global, J, Term, unwind_apps,
 )
 
 
@@ -60,6 +60,10 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
 
     Raises FuelExhausted when the budget runs out; that outcome is distinct
     from "not convertible" and must never be coerced to False.
+
+    ``ctx`` is threaded through ``convert``, ``head_step`` and ``normalize``
+    because typed irrelevance (ROADMAP item 1) needs the binder types of
+    open proofs; until then nothing reads it.
     """
     if budget is None:
         budget = rules.new_budget()
@@ -97,7 +101,7 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             w2 = _reduce.whnf_term(env, ctx, u2, rules, budget, unfold_heads=False)
         period += 1
         try:
-            repeat = alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1])
+            repeat = w1 == saved[0] and w2 == saved[1]
         except RecursionError:  # == recurses: too deep to confirm a repeat
             repeat = False
         if repeat:

@@ -28,7 +28,7 @@ class EnvEntry:
     name: str
     type_: Term
     body: Term | None  # absent for axioms and assumptions
-    kind: str = "def"  # "def" | "axiom" | "assume"
+    kind: str  # "def" | "axiom" | "assume"
 
 
 class GlobalEnv:

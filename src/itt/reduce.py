@@ -1,10 +1,11 @@
 """Small-step reduction: head steps, weak-head and strong drivers, step
 tracing, and online cycle detection.
 
-Reduction rules (the three firings are gated by the active RuleSet):
+Reduction rules, each with its step kind: the text that traces print for
+it (the three firings are gated by the active RuleSet):
 
     App(Lam(_, b), a)       |> subst(b, 0, a)                        Beta
-    Global(n) with a body   |> body                                  Delta
+    Global(n) with a body   |> body                                  Delta(n)
     Cast(A, B, e, x)        |> x   when A and B are convertible      CastFire
     EqRec(T, P, a, b, x, e) |> x   when a and b are convertible      EqRecFire
     J(A, B, x)              |> x   when A and B are convertible      JFire
@@ -26,7 +27,6 @@ cycle is only ever reported where ``==`` confirmed one.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,23 +45,10 @@ FUEL_EXHAUSTED = "FuelExhausted"
 CYCLE_DETECTED = "CycleDetected"
 
 
-@dataclass(frozen=True)
-class StepKind:
-    tag: str  # Beta | Delta | CastFire | EqRecFire | JFire
-    name: str | None = None  # unfolded global, for Delta
-
-    def __str__(self) -> str:
-        return f"{self.tag}({self.name})" if self.name is not None else self.tag
-
-
-BETA = StepKind("Beta")
-CAST_FIRE = StepKind("CastFire")
-EQREC_FIRE = StepKind("EqRecFire")
-J_FIRE = StepKind("JFire")
-
-
-def delta(name: str) -> StepKind:
-    return StepKind("Delta", name)
+BETA = "Beta"
+CAST_FIRE = "CastFire"
+EQREC_FIRE = "EqRecFire"
+J_FIRE = "JFire"
 
 
 # Where a spine subterm sits in the whole term: (parent node, field the
@@ -76,26 +63,22 @@ def _with_child(node: Term, attr: str, child: Term) -> Term:
                           for a, _ in CHILDREN[type(node)]])
 
 
-def _plug(sub: Term, frame: Frame) -> Term:
-    """The whole term with ``sub`` in the hole that ``frame`` describes."""
-    while frame is not None:
-        node, attr, frame = frame
-        sub = _with_child(node, attr, sub)
-    return sub
-
-
 @dataclass(frozen=True, eq=False)
 class TraceStep:
     """One step: its kind and the contracted spine subterm in its frame.  The
     whole-term snapshot, its key and its printed form are built on first
     access, so each is built at most once."""
-    kind: StepKind
+    kind: str
     sub: Term
     frame: Frame
 
     @cached_property
     def term(self) -> Term:
-        return _plug(self.sub, self.frame)
+        sub, frame = self.sub, self.frame
+        while frame is not None:
+            node, attr, frame = frame
+            sub = _with_child(node, attr, sub)
+        return sub
 
     @cached_property
     def key(self) -> str:
@@ -108,9 +91,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class CycleReport:
-    first_index: int
+    first_index: int  # the witness is ``trace.snapshots()[first_index]``
     period: int
-    witness: Term
 
 
 @dataclass
@@ -130,7 +112,7 @@ class Trace:
         return self.steps[-1].term if self.steps else self.initial
 
     def status_line(self) -> str:
-        if self.status == CYCLE_DETECTED and self.cycle is not None:
+        if self.cycle is not None:
             return (f"STATUS CycleDetected first={self.cycle.first_index} "
                     f"period={self.cycle.period}")
         return f"STATUS {self.status}"
@@ -142,16 +124,16 @@ class CycleDetector:
 
     A term is looked up by its hash, which comes from its digest, and
     confirmed by ``==`` (alpha-equality), so terms with equal hashes that
-    are not alpha-equal are both recorded and never reported.  The witness
-    is the first occurrence.
+    are not alpha-equal are both recorded and never reported.  A report
+    gives the index of the first occurrence.
     """
 
     def __init__(self) -> None:
-        self._seen: dict[Term, tuple[int, Term]] = {}
+        self._seen: dict[Term, int] = {}
 
     def observe(self, index: int, term: Term) -> CycleReport | None:
-        first, old = self._seen.setdefault(term, (index, term))
-        return None if first == index else CycleReport(first, index - first, old)
+        first = self._seen.setdefault(term, index)
+        return None if first == index else CycleReport(first, index - first)
 
 
 class _CycleFound(Exception):
@@ -160,7 +142,7 @@ class _CycleFound(Exception):
 
 
 def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-              budget: Fuel) -> tuple[Term, StepKind] | None:
+              budget: Fuel) -> tuple[Term, str] | None:
     """One step at the head of the application spine, or None if head-stable."""
     head, args = unwind_apps(t)
     match head:
@@ -182,7 +164,7 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
         case Global(name):
             unfolded = unfold(env, head, args, budget)
             if unfolded is not None:
-                return unfolded, delta(name)
+                return unfolded, f"Delta({name})"
     return None
 
 
@@ -246,20 +228,18 @@ def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame,
     try:
         return whnf_term(env, ctx, sub, rules, budget, True, steps, frame)
     except (FuelExhausted, RecursionError):
-        _certify(sub, frame, steps, start)  # it may have repeated first
+        _certify(sub, steps, start)  # it may have repeated first
         raise
 
 
-def _certify(initial: Term, frame: Frame, steps: list[TraceStep],
-             start: int) -> None:
+def _certify(initial: Term, steps: list[TraceStep], start: int) -> None:
     """Raise ``_CycleFound`` at the first repeat among the spine's states
     (``initial``, then the ``sub`` of ``steps[start:]``), after deleting the
     steps that follow it; return if no state repeats.
 
     The detector is keyed on the spine subterm: the frame is fixed while the
     spine runs, so plugging is injective in ``sub`` and a repeat of the whole
-    term is exactly a repeat of the subterm.  Only the reported witness is
-    plugged back into the whole term.
+    term is exactly a repeat of the subterm.
     """
     detector = CycleDetector()
     detector.observe(start, initial)
@@ -267,8 +247,7 @@ def _certify(initial: Term, frame: Frame, steps: list[TraceStep],
         report = detector.observe(index, steps[index - 1].sub)
         if report is not None:
             del steps[index:]
-            raise _CycleFound(dataclasses.replace(
-                report, witness=_plug(report.witness, frame)))
+            raise _CycleFound(report)
 
 
 def _traced(trace: Trace, run: Callable[[], object]) -> Trace:
@@ -332,7 +311,7 @@ def reduce_with(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
 # --- trace serialization and replay ----------------------------------------
 
 def trace_to_text(trace: Trace) -> str:
-    """One step per line: ``<index> <StepKind> <pretty term>``, then STATUS."""
+    """One step per line: ``<index> <kind> <pretty term>``, then STATUS."""
     lines = [f"{i} {s.kind} {s.text}"
              for i, s in enumerate(trace.steps, start=1)]
     lines.append(trace.status_line())
@@ -340,7 +319,7 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_to_json_lines(trace: Trace) -> list[str]:
-    lines = [json.dumps({"index": i, "kind": str(s.kind),
+    lines = [json.dumps({"index": i, "kind": s.kind,
                          "term": s.text, "key": s.key})
              for i, s in enumerate(trace.steps, start=1)]
     lines.append(trace.status_line())
@@ -350,11 +329,11 @@ def trace_to_json_lines(trace: Trace) -> list[str]:
 def replay_trace(env: GlobalEnv, ctx: Context, trace: Trace,
                  rules: RuleSet) -> bool:
     """Re-run the recorded strategy and confirm it reproduces the status line
-    and every step's kind and key.
+    and every step's kind (its printed text) and key.
 
     Keys are equal for alpha-equal snapshots, and compared without recursion.
-    The status line carries ``first=`` and ``period=``, and the witness is
-    the snapshot at ``first``, so equal keys confirm it too.
+    The status line carries ``first=`` and ``period=``, and the cycle's
+    witness is the snapshot at ``first``, so equal keys confirm it too.
     """
     fresh = reduce_with(env, ctx, trace.initial, rules, trace.strategy)
     return (fresh.status_line() == trace.status_line()

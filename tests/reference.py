@@ -20,7 +20,7 @@ from dataclasses import fields
 
 from itt import (
     App, Context, Fuel, Global, GlobalEnv, Lam, Pi, RuleSet, ScopeError, SortT,
-    StepKind, Term, Var, ctx_extend,
+    Term, Var, ctx_extend,
 )
 from itt.reduce import _with_child, head_step
 from itt.syntax import CHILDREN
@@ -70,7 +70,7 @@ def subst(t: Term, target: int, value: Term) -> Term:
 
 
 def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-         budget: Fuel | None = None) -> tuple[Term, StepKind] | None:
+         budget: Fuel | None = None) -> tuple[Term, str] | None:
     """Contract the leftmost-outermost redex, or None if ``t`` is in normal
     form with respect to the enabled rules."""
     if budget is None:

@@ -1,0 +1,48 @@
+"""The behaviour contract and the corpus expectation tables reproduce.
+
+``scripts/contract_dump.py`` prints every output and exit code of ``itt``;
+its SHA-256 is committed in ``scripts/contract_dump.sha256`` and must not
+depend on the string hash seed.  ``scripts/record_expected.py`` regenerates
+the packaged ``expected/`` tables, which must already hold what it writes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from itt import CASE_NAMES
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+_spec = importlib.util.spec_from_file_location(
+    "record_expected", SCRIPTS / "record_expected.py")
+record_expected = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_expected)
+
+
+def _dump(hash_seed: str) -> bytes:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    return subprocess.run([sys.executable, str(SCRIPTS / "contract_dump.py")],
+                          env=env, capture_output=True, check=True).stdout
+
+
+def test_contract_dump_matches_its_digest_under_two_hash_seeds():
+    first, second = _dump("1"), _dump("2")
+    assert first == second
+    pinned = (SCRIPTS / "contract_dump.sha256").read_text().strip()
+    assert hashlib.sha256(first).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_expectation_table_reproduces(name):
+    packaged = resources.files("itt.corpus") / "expected" / f"{name}.txt"
+    assert record_expected.record_case(name) == packaged.read_text(
+        encoding="utf-8")
