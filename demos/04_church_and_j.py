@@ -32,10 +32,10 @@ def main() -> None:
             print(f"    #check  {pretty(res.term)} : {pretty(res.type_)}")
     scope = env.names()
     fires = parse_term("J Top Top top_id", scope)
-    fired = head_step(env, (), fires, case.rules, case.rules.new_budget())[0]
+    fired = head_step(env, (), fires, case.rules.new_budget())[0]
     print(f"    step(J Top Top top_id) = {fired}")
     stuck = parse_term("J Top Bot top_id", scope)
-    r = head_step(env, (), stuck, case.rules, case.rules.new_budget())
+    r = head_step(env, (), stuck, case.rules.new_budget())
     print(f"    head step on J Top Bot top_id: {r}  (stuck, as it should be)")
 
 

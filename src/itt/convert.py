@@ -19,12 +19,13 @@ unfolding past it, and comparisons stay close to the named forms they
 started from.  Two heads of height 0 (no defined global) do not convert.
 
 A query of two different bound globals is answered once per environment and
-rule set: ``GlobalEnv.conversions`` keeps its answer and the fuel its live
-run spent after its own unit, which cannot change, as a body names only
-earlier globals and no entry is replaced.  A repeat spends that fuel again,
-or runs live if the budget holds less, to run out at the same step; so only
-a query too deep for Python's stack may end differently (answered from the
-memo, not RecursionError).  A raise stores nothing; the key omits ``ctx``.
+rule set: ``GlobalEnv.conversions``, keyed on ``budget.rules`` and the names,
+keeps its answer and the fuel its live run spent after its own unit, which
+cannot change, as a body names only earlier globals and no entry is
+replaced.  A repeat spends that fuel again, or runs live if the budget holds
+less, to run out at the same step; so only a query too deep for Python's
+stack may end differently (answered from the memo, not RecursionError).  A
+raise stores nothing; the key omits ``ctx``.
 
 Unfolding can loop, since this theory does not normalize.  A pair of
 weak-head forms equal to an earlier pair raises ConversionCycle, a
@@ -38,25 +39,25 @@ from __future__ import annotations
 from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
-from .rules import DEFAULT_RULES, ConversionCycle, Fuel, RuleSet
+from .rules import DEFAULT_RULES, ConversionCycle, Fuel
 from .syntax import (
     CHILDREN, PROP, App, Cast, EqRec, Global, J, Term, unwind_apps,
 )
 
 
-def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, rules: RuleSet,
-                   budget: Fuel) -> bool:
+def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, budget: Fuel) -> bool:
     """True iff the type of ``type_`` weak-head reduces to the sort Prop.
 
     Conversion does not call it: it is the reference that ``PROOF_FIELDS``
     is tested against, and a building block for typed irrelevance.
     """
-    return _typecheck.infer_whnf(env, ctx, type_, rules, budget) == PROP
+    return _typecheck.infer_whnf(env, ctx, type_, budget) == PROP
 
 
 def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
-            rules: RuleSet = DEFAULT_RULES, budget: Fuel | None = None) -> bool:
-    """Definitional equality under the active rules.
+            budget: Fuel | None = None) -> bool:
+    """Definitional equality under the budget's rules (by default, a fresh
+    budget of ``DEFAULT_RULES``).
 
     Raises FuelExhausted when the budget runs out; that outcome is distinct
     from "not convertible" and must never be coerced to False.
@@ -66,7 +67,7 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     open proofs; until then nothing reads it.
     """
     if budget is None:
-        budget = rules.new_budget()
+        budget = DEFAULT_RULES.new_budget()
     budget.spend()  # conversion queries consume the shared budget
     # identity, not ==: dataclass == recurses and costs O(size); but two
     # leaves (Var, SortT, Global) compare in O(1)
@@ -77,17 +78,17 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
         if t1 == t2:
             return True
         if type(t1) is Global is type(t2) and env.lookup(t1.name) and env.lookup(t2.name):
-            key, start = (rules, t1.name, t2.name), budget.remaining
+            key, start = (budget.rules, t1.name, t2.name), budget.remaining
             if (hit := env.conversions.get(key)) and hit[1] <= start:
                 budget.remaining -= hit[1]  # replay the live query's fuel
                 return hit[0]
-    w1 = _reduce.whnf_term(env, ctx, t1, rules, budget, unfold_heads=False)
-    w2 = _reduce.whnf_term(env, ctx, t2, rules, budget, unfold_heads=False)
+    w1 = _reduce.whnf_term(env, ctx, t1, budget, unfold_heads=False)
+    w2 = _reduce.whnf_term(env, ctx, t2, budget, unfold_heads=False)
     # Brent's cycle check: the next state depends only on (w1, w2), so a
     # state equal to the one saved at the last power of two never returns.
     saved, power, period = (w1, w2), 1, 0
     while True:
-        answer = type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, rules, budget)
+        answer = type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, budget)
         if answer:
             break
         h1, h2 = _height(env, w1), _height(env, w2)
@@ -95,10 +96,10 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             break
         if h1 >= h2:
             u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
-            w1 = _reduce.whnf_term(env, ctx, u1, rules, budget, unfold_heads=False)
+            w1 = _reduce.whnf_term(env, ctx, u1, budget, unfold_heads=False)
         else:
             u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
-            w2 = _reduce.whnf_term(env, ctx, u2, rules, budget, unfold_heads=False)
+            w2 = _reduce.whnf_term(env, ctx, u2, budget, unfold_heads=False)
         period += 1
         try:
             repeat = w1 == saved[0] and w2 == saved[1]
@@ -132,17 +133,16 @@ PROOF_FIELDS: dict[type, tuple[str, ...]] = {
 
 
 def _parts_convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
-                   rules: RuleSet, budget: Fuel) -> bool:
+                   budget: Fuel) -> bool:
     """Do two nodes of the same class agree field by field?"""
     children = CHILDREN[type(t1)]
     if not children:  # Var, SortT or Global: compare the payload
         return t1 == t2
-    skip = PROOF_FIELDS.get(type(t1), ()) if rules.proof_irrelevance else ()
+    skip = PROOF_FIELDS.get(type(t1), ()) if budget.rules.proof_irrelevance else ()
     for attr, under in children:
         if attr in skip:
             continue
         inner = ctx_extend(ctx, t1.domain) if under else ctx
-        if not convert(env, inner, getattr(t1, attr), getattr(t2, attr),
-                       rules, budget):
+        if not convert(env, inner, getattr(t1, attr), getattr(t2, attr), budget):
             return False
     return True

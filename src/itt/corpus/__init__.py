@@ -121,7 +121,7 @@ def run_case(case: ExampleCase,
         for i, res in enumerate(checks):
             expected_src = case.expected_checks[i]
             expected = parse_term(expected_src, scope=env.names())
-            ok = convert(env, (), res.type_, expected, rules=rules)
+            ok = convert(env, (), res.type_, expected, rules.new_budget())
             entries.append((f"check #{i + 1}: {expected_src}", ok))
 
         for j, res in enumerate(reduces, start=1):

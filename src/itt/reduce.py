@@ -2,7 +2,7 @@
 tracing, and online cycle detection.
 
 Reduction rules, each with its step kind: the text that traces print for
-it (the three firings are gated by the active RuleSet):
+it (the three firings are gated by the budget's ``RuleSet``):
 
     App(Lam(_, b), a)       |> subst(b, 0, a)                        Beta
     Global(n) with a body   |> body                                  Delta(n)
@@ -141,7 +141,7 @@ class _CycleFound(Exception):
         self.report = report
 
 
-def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
+def head_step(env: GlobalEnv, ctx: Context, t: Term,
               budget: Fuel) -> tuple[Term, str] | None:
     """One step at the head of the application spine, or None if head-stable."""
     head, args = unwind_apps(t)
@@ -149,16 +149,16 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
         case Lam(_, body) if args:
             budget.spend()
             return build_apps(subst(body, 0, args[0]), args[1:]), BETA
-        case Cast(src, dst, _, val) if rules.cast_rule:
-            if _convert.convert(env, ctx, src, dst, rules=rules, budget=budget):
+        case Cast(src, dst, _, val) if budget.rules.cast_rule:
+            if _convert.convert(env, ctx, src, dst, budget):
                 budget.spend()
                 return build_apps(val, args), CAST_FIRE
-        case EqRec(_, _, lhs, rhs, base, _) if rules.eqrec_rule:
-            if _convert.convert(env, ctx, lhs, rhs, rules=rules, budget=budget):
+        case EqRec(_, _, lhs, rhs, base, _) if budget.rules.eqrec_rule:
+            if _convert.convert(env, ctx, lhs, rhs, budget):
                 budget.spend()
                 return build_apps(base, args), EQREC_FIRE
-        case J(src, dst, val) if rules.j_rule:
-            if _convert.convert(env, ctx, src, dst, rules=rules, budget=budget):
+        case J(src, dst, val) if budget.rules.j_rule:
+            if _convert.convert(env, ctx, src, dst, budget):
                 budget.spend()
                 return build_apps(val, args), J_FIRE
         case Global(name):
@@ -183,8 +183,8 @@ def unfold(env: GlobalEnv, head: Global, args: list[Term],
 _STABLE = frozenset({SortT, Pi, Eq, Refl, Var})
 
 
-def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-              budget: Fuel, unfold_heads: bool = True,
+def whnf_term(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel,
+              unfold_heads: bool = True,
               steps: list[TraceStep] | None = None, frame: Frame = None) -> Term:
     """Weak-head form: the only loop that calls ``head_step``.
 
@@ -202,7 +202,7 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             head = head.fn
         if type(head) in _STABLE or (not unfold_heads and type(head) is Global):
             return t
-        if (r := head_step(env, ctx, t, rules, budget)) is None:
+        if (r := head_step(env, ctx, t, budget)) is None:
             return t
         t, kind = r
         if steps is not None:
@@ -218,15 +218,15 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
             saved, power, since = t, 2 * power, 0
 
 
-def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame,
-           rules: RuleSet, budget: Fuel, steps: list[TraceStep]) -> Term:
+def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame, budget: Fuel,
+           steps: list[TraceStep]) -> Term:
     """Head-reduce the spine ``sub`` at ``frame`` by ``whnf_term``, recording
     each step; on a repeat (``ConversionCycle``), an exhausted budget or
     excessive depth, ``_certify`` finds the exact first repeat or proves
     there is none."""
     start = len(steps)
     try:
-        return whnf_term(env, ctx, sub, rules, budget, True, steps, frame)
+        return whnf_term(env, ctx, sub, budget, True, steps, frame)
     except (FuelExhausted, RecursionError):
         _certify(sub, steps, start)  # it may have repeated first
         raise
@@ -266,8 +266,8 @@ def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     """Head reduction only: never under binders, never into arguments except
     as conversion side conditions demand."""
     trace = Trace(t, [], "whnf")
-    return _traced(trace, lambda: _spine(env, ctx, t, None, rules,
-                                         rules.new_budget(), trace.steps))
+    return _traced(trace, lambda: _spine(env, ctx, t, None, rules.new_budget(),
+                                         trace.steps))
 
 
 def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
@@ -278,13 +278,13 @@ def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     Cycle detection restarts per reduction spine: a repeat on one spine is
     already a divergence proof, while repeats across spines are not cycles.
     """
-    fuel = rules.new_budget()
+    budget = rules.new_budget()
     trace = Trace(t, [], "nf")
 
     def rec(sub: Term, frame: Frame, sctx: Context) -> Term:
         # a stable node is its own head, so already head-normal
         cur = (sub if type(sub) in _STABLE
-               else _spine(env, sctx, sub, frame, rules, fuel, trace.steps))
+               else _spine(env, sctx, sub, frame, budget, trace.steps))
         for attr, under_binder in CHILDREN[type(cur)]:
             child_ctx = ctx_extend(sctx, cur.domain) if under_binder else sctx  # type: ignore[attr-defined]
             child = getattr(cur, attr)

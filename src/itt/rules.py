@@ -9,6 +9,8 @@ asks for convertibility of the endpoints, which may unfold and reduce), so a
 single decrementing budget threads through both to guarantee the checker
 itself always terminates with a classified outcome: ``FuelExhausted``, or
 ``ConversionCycle`` when a repeated state proves the budget would run out.
+A ``Fuel`` carries the rule set that made it, so kernel functions take the
+budget alone and read every toggle from it: one run, one rule set.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class ConversionCycle(FuelExhausted):
 
 @dataclass
 class Fuel:
+    """The budget of one run, and the rule set it runs under."""
     remaining: int
+    rules: RuleSet
 
     def spend(self) -> None:
         self.remaining -= 1
@@ -67,7 +71,7 @@ class RuleSet:
             raise ValueError("fuel must be positive")
 
     def new_budget(self) -> Fuel:
-        return Fuel(self.fuel)
+        return Fuel(self.fuel, self)
 
     def updated(self, **changes: object) -> RuleSet:
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]

@@ -24,10 +24,11 @@ ladder above cannot express):
 
 Type checking can itself demand reduction (exposing a Pi, settling a
 conversion), and the irrelevant eliminators make that potentially divergent,
-so every entry point threads the same fuel budget as the reducer and fails
-with a distinguishable FuelExhausted instead of hanging.  A rule that needs
-the shape of a type (a sort, a Pi) reads it from ``infer_whnf``, the
-weak-head form of a term's type.
+so every entry point threads the same budget as the reducer, one per
+declaration and carrying its rule set (``budget.rules``), and fails with a
+distinguishable FuelExhausted instead of hanging.  A rule that needs the
+shape of a type (a sort, a Pi) reads it from ``infer_whnf``, the weak-head
+form of a term's type.
 """
 
 from __future__ import annotations
@@ -63,34 +64,32 @@ PI_RULES = {
 }
 
 
-def infer_whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-               budget: Fuel) -> Term:
+def infer_whnf(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel) -> Term:
     """The weak-head form of the type of ``t``."""
-    return _reduce.whnf_term(env, ctx, infer(env, ctx, t, rules, budget),
-                             rules, budget)
+    return _reduce.whnf_term(env, ctx, infer(env, ctx, t, budget), budget)
 
 
-def _sort_of_type(env: GlobalEnv, ctx: Context, ty: Term, rules: RuleSet,
-                  budget: Fuel, what: str) -> SortT:
+def _sort_of_type(env: GlobalEnv, ctx: Context, ty: Term, budget: Fuel,
+                  what: str) -> SortT:
     """The sort classifying ``ty``; fails if ``ty`` is not a type."""
-    w = infer_whnf(env, ctx, ty, rules, budget)
+    w = infer_whnf(env, ctx, ty, budget)
     if isinstance(w, SortT):
         return w
     raise TypeCheckError(f"{what} is not a type: {pretty(ty)} : {pretty(w)}")
 
 
 def _expect_sort(env: GlobalEnv, ctx: Context, term: Term, expected: SortT,
-                 rules: RuleSet, budget: Fuel, what: str) -> None:
-    w = infer_whnf(env, ctx, term, rules, budget)
+                 budget: Fuel, what: str) -> None:
+    w = infer_whnf(env, ctx, term, budget)
     if w != expected:
         raise TypeCheckError(
             f"{what} must have sort {expected}, but {pretty(term)} : {pretty(w)}")
 
 
-def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
+def infer(env: GlobalEnv, ctx: Context, t: Term,
           budget: Fuel | None = None) -> Term:
     if budget is None:
-        budget = rules.new_budget()
+        budget = DEFAULT_RULES.new_budget()
     match t:
         case Var(i):
             if i < 0 or i >= len(ctx):
@@ -107,8 +106,8 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
                 raise TypeCheckError(f"unbound global {name!r}")
             return entry.type_
         case Pi(dom, cod):
-            s1 = _sort_of_type(env, ctx, dom, rules, budget, "Pi domain")
-            s2 = _sort_of_type(env, ctx_extend(ctx, dom), cod, rules, budget,
+            s1 = _sort_of_type(env, ctx, dom, budget, "Pi domain")
+            s2 = _sort_of_type(env, ctx_extend(ctx, dom), cod, budget,
                                "Pi codomain")
             s3 = PI_RULES.get((s1, s2))
             if s3 is None:
@@ -118,69 +117,68 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet = DEFAULT_RULES,
             # The domain must be a type; the synthesized Pi is not re-checked
             # against the formation table so that type-level functions such
             # as Eq_rec motives (T -> Type) stay expressible.
-            _sort_of_type(env, ctx, dom, rules, budget, "lambda domain")
-            body_ty = infer(env, ctx_extend(ctx, dom), body, rules, budget)
+            _sort_of_type(env, ctx, dom, budget, "lambda domain")
+            body_ty = infer(env, ctx_extend(ctx, dom), body, budget)
             return Pi(dom, body_ty, name=n)
         case App(f, a):
-            w = infer_whnf(env, ctx, f, rules, budget)
+            w = infer_whnf(env, ctx, f, budget)
             if not isinstance(w, Pi):
                 raise TypeCheckError(
                     f"applied term is not a function: {pretty(f)} : {pretty(w)}")
-            check(env, ctx, a, w.domain, rules, budget)
+            check(env, ctx, a, w.domain, budget)
             return subst(w.codomain, 0, a)
         case Eq(ty, lhs, rhs):
-            _expect_sort(env, ctx, ty, TYPE, rules, budget, "Eq carrier")
-            check(env, ctx, lhs, ty, rules, budget)
-            check(env, ctx, rhs, ty, rules, budget)
+            _expect_sort(env, ctx, ty, TYPE, budget, "Eq carrier")
+            check(env, ctx, lhs, ty, budget)
+            check(env, ctx, rhs, ty, budget)
             return PROP
         case Refl(ty, val):
-            _expect_sort(env, ctx, ty, TYPE, rules, budget, "refl carrier")
-            check(env, ctx, val, ty, rules, budget)
+            _expect_sort(env, ctx, ty, TYPE, budget, "refl carrier")
+            check(env, ctx, val, ty, budget)
             return Eq(ty, val, val)
         case EqRec(ty, motive, lhs, rhs, base, proof):
-            _expect_sort(env, ctx, ty, TYPE, rules, budget, "Eq_rec carrier")
-            mty = infer_whnf(env, ctx, motive, rules, budget)
+            _expect_sort(env, ctx, ty, TYPE, budget, "Eq_rec carrier")
+            mty = infer_whnf(env, ctx, motive, budget)
             if not isinstance(mty, Pi):
                 raise TypeCheckError(
                     f"Eq_rec motive is not a function: {pretty(mty)}")
-            if not _convert.convert(env, ctx, mty.domain, ty,
-                                    rules=rules, budget=budget):
+            if not _convert.convert(env, ctx, mty.domain, ty, budget):
                 raise TypeCheckError(
                     f"Eq_rec motive domain {pretty(mty.domain)} does not match "
                     f"carrier {pretty(ty)}")
             cod = _reduce.whnf_term(env, ctx_extend(ctx, mty.domain),
-                                    mty.codomain, rules, budget)
+                                    mty.codomain, budget)
             if cod != TYPE:
                 raise TypeCheckError(
                     f"Eq_rec motive must land in Type, found {pretty(cod)}")
-            check(env, ctx, lhs, ty, rules, budget)
-            check(env, ctx, rhs, ty, rules, budget)
-            check(env, ctx, base, App(motive, lhs), rules, budget)
-            check(env, ctx, proof, Eq(ty, lhs, rhs), rules, budget)
+            check(env, ctx, lhs, ty, budget)
+            check(env, ctx, rhs, ty, budget)
+            check(env, ctx, base, App(motive, lhs), budget)
+            check(env, ctx, proof, Eq(ty, lhs, rhs), budget)
             return App(motive, rhs)
         case Cast(src, dst, proof, val):
-            _expect_sort(env, ctx, src, PROP, rules, budget, "cast source")
-            _expect_sort(env, ctx, dst, PROP, rules, budget, "cast target")
-            check(env, ctx, proof, Eq(PROP, src, dst), rules, budget)
-            check(env, ctx, val, src, rules, budget)
+            _expect_sort(env, ctx, src, PROP, budget, "cast source")
+            _expect_sort(env, ctx, dst, PROP, budget, "cast target")
+            check(env, ctx, proof, Eq(PROP, src, dst), budget)
+            check(env, ctx, val, src, budget)
             return dst
         case J(src, dst, val):
-            if not rules.j_rule:
+            if not budget.rules.j_rule:
                 raise TypeCheckError(
                     "J is not part of the active rule set (enable j_rule)")
-            _expect_sort(env, ctx, src, PROP, rules, budget, "J source")
-            _expect_sort(env, ctx, dst, PROP, rules, budget, "J target")
-            check(env, ctx, val, src, rules, budget)
+            _expect_sort(env, ctx, src, PROP, budget, "J source")
+            _expect_sort(env, ctx, dst, PROP, budget, "J target")
+            check(env, ctx, val, src, budget)
             return dst
     raise TypeCheckError(f"cannot infer a type for {t!r}")
 
 
 def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
-          rules: RuleSet = DEFAULT_RULES, budget: Fuel | None = None) -> None:
+          budget: Fuel | None = None) -> None:
     if budget is None:
-        budget = rules.new_budget()
-    actual = infer(env, ctx, t, rules, budget)
-    if not _convert.convert(env, ctx, actual, expected, rules=rules, budget=budget):
+        budget = DEFAULT_RULES.new_budget()
+    actual = infer(env, ctx, t, budget)
+    if not _convert.convert(env, ctx, actual, expected, budget):
         raise TypeCheckError(
             f"type mismatch: expected {pretty(expected)}, inferred {pretty(actual)}"
             f" for {pretty(t)}")
@@ -220,24 +218,22 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
             match decl:
                 case Def(name, stated, body):
                     if stated is not None:
-                        _sort_of_type(env, (), stated, rules, budget,
+                        _sort_of_type(env, (), stated, budget,
                                       f"stated type of {name}")
-                        check(env, (), body, stated, rules, budget)
+                        check(env, (), body, stated, budget)
                         ty = stated
                     else:
-                        ty = infer(env, (), body, rules, budget)
+                        ty = infer(env, (), body, budget)
                     env.add(EnvEntry(name, ty, body, "def"))
                 case Axiom(name, ty) | Assume(name, ty):
-                    _sort_of_type(env, (), ty, rules, budget,
-                                  f"type of {name}")
+                    _sort_of_type(env, (), ty, budget, f"type of {name}")
                     kind = "axiom" if isinstance(decl, Axiom) else "assume"
                     env.add(EnvEntry(name, ty, None, kind))
                 case PragmaCheck(term):
-                    ty = infer(env, (), term, rules, budget)
-                    results.append(PragmaResult("check", index, term,
-                                                type_=ty))
+                    ty = infer(env, (), term, budget)
+                    results.append(PragmaResult("check", index, term, type_=ty))
                 case PragmaReduce(term):
-                    infer(env, (), term, rules, budget)
+                    infer(env, (), term, budget)
                     if run_reduce:
                         trace = _reduce.reduce_with(env, (), term, rules,
                                                     reduce_strategy)

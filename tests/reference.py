@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from itt import (
-    App, Context, Fuel, Global, GlobalEnv, Lam, Pi, RuleSet, ScopeError, SortT,
+    App, Context, Fuel, Global, GlobalEnv, Lam, Pi, ScopeError, SortT,
     Term, Var, ctx_extend,
 )
 from itt.reduce import _with_child, head_step
@@ -69,19 +69,17 @@ def subst(t: Term, target: int, value: Term) -> Term:
     return type(t)(*(subst(getattr(t, f.name), target, value) for f in fields(t)))
 
 
-def step(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
-         budget: Fuel | None = None) -> tuple[Term, str] | None:
+def step(env: GlobalEnv, ctx: Context, t: Term,
+         budget: Fuel) -> tuple[Term, str] | None:
     """Contract the leftmost-outermost redex, or None if ``t`` is in normal
-    form with respect to the enabled rules."""
-    if budget is None:
-        budget = rules.new_budget()
-    r = head_step(env, ctx, t, rules, budget)
+    form with respect to the budget's rules."""
+    r = head_step(env, ctx, t, budget)
     if r is not None:
         return r
     for attr, under_binder in CHILDREN[type(t)]:
         child = getattr(t, attr)
         child_ctx = ctx_extend(ctx, t.domain) if under_binder else ctx  # type: ignore[attr-defined]
-        sub = step(env, child_ctx, child, rules, budget)
+        sub = step(env, child_ctx, child, budget)
         if sub is not None:
             new_child, kind = sub
             return _with_child(t, attr, new_child), kind

@@ -44,10 +44,10 @@ def test_criterion_1_cast_rule_fidelity():
         ((proof_ty,), Var(0)),
     ]
     for ctx, p in proofs:
-        got_ty = infer(env, ctx, p, rules)
-        assert convert(env, ctx, got_ty, proof_ty, rules=rules)  # well-typed
+        got_ty = infer(env, ctx, p, rules.new_budget())
+        assert convert(env, ctx, got_ty, proof_ty, rules.new_budget())  # well-typed
         term = Cast(Global("Top"), Global("Top"), p, Global("delta"))
-        got = step(env, ctx, term, rules)
+        got = step(env, ctx, term, rules.new_budget())
         assert got is not None
         result, kind = got
         assert kind == CAST_FIRE
@@ -56,7 +56,7 @@ def test_criterion_1_cast_rule_fidelity():
         mutated = Cast(Global("Top"), Global("Top"), Var(len(ctx)),
                        Global("delta"))
         mut_ctx = (proof_ty,) + ctx
-        got_mut = step(env, mut_ctx, mutated, rules)
+        got_mut = step(env, mut_ctx, mutated, rules.new_budget())
         assert got_mut is not None
         assert got_mut[1] == CAST_FIRE
         assert alpha_eq(got_mut[0], result)
@@ -105,7 +105,7 @@ def test_criterion_4_normalization_restored():
         assert trace.status == NORMAL_FORM
         head, _ = unwind_apps(trace.final)
         assert isinstance(head, Cast)  # stuck coercion in head position
-        assert step(env, (), trace.final, restricted) is None
+        assert step(env, (), trace.final, restricted.new_budget()) is None
     _passed(4, "disabling cast/Eq_rec leaves stuck casts and full normal forms")
 
 
@@ -131,10 +131,11 @@ def test_criterion_5_typing_fidelity():
         for global_name, type_src in table.items():
             entry = env.lookup(global_name)
             want = parse_term(type_src, env.names())
-            assert convert(env, (), entry.type_, want, rules=rules), global_name
+            assert convert(env, (), entry.type_, want,
+                           rules.new_budget()), global_name
             # re-infer the body from scratch; exact up to conversion
-            got = infer(env, (), entry.body, rules)
-            assert convert(env, (), got, want, rules=rules), global_name
+            got = infer(env, (), entry.body, rules.new_budget())
+            assert convert(env, (), got, want, rules.new_budget()), global_name
     _passed(5, "every displayed signature type-checks as stated")
 
 
@@ -143,7 +144,7 @@ def test_criterion_6_j_variant():
     assert rules.j_rule
     scope = env.names()
     fires = parse_term("J Top Top top_id", scope)
-    got = step(env, (), fires, rules)
+    got = step(env, (), fires, rules.new_budget())
     assert got == (Global("top_id"), J_FIRE)  # one step, exactly x
     stuck = parse_term("J Top Bot top_id", scope)
     tr = whnf(env, (), stuck, rules)
@@ -193,10 +194,10 @@ def test_criterion_7_kernel_self_consistency():
                 assert record["key"] == snap.key
 
             # subject reduction: each traced step preserves the type
-            want = infer(env, (), trace.initial, rules)
+            want = infer(env, (), trace.initial, rules.new_budget())
             for snap in trace.steps:
-                got = infer(env, (), snap.term, rules)
-                assert convert(env, (), got, want, rules=rules)
+                got = infer(env, (), snap.term, rules.new_budget())
+                assert convert(env, (), got, want, rules.new_budget())
                 checked_steps += 1
             for snap_t in (trace.snapshots()):
                 assert alpha_eq(parse_term(pretty(snap_t), scope), snap_t)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from itt import (
-    CASE_NAMES, DEFAULT_FUEL, FUEL_EXHAUSTED, PROP,
+    CASE_NAMES, DEFAULT_FUEL, DEFAULT_RULES, FUEL_EXHAUSTED, PROP,
     App, Cast, ConversionCycle, EnvEntry, Eq, EqRec, Fuel, FuelExhausted,
     Global, J, Lam,
     PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
@@ -27,19 +27,19 @@ from term_strategies import GLOBAL_POOL, open_terms
 
 def test_reflexive_on_globals():
     env, rules = case_env("counterexample1")
-    assert convert(env, (), Global("Top"), Global("Top"), rules=rules)
+    assert convert(env, (), Global("Top"), Global("Top"), rules.new_budget())
 
 
 def test_top_and_bot_differ():
     env, rules = case_env("counterexample1")
-    assert not convert(env, (), Global("Top"), Global("Bot"), rules=rules)
+    assert not convert(env, (), Global("Top"), Global("Bot"), rules.new_budget())
 
 
 def test_unfolding_settles_neg_bot():
     env, rules = case_env("counterexample1")
     lhs = parse_term("Neg Bot", env.names())
     rhs = parse_term("Bot -> Bot", env.names())
-    assert convert(env, (), lhs, rhs, rules=rules)
+    assert convert(env, (), lhs, rhs, rules.new_budget())
 
 
 _IRRELEVANCE_SRC = """
@@ -68,8 +68,8 @@ def test_proof_irrelevance_identifies_proofs():
     off = rules.updated(proof_irrelevance=False)
     for a, b in pairs:
         p, q = parse_term(a, scope), parse_term(b, scope)
-        assert convert(env, (), p, q, rules=rules), a
-        assert not convert(env, (), p, q, rules=off), a
+        assert convert(env, (), p, q, rules.new_budget()), a
+        assert not convert(env, (), p, q, off.new_budget()), a
     # refl's value and the sides of Eq are not proofs: compared either way
     never = [
         ("refl Prop Top", "refl Prop Bot"),
@@ -78,8 +78,8 @@ def test_proof_irrelevance_identifies_proofs():
     ]
     for a, b in never:
         p, q = parse_term(a, scope), parse_term(b, scope)
-        assert not convert(env, (), p, q, rules=rules), a
-        assert not convert(env, (), p, q, rules=off), a
+        assert not convert(env, (), p, q, rules.new_budget()), a
+        assert not convert(env, (), p, q, off.new_budget()), a
 
 
 # The fields of each primitive that hold an element of a type.  The others
@@ -143,8 +143,8 @@ def test_proof_fields_are_the_fields_typed_by_a_proposition():
                 seen.add(cls)
                 for attr in _ASKED[cls]:
                     budget = rules.new_budget()
-                    ty = infer(env, ctx, getattr(node, attr), rules, budget)
-                    proof = is_proposition(env, ctx, ty, rules, budget)
+                    ty = infer(env, ctx, getattr(node, attr), budget)
+                    proof = is_proposition(env, ctx, ty, budget)
                     assert proof == (attr in PROOF_FIELDS.get(cls, ())), (
                         f"{cls.__name__}.{attr} in {node}")
     assert seen == set(_ASKED)
@@ -168,25 +168,25 @@ def test_is_proposition_examples():
     env, rules = case_env("counterexample1")
     budget = rules.new_budget()
     eq = parse_term("Eq Prop Top Top", env.names())
-    assert is_proposition(env, (), eq, rules, budget)
-    assert not is_proposition(env, (), PROP, rules, budget)
-    assert is_proposition(env, (), Global("Top"), rules, budget)
+    assert is_proposition(env, (), eq, budget)
+    assert not is_proposition(env, (), PROP, budget)
+    assert is_proposition(env, (), Global("Top"), budget)
 
 
 def test_equivalence_relation_on_corpus_types():
     env, rules = case_env("counterexample1")
     terms = [e.type_ for e in env] + [e.body for e in env if e.body is not None]
     for t in terms:
-        assert convert(env, (), t, t, rules=rules)  # reflexive
+        assert convert(env, (), t, t, rules.new_budget())  # reflexive
     related = [(parse_term("Top", env.names()), parse_term("Neg Bot", env.names())),
                (parse_term("Neg Bot", env.names()),
                 parse_term("Bot -> Bot", env.names()))]
     for a, b in related:
-        assert convert(env, (), a, b, rules=rules)
-        assert convert(env, (), b, a, rules=rules)  # symmetric
+        assert convert(env, (), a, b, rules.new_budget())
+        assert convert(env, (), b, a, rules.new_budget())  # symmetric
     # transitive across the chain above
     assert convert(env, (), parse_term("Top", env.names()),
-                   parse_term("Bot -> Bot", env.names()), rules=rules)
+                   parse_term("Bot -> Bot", env.names()), rules.new_budget())
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -197,12 +197,13 @@ def test_conversion_is_an_equivalence_on_corpus_terms(name):
         roots = _roots(env)
         for t in roots:  # reflexive, on a copy: identity is answered early
             copy = parse_term(pretty(t), env.names())
-            assert convert(env, (), t, copy, rules=rules), pretty(t)
+            assert convert(env, (), t, copy, rules.new_budget()), pretty(t)
         # every ordered pair whose query ends within the fuel
         known = {}
         for i, j in itertools.product(range(len(roots)), repeat=2):
             try:
-                known[i, j] = convert(env, (), roots[i], roots[j], rules=rules)
+                known[i, j] = convert(env, (), roots[i], roots[j],
+                                      rules.new_budget())
             except FuelExhausted:
                 pass
         for (i, j), related in known.items():
@@ -217,7 +218,7 @@ def test_congruence_spot_checks():
     env, rules = case_env("counterexample1")
     scope = env.names()
     a, b = parse_term("Top", scope), parse_term("Neg Bot", scope)
-    assert convert(env, (), a, b, rules=rules)
+    assert convert(env, (), a, b, rules.new_budget())
     contexts = [
         lambda hole: App(Global("Neg"), hole),
         lambda hole: Eq(PROP, hole, Global("Bot")),
@@ -225,7 +226,7 @@ def test_congruence_spot_checks():
         lambda hole: Lam(PROP, App(Global("Neg"), hole)),
     ]
     for fill in contexts:
-        assert convert(env, (), fill(a), fill(b), rules=rules)
+        assert convert(env, (), fill(a), fill(b), rules.new_budget())
 
 
 def test_disabling_rules_never_creates_conversions():
@@ -240,8 +241,8 @@ def test_disabling_rules_never_creates_conversions():
     ]
     restricted = rules.updated(cast_rule=False, eqrec_rule=False)
     for a, b in pairs:
-        if not convert(env, (), a, b, rules=rules):
-            assert not convert(env, (), a, b, rules=restricted)
+        if not convert(env, (), a, b, rules.new_budget()):
+            assert not convert(env, (), a, b, restricted.new_budget())
 
 
 def test_firing_cast_converts_to_its_payload_only_when_enabled():
@@ -249,9 +250,9 @@ def test_firing_cast_converts_to_its_payload_only_when_enabled():
     scope = env.names()
     fired = parse_term("cast Top Top top_eq top_value", scope)
     payload = parse_term("top_value", scope)
-    assert convert(env, (), fired, payload, rules=rules)
+    assert convert(env, (), fired, payload, rules.new_budget())
     off = rules.updated(cast_rule=False)
-    assert not convert(env, (), fired, payload, rules=off)
+    assert not convert(env, (), fired, payload, off.new_budget())
 
 
 def test_fuel_exhaustion_propagates():
@@ -259,15 +260,15 @@ def test_fuel_exhaustion_propagates():
     lhs = parse_term("Neg Bot", env.names())
     rhs = parse_term("Bot -> Bot", env.names())
     with pytest.raises(FuelExhausted):
-        convert(env, (), lhs, rhs, rules=rules, budget=Fuel(1))
+        convert(env, (), lhs, rhs, Fuel(1, rules))
 
 
 def test_reflexive_query_costs_one_unit():
     env, rules = case_env("sanity-casts")
     # the cast fires and the payload unfolds, but the same object needs neither
     t = parse_term("cast Top Top top_eq top_value", env.names())
-    budget = Fuel(1)
-    assert convert(env, (), t, t, rules=rules, budget=budget)
+    budget = Fuel(1, rules)
+    assert convert(env, (), t, t, budget)
     assert budget.remaining == 0
 
 
@@ -293,7 +294,7 @@ def test_reflexive_on_distinct_copies(t):
     assert copy == t and copy is not t
     ctx = (PROP,) * 3
     try:
-        assert convert(_POOL_ENV, ctx, t, copy, budget=Fuel(500))
+        assert convert(_POOL_ENV, ctx, t, copy, Fuel(500, DEFAULT_RULES))
     except FuelExhausted:
         pass
 
@@ -354,7 +355,7 @@ def test_cast_whose_side_condition_loops_exhausts_the_reduction(monkeypatch):
 
 
 def _fuel_spent(env, t1, t2):
-    budget = Fuel(DEFAULT_FUEL)
+    budget = Fuel(DEFAULT_FUEL, DEFAULT_RULES)
     assert convert(env, (), t1, t2, budget=budget)
     return DEFAULT_FUEL - budget.remaining
 
@@ -411,7 +412,7 @@ def test_equal_leaves_answer_without_reducing(monkeypatch):
 
     monkeypatch.setattr(reduce_module, "whnf_term", no_reduction)
     for t1, t2 in [(Global("T"), Global("T")), (Var(2), Var(2)), (prop, PROP)]:
-        budget = Fuel(1)
+        budget = Fuel(1, DEFAULT_RULES)
         assert convert(env, (PROP,) * 3, t1, t2, budget=budget)
         assert budget.remaining == 0
 
@@ -430,7 +431,7 @@ def _alias_program(parents):
 
 
 def _outcome(env, t1, t2, fuel):
-    budget = Fuel(fuel)
+    budget = Fuel(fuel, DEFAULT_RULES)
     try:
         result = convert(env, (), t1, t2, budget=budget)
     except FuelExhausted as exc:
@@ -480,7 +481,7 @@ def test_the_rule_set_is_part_of_the_memo_key():
     for order in [(on, off), (off, on)]:
         env, _ = elaborate(parse_program(_CAST_PAIR_SRC))
         for rules in order + order:  # the second round repeats the first
-            assert convert(env, (), *pair, rules=rules) == (rules is on)
+            assert convert(env, (), *pair, rules.new_budget()) == (rules is on)
 
 
 def test_a_pair_with_an_unbound_name_is_not_memoized():

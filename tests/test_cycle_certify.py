@@ -28,12 +28,12 @@ VARIANTS = ({}, {"proof_irrelevance": False}, {"cast_rule": False},
 TAILS = (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33)
 
 
-def reference_spine(env, ctx, sub, frame, rules, budget, steps):
+def reference_spine(env, ctx, sub, frame, budget, steps):
     """Every state of the spine goes into one detector; stop at the first
     repeat."""
     detector = CycleDetector()
     detector.observe(len(steps), sub)
-    while (r := head_step(env, ctx, sub, rules, budget)) is not None:
+    while (r := head_step(env, ctx, sub, budget)) is not None:
         sub, kind = r
         steps.append(TraceStep(kind, sub, frame))
         report = detector.observe(len(steps), sub)
@@ -162,12 +162,11 @@ def test_corpus_cycle_reports_are_certificates():
                     period = trace.cycle.period
                     state, budget = witness, rules.new_budget()
                     for n in range(1, period + 1):
-                        state, _ = one_step(env, (), state, rules, budget)
+                        state, _ = one_step(env, (), state, budget)
                         assert alpha_eq(state, witness) == (n == period)
                     if strategy == "whnf":
                         with pytest.raises(ConversionCycle) as info:
-                            whnf_term(env, (), witness, rules,
-                                      rules.new_budget())
+                            whnf_term(env, (), witness, rules.new_budget())
                         assert info.value.period == period
                     checked += 1
     assert checked >= 10

@@ -43,7 +43,7 @@ def test_cast_step_fires_on_equal_endpoints():
     _, env, rules = _env("counterexample1")
     scope = env.names()
     t = parse_term("cast Top Top (h Top Top) delta", scope)
-    got = step(env, (), t, rules)
+    got = step(env, (), t, rules.new_budget())
     assert got is not None
     result, kind = got
     assert kind == CAST_FIRE
@@ -55,14 +55,14 @@ def test_cast_proof_shape_is_never_inspected():
     proof_ty = parse_term("Eq Prop Top Top", env.names())
     ctx = (proof_ty,)
     t = Cast(Global("Top"), Global("Top"), Var(0), Global("delta"))
-    got = step(env, ctx, t, rules)
+    got = step(env, ctx, t, rules.new_budget())
     assert got == (Global("delta"), CAST_FIRE)
 
 
 def test_stuck_cast_has_no_head_step():
     _, env, rules = _env("counterexample1")
     t = parse_term("cast Top Bot (h Top Top) delta", env.names())
-    assert head_step(env, (), t, rules, rules.new_budget()) is None
+    assert head_step(env, (), t, rules.new_budget()) is None
 
 
 def test_stuck_cast_on_normal_components_has_no_step_at_all():
@@ -71,7 +71,7 @@ def test_stuck_cast_on_normal_components_has_no_step_at_all():
     top_nf = parse_term("(forall (A : Prop), A) -> (forall (A : Prop), A)")
     ctx = (parse_term("Eq Prop Top Bot", env.names()), Global("Top"))
     t = Cast(top_nf, bot_nf, Var(0), Var(1))
-    assert step(env, ctx, t, rules) is None
+    assert step(env, ctx, t, rules.new_budget()) is None
 
 
 def test_eqrec_fires_via_conversion_of_endpoints():
@@ -80,7 +80,7 @@ def test_eqrec_fires_via_conversion_of_endpoints():
     t = parse_term(
         "Eq_rec Prop (fun (X : Prop), Prop) Top (Neg Bot) Bot (h Top (Neg Bot))",
         scope)
-    got = step(env, (), t, rules)
+    got = step(env, (), t, rules.new_budget())
     assert got == (Global("Bot"), EQREC_FIRE)
 
 
@@ -88,7 +88,7 @@ def test_beta_contracts_self_application():
     _, env, rules = _env("counterexample1")
     scope = env.names()
     t = App(parse_term("fun (z : Bot), z Top z", scope), Global("omega"))
-    got = step(env, (), t, rules)
+    got = step(env, (), t, rules.new_budget())
     assert got is not None and got[1] == BETA
     assert alpha_eq(got[0], parse_term("omega Top omega", scope))
 
@@ -189,7 +189,7 @@ def test_normal_form_status_means_step_absent():
         case, env, rules, traces = _reduce_trace(name)
         for t in traces:
             if t.status == NORMAL_FORM and t.strategy == "nf":
-                assert step(env, (), t.final, rules) is None
+                assert step(env, (), t.final, rules.new_budget()) is None
 
 
 def test_traces_are_reproducible():
@@ -261,11 +261,11 @@ def test_j_fires_only_when_enabled():
     _, env, rules = _env("girard-j")
     scope = env.names()
     t = parse_term("J Top Top top_id", scope)
-    assert step(env, (), t, rules) == (Global("top_id"), J_FIRE)
+    assert step(env, (), t, rules.new_budget()) == (Global("top_id"), J_FIRE)
     stuck = parse_term("J Top Bot top_id", scope)
-    assert head_step(env, (), stuck, rules, rules.new_budget()) is None
+    assert head_step(env, (), stuck, rules.new_budget()) is None
     disabled = rules.updated(j_rule=False)
-    assert head_step(env, (), t, disabled, disabled.new_budget()) is None
+    assert head_step(env, (), t, disabled.new_budget()) is None
 
 
 def test_cycle_witness_replays_to_itself():
@@ -276,7 +276,7 @@ def test_cycle_witness_replays_to_itself():
         cur = witness
         budget = rules.new_budget()
         for _ in range(trace.cycle.period):
-            cur, _ = head_step(env, (), cur, rules, budget)
+            cur, _ = head_step(env, (), cur, budget)
         assert alpha_eq(cur, witness)
 
 
@@ -453,10 +453,11 @@ def test_reduction_preserves_types(name):
             for res in results:
                 if res.kind != "reduce":
                     continue
-                ty = infer(env, (), res.term, rules)
+                ty = infer(env, (), res.term, rules.new_budget())
                 for snap in res.trace.snapshots():
-                    assert convert(env, (), infer(env, (), snap, rules), ty,
-                                   rules=rules), (flags, strategy, pretty(snap))
+                    got = infer(env, (), snap, rules.new_budget())
+                    assert convert(env, (), got, ty, rules.new_budget()), (
+                        flags, strategy, pretty(snap))
 
 
 RULE_VARIANTS = ({}, {"cast_rule": False},
@@ -479,9 +480,9 @@ def test_snapshots_built_on_demand_match_a_fresh_run(name, flags):
             fresh = parse_term(pretty(after), scope)  # nothing memoized
             assert s.key == canonical_key(fresh)
             budget = rules.new_budget()
-            got = (head_step(env, (), before, rules, budget)
+            got = (head_step(env, (), before, budget)
                    if trace.strategy == "whnf" else
-                   step(env, (), before, rules, budget))
+                   step(env, (), before, budget))
             assert got is not None and got[1] == s.kind
             assert alpha_eq(got[0], after)
 
@@ -500,13 +501,13 @@ def test_stable_spine_answers_at_once(monkeypatch, head, unfold_heads, args):
     # step them
     _, env, rules = _env("counterexample1")
     t = build_apps(head, args)
-    budget = Fuel(10)
+    budget = Fuel(10, rules)
 
     def no_step(*_):
         raise AssertionError("head_step called")
 
     monkeypatch.setattr(itt.reduce, "head_step", no_step)
-    assert whnf_term(env, (PROP,), t, rules, budget, unfold_heads) is t
+    assert whnf_term(env, (PROP,), t, budget, unfold_heads) is t
     assert budget.remaining == 10
 
 
@@ -522,7 +523,7 @@ def test_held_back_delta_asks_head_step_once(monkeypatch):
 
     monkeypatch.setattr(itt.reduce, "head_step", counting)
     t = App(Lam(PROP, Global("delta")), PROP)
-    got = whnf_term(env, (), t, rules, rules.new_budget(), unfold_heads=False)
+    got = whnf_term(env, (), t, rules.new_budget(), unfold_heads=False)
     assert got == Global("delta") and asked == [t]
 
 
@@ -531,13 +532,13 @@ def _case_env(name):
     return _env(name)[1]
 
 
-def _looped_whnf(env, ctx, t, rules, budget, unfold_heads, states):
+def _looped_whnf(env, ctx, t, budget, unfold_heads, states):
     """The weak-head loop before stable heads answered at once and before
     its Brent check; it holds Delta back by stopping at a global head, and
     appends each state it reaches to ``states``."""
     states.append(t)
     while unfold_heads or not isinstance(unwind_apps(t)[0], Global):
-        if (r := head_step(env, ctx, t, rules, budget)) is None:
+        if (r := head_step(env, ctx, t, budget)) is None:
             break
         t = r[0]
         states.append(t)
@@ -545,9 +546,9 @@ def _looped_whnf(env, ctx, t, rules, budget, unfold_heads, states):
 
 
 def _whnf_outcome(whnf_fn, env, ctx, t, rules, unfold_heads):
-    budget = Fuel(200)
+    budget = Fuel(200, rules)
     try:
-        result = whnf_fn(env, ctx, t, rules, budget, unfold_heads)
+        result = whnf_fn(env, ctx, t, budget, unfold_heads)
     except Exception as exc:  # every failure must match too
         return exc, budget.remaining
     return result, budget.remaining
