@@ -22,8 +22,8 @@ from .rules import (
 )
 from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
 from .parser import (
-    Assume, Axiom, Declaration, Def, ParseError, PragmaCheck, PragmaReduce,
-    Program, parse_program, parse_term,
+    Declaration, Def, ParseError, PragmaCheck, PragmaReduce, Program,
+    parse_program, parse_term,
 )
 from .reduce import (
     CYCLE_DETECTED, FUEL_EXHAUSTED, NORMAL_FORM,

@@ -24,7 +24,11 @@ The primitive forms must be fully applied; under-application is an arity
 error, since the reduction rules only ever match saturated nodes.  Scope is
 resolved during parsing: binders become de Bruijn indices (the shared
 ``var``), known globals become Global references, anything else is an
-unbound-identifier error.
+unbound-identifier error.  An arrow ``A -> B`` is ``forall (_ : A), B``:
+its codomain is parsed under an unnamed binder that no name resolves to, so
+the parser's terms are final and nothing rebuilds them.  A declaration
+without a body, ``axiom`` or ``assume``, parses to the ``EnvEntry`` that
+checking adds to the environment, its keyword as the entry's kind.
 
 Lexing: a token is its text.  One regex, ``_SCAN_RE``, skips blanks and
 comments and captures every token's text in a single ``findall``, and the
@@ -44,6 +48,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
+from .env import EnvEntry
+# shift: unused, but perfbench/tracing.py wraps it here (ROADMAP item 17)
 from .syntax import (
     KIND, PROP, TYPE,
     CHILDREN, PRIMITIVES, App, Global, Lam, Pi, Term, shift, var,
@@ -66,18 +72,6 @@ class Def:
 
 
 @dataclass(frozen=True)
-class Axiom:
-    name: str
-    type_: Term
-
-
-@dataclass(frozen=True)
-class Assume:
-    name: str
-    type_: Term
-
-
-@dataclass(frozen=True)
 class PragmaCheck:
     term: Term
 
@@ -87,7 +81,7 @@ class PragmaReduce:
     term: Term
 
 
-Declaration = Def | Axiom | Assume | PragmaCheck | PragmaReduce
+Declaration = Def | EnvEntry | PragmaCheck | PragmaReduce
 
 
 @dataclass(frozen=True)
@@ -160,7 +154,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.globals = set(globals_in_scope)
-        self.locals: list[str] = []  # innermost last
+        self.locals: list[str | None] = []  # innermost last; None for an arrow
 
     def found(self, what: str) -> _Failure:
         tok = self.toks[self.pos]
@@ -187,19 +181,17 @@ class _Parser:
             name, dom = self.parse_binder()
             self.expect(",", "','")
             self.locals.append(name)
-            try:
-                body = self.parse_term()
-            finally:
-                self.locals.pop()
+            body = self.parse_term()
+            self.locals.pop()
             node = Pi if tok == "forall" else Lam
             return node(dom, body, name=name)
         lhs = self.parse_app()
         if self.toks[self.pos] == "->":
             self.pos += 1
+            self.locals.append(None)  # the arrow's binder, which no name uses
             rhs = self.parse_term()
-            # non-dependent function space: the binder is unused, so indices
-            # in the codomain step over it
-            return Pi(lhs, shift(rhs, 0, 1), name="_")
+            self.locals.pop()
+            return Pi(lhs, rhs, name="_")
         return lhs
 
     def parse_binder(self) -> tuple[str, Term]:
@@ -308,9 +300,7 @@ def _parse_declarations(p: _Parser) -> Program:
                 decls.append(Def(name, stated, body))
             else:
                 p.expect(":", "':'")
-                ty = p.parse_term()
-                cls = Axiom if tok == "axiom" else Assume
-                decls.append(cls(name, ty))
+                decls.append(EnvEntry(name, p.parse_term(), None, tok))
             p.globals.add(name)  # in scope from the next declaration
         elif tok == "#check" or tok == "#reduce":
             p.pos += 1

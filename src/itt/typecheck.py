@@ -38,9 +38,7 @@ from dataclasses import dataclass
 from . import convert as _convert
 from . import reduce as _reduce
 from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
-from .parser import (
-    Assume, Axiom, Declaration, Def, PragmaCheck, PragmaReduce, Program,
-)
+from .parser import Declaration, Def, PragmaCheck, PragmaReduce, Program
 from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     KIND, PROP, TYPE,
@@ -86,10 +84,7 @@ def _expect_sort(env: GlobalEnv, ctx: Context, term: Term, expected: SortT,
             f"{what} must have sort {expected}, but {pretty(term)} : {pretty(w)}")
 
 
-def infer(env: GlobalEnv, ctx: Context, t: Term,
-          budget: Fuel | None = None) -> Term:
-    if budget is None:
-        budget = DEFAULT_RULES.new_budget()
+def infer(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel) -> Term:
     match t:
         case Var(i):
             if i < 0 or i >= len(ctx):
@@ -174,9 +169,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term,
 
 
 def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
-          budget: Fuel | None = None) -> None:
-    if budget is None:
-        budget = DEFAULT_RULES.new_budget()
+          budget: Fuel) -> None:
     actual = infer(env, ctx, t, budget)
     if not _convert.convert(env, ctx, actual, expected, budget):
         raise TypeCheckError(
@@ -225,10 +218,9 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                     else:
                         ty = infer(env, (), body, budget)
                     env.add(EnvEntry(name, ty, body, "def"))
-                case Axiom(name, ty) | Assume(name, ty):
+                case EnvEntry(name, ty):
                     _sort_of_type(env, (), ty, budget, f"type of {name}")
-                    kind = "axiom" if isinstance(decl, Axiom) else "assume"
-                    env.add(EnvEntry(name, ty, None, kind))
+                    env.add(decl)
                 case PragmaCheck(term):
                     ty = infer(env, (), term, budget)
                     results.append(PragmaResult("check", index, term, type_=ty))

@@ -14,7 +14,7 @@ from itt import (
     pretty, replay_trace, trace_to_json_lines, unwind_apps, whnf,
 )
 from itt.convert import convert
-from itt.parser import Assume, Axiom, Def, PragmaCheck, PragmaReduce
+from itt.parser import Def, EnvEntry, PragmaCheck, PragmaReduce
 from itt.reduce import CAST_FIRE, J_FIRE
 from helpers import parse_trace_json
 from reference import step
@@ -168,7 +168,7 @@ def test_criterion_7_kernel_self_consistency():
                 case Def(_, stated, body):
                     corpus_terms.extend([stated, body] if stated is not None
                                         else [body])
-                case Axiom(_, ty) | Assume(_, ty):
+                case EnvEntry(_, ty):
                     corpus_terms.append(ty)
                 case PragmaCheck(term) | PragmaReduce(term):
                     corpus_terms.append(term)

@@ -116,6 +116,8 @@ def test_arbitrary_bytes_end_in_documented_exits(tmp_path_factory, data):
 DEEP = {
     "parentheses": "#check " + "(" * 5000 + "Prop" + ")" * 5000 + ".\n",
     "arrows": "#check " + "Prop -> " * 2000 + "Prop.\n",
+    # parses, with each codomain under an unnamed binder; checking overflows
+    "arrow-chain": "#check forall (A : Prop), " + "A -> " * 800 + "A.\n",
     "binders": "#check " + "".join(
         f"forall (a{i} : Prop), " for i in range(1000)) + "a0.\n",
     "arguments": PRELUDE + "#check Top" + " Bot" * 3000 + ".\n",

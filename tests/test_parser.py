@@ -4,15 +4,17 @@ import ast
 import hashlib
 import random
 import re
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from itt import (
-    PROP,
-    App, Assume, Def, Global, Lam, ParseError, Pi, PragmaCheck, PragmaReduce,
-    Var, alpha_eq, load_example, parse_program, parse_term, pretty,
+    CASE_NAMES, PROP,
+    App, Def, EnvEntry, Global, Lam, ParseError, Pi, PragmaCheck,
+    PragmaReduce, Var, alpha_eq, canonical_key, load_example, parse_program,
+    parse_term, pretty, syntax,
 )
 from itt.parser import _position, token_texts
 from itt.syntax import CHILDREN, PRIMITIVES
@@ -41,6 +43,37 @@ def test_arrow_right_associative():
     b = parse_term("Prop -> (Prop -> Prop)")
     assert alpha_eq(a, b)
     assert not alpha_eq(a, parse_term("(Prop -> Prop) -> Prop"))
+
+
+ARROW_CHAIN = "forall (A : Prop), " + "A -> " * 800 + "A"
+
+
+def test_parsing_rebuilds_nothing(monkeypatch):
+    sources = [load_example(name).source for name in CASE_NAMES]
+    calls = []
+    map_vars = syntax._map_vars
+
+    def counting(*args):
+        calls.append(args)
+        return map_vars(*args)
+
+    monkeypatch.setattr(syntax, "_map_vars", counting)
+    for src in [*sources, f"#check {ARROW_CHAIN}."]:
+        parse_program(src)
+    assert calls == []
+    syntax.shift(Var(0))  # the counter sees a shift
+    assert len(calls) == 1
+
+
+def test_long_arrow_chain_parses_and_prints():
+    assert sys.getrecursionlimit() == 1000
+    t = parse_term(ARROW_CHAIN)
+    assert pretty(t) == ARROW_CHAIN
+    named = parse_term("forall (A : Prop), " + "".join(
+        f"forall (x{i} : A), " for i in range(1, 801)) + "A")
+    # alpha-equal terms share their key; ``alpha_eq`` (``==``) recurses and
+    # overflows this deep (ROADMAP item 9)
+    assert canonical_key(t) == canonical_key(named)
 
 
 def test_application_left_associative():
@@ -238,9 +271,10 @@ def _grammar_program(rng):
 
 
 def test_successful_parses_are_pinned():
-    # The digest was computed before ``parse_term`` and ``parse_program``
-    # shared their RecursionError handler, so a change to how a successful
-    # parse builds terms is checked against it.
+    # The digest is the one of the parser that shifted each arrow's codomain
+    # and had a class each for ``axiom`` and ``assume``, with those two
+    # classes' reprs mapped to their ``EnvEntry``'s, so a change to how a
+    # successful parse builds terms is checked against it.
     rng = random.Random(16)
     digest = hashlib.sha256()
     for _ in range(2_000):
@@ -248,7 +282,7 @@ def test_successful_parses_are_pinned():
         assert outcome.startswith("Program(")
         digest.update(outcome.encode() + b"\0")
     assert digest.hexdigest() == (
-        "85f8e6454f4b7b6898be71b3c82b26e151af2da1016dcaf482ab95ee52485d42")
+        "06dbea1498af0f5631dd5f18043ef2522d0a11051d05702ac233eb33ebad94c5")
 
 
 DEEP = "(" * 400 + "Prop" + ")" * 400
@@ -307,9 +341,10 @@ def test_counterexample1_declaration_shape():
     # Bot, Neg, Top, delta, omega, Omega, #check, assume h, #reduce
     assert len(program.declarations) == 9
     kinds = [type(d).__name__ for d in program.declarations]
-    assert kinds == ["Def"] * 6 + ["PragmaCheck", "Assume", "PragmaReduce"]
-    assert program.declarations[7] == Assume(
-        "h", parse_term("forall (A : Prop), forall (B : Prop), Eq Prop A B"))
+    assert kinds == ["Def"] * 6 + ["PragmaCheck", "EnvEntry", "PragmaReduce"]
+    assert program.declarations[7] == EnvEntry(
+        "h", parse_term("forall (A : Prop), forall (B : Prop), Eq Prop A B"),
+        None, "assume")
 
 
 def test_def_without_stated_type():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from itt import (
-    CASE_NAMES, KIND, PROP, TYPE,
+    CASE_NAMES, DEFAULT_RULES, KIND, PROP, TYPE,
     Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, RuleSet,
     TypeCheckError, Var,
     alpha_eq, check, elaborate, infer, load_example, parse_program,
@@ -15,15 +15,17 @@ from helpers import case_env, kernel, spent_fuel, workloads
 
 def test_pts_ladder():
     env = GlobalEnv()
-    assert infer(env, (), PROP) == TYPE
-    assert infer(env, (), TYPE) == KIND
+    assert infer(env, (), PROP, DEFAULT_RULES.new_budget()) == TYPE
+    assert infer(env, (), TYPE, DEFAULT_RULES.new_budget()) == KIND
     with pytest.raises(TypeCheckError, match="Kind has no type"):
-        infer(env, (), KIND)
+        infer(env, (), KIND, DEFAULT_RULES.new_budget())
     # impredicativity: quantifying over all propositions stays in Prop
-    assert infer(env, (), parse_term("forall (A : Prop), A")) == PROP
+    assert infer(env, (), parse_term("forall (A : Prop), A"),
+                 DEFAULT_RULES.new_budget()) == PROP
     with pytest.raises(TypeCheckError,
                        match=r"no Pi-formation rule for \(Type, Kind\)"):
-        infer(env, (), parse_term("forall (A : Prop), Type"))
+        infer(env, (), parse_term("forall (A : Prop), Type"),
+              DEFAULT_RULES.new_budget())
 
 
 def test_kind_has_no_type():
@@ -100,7 +102,7 @@ def test_unbound_variable_index():
 
 def test_unbound_global():
     with pytest.raises(TypeCheckError, match=r"^unbound global 'nope'$"):
-        infer(GlobalEnv(), (), Global("nope"))
+        infer(GlobalEnv(), (), Global("nope"), DEFAULT_RULES.new_budget())
 
 
 def test_eq_lands_in_prop():
