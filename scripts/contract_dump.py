@@ -7,9 +7,9 @@ rule flag sets below; ``reduce`` runs under both strategies and all three
 trace formats (``off`` prints the status lines only), once with the default
 budget and once with ``--max-steps 50``.  Generated inputs, fed through
 standard input and some under an ``ITT_MAX_STEPS`` budget, then reach each
-error exit (``ERROR_CASES``).  Every command runs in process through
-``itt.cli.main``.  Two trees behave the same exactly when their dumps are
-byte-identical:
+error exit, and the common type and scope errors (``ERROR_CASES``).  Every
+command runs in process through ``itt.cli.main``.  Two trees behave the same
+exactly when their dumps are byte-identical:
 
     python3 scripts/contract_dump.py > before.txt   # in one checkout
     python3 scripts/contract_dump.py > after.txt    # in the other
@@ -87,6 +87,12 @@ INPUTS = {
     "deep": b"#check " + b"(" * 400 + b"Prop" + b")" * 400 + b".\n",
     "stray-char": b"#check Prop.\ndef y := ($).\n",
     "bad-pragma": b"#check Prop.\n#chek Prop.\n",
+    "type-mismatch": b"axiom A : Prop.\naxiom B : Prop.\naxiom a : A.\n"
+                     b"def b : B := a.\n",
+    "not-a-function": b"axiom A : Prop.\naxiom a : A.\n#check a a.\n",
+    "not-a-type": b"axiom A : Prop.\naxiom a : A.\naxiom x : a.\n",
+    "unbound-identifier": b"axiom A : Prop.\ndef y : Prop := Q.\n",
+    "duplicate-name": b"axiom A : Prop.\ndef A : Prop := A.\n",
 }
 # Each error exit, from a command, the input it reads (None: none) and the
 # ITT_MAX_STEPS it runs under (None: unset).
@@ -107,6 +113,11 @@ ERROR_CASES = (
     (["check", "-"], "deep", None),  # exit 5
     (["check", "-"], "stray-char", None),  # exit 1, from the lexer
     (["check", "-"], "bad-pragma", None),
+    (["check", "-"], "type-mismatch", None),  # exit 1, from the checker
+    (["check", "-"], "not-a-function", None),
+    (["check", "-"], "not-a-type", None),
+    (["check", "-"], "unbound-identifier", None),  # exit 1, from the parser
+    (["check", "-"], "duplicate-name", None),
 )
 HELP = (["--help"], ["check", "--help"], ["reduce", "--help"],
         ["corpus", "--help"])

@@ -1,11 +1,10 @@
 """Definitional equality with optional proof irrelevance.
 
 With proof irrelevance on, the fields that the typing rules fix as proofs of
-a proposition are never compared: the proof and the value of ``cast A B e
-x``, the proof of ``Eq_rec T P a b x e``, and the value of ``J A B x`` (the
-table ``PROOF_FIELDS``).  Every other position is compared structurally,
-including proofs passed elsewhere, such as application arguments; typed
-irrelevance there is future work (ROADMAP item 1).
+a proposition, the proof column of ``reduce.FIRINGS``, are never compared.
+Every other position is compared structurally, including proofs passed
+elsewhere, such as application arguments; typed irrelevance there is future
+work (ROADMAP item 1).
 
 Every query spends one unit of fuel, and a query of a term with itself (the
 same object) or of two equal leaves (``Var``, ``SortT``, ``Global``) costs
@@ -40,16 +39,14 @@ from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, ConversionCycle, Fuel
-from .syntax import (
-    CHILDREN, PROP, App, Cast, EqRec, Global, J, Term, unwind_apps,
-)
+from .syntax import CHILDREN, PROP, App, Global, Term, unwind_apps
 
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, budget: Fuel) -> bool:
     """True iff the type of ``type_`` weak-head reduces to the sort Prop.
 
-    Conversion does not call it: it is the reference that ``PROOF_FIELDS``
-    is tested against, and a building block for typed irrelevance.
+    Conversion does not call it: the proof column of ``reduce.FIRINGS`` is
+    tested against it, and typed irrelevance will build on it.
     """
     return _typecheck.infer_whnf(env, ctx, type_, budget) == PROP
 
@@ -121,24 +118,14 @@ def _height(env: GlobalEnv, t: Term) -> int:
     return env.height(t.name) if type(t) is Global else 0
 
 
-# The fields whose type is a proposition, by the typing rules of
-# ``itt.typecheck`` (every Eq-type is a Prop): in ``cast A B e x``,
-# e : Eq Prop A B and x : A with A : Prop; in ``Eq_rec T P a b x e``,
-# e : Eq T a b; in ``J A B x``, x : A with A : Prop.  Any two proofs of a
-# proposition are equal, so with proof irrelevance on these fields are not
-# compared.
-PROOF_FIELDS: dict[type, tuple[str, ...]] = {
-    Cast: ("proof", "val"), EqRec: ("proof",), J: ("val",),
-}
-
-
 def _parts_convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
                    budget: Fuel) -> bool:
     """Do two nodes of the same class agree field by field?"""
     children = CHILDREN[type(t1)]
     if not children:  # Var, SortT or Global: compare the payload
         return t1 == t2
-    skip = PROOF_FIELDS.get(type(t1), ()) if budget.rules.proof_irrelevance else ()
+    firing = _reduce.FIRINGS.get(type(t1))
+    skip = firing[-1] if firing and budget.rules.proof_irrelevance else ()
     for attr, under in children:
         if attr in skip:
             continue

@@ -154,7 +154,8 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.globals = set(globals_in_scope)
-        self.locals: list[str | None] = []  # innermost last; None for an arrow
+        self.depth = 0  # the number of enclosing binders, arrows included
+        self.scope: dict[str, int | None] = {}  # name -> depth of its binder
 
     def found(self, what: str) -> _Failure:
         tok = self.toks[self.pos]
@@ -180,17 +181,19 @@ class _Parser:
             self.pos += 1
             name, dom = self.parse_binder()
             self.expect(",", "','")
-            self.locals.append(name)
+            self.depth += 1
+            outer, self.scope[name] = self.scope.get(name), self.depth
             body = self.parse_term()
-            self.locals.pop()
+            self.depth -= 1
+            self.scope[name] = outer
             node = Pi if tok == "forall" else Lam
             return node(dom, body, name=name)
         lhs = self.parse_app()
         if self.toks[self.pos] == "->":
             self.pos += 1
-            self.locals.append(None)  # the arrow's binder, which no name uses
+            self.depth += 1  # the arrow's binder, which no name uses
             rhs = self.parse_term()
-            self.locals.pop()
+            self.depth -= 1
             return Pi(lhs, rhs, name="_")
         return lhs
 
@@ -238,9 +241,8 @@ class _Parser:
         return args
 
     def resolve(self, name: str) -> Term:
-        for depth, bound in enumerate(reversed(self.locals)):
-            if bound == name:
-                return var(depth)
+        if (bound := self.scope.get(name)) is not None:
+            return var(self.depth - bound)
         if name in self.globals:
             return Global(name)
         raise _Failure(f"unbound identifier {name!r}", self.pos - 1)

@@ -2,7 +2,8 @@
 tracing, and online cycle detection.
 
 Reduction rules, each with its step kind: the text that traces print for
-it (the three firings are gated by the budget's ``RuleSet``):
+it (the three firings are the rows of ``FIRINGS``, each gated by a toggle of
+the budget's ``RuleSet``):
 
     App(Lam(_, b), a)       |> subst(b, 0, a)                        Beta
     Global(n) with a body   |> body                                  Delta(n)
@@ -46,9 +47,17 @@ CYCLE_DETECTED = "CycleDetected"
 
 
 BETA = "Beta"
-CAST_FIRE = "CastFire"
-EQREC_FIRE = "EqRecFire"
-J_FIRE = "JFire"
+
+# Each eliminator fires when its toggle is on and its two endpoint fields
+# convert: one step to its payload field, traced as its kind.  The proof
+# fields are those that the typing rules give a proposition as type, so
+# conversion skips them under proof irrelevance.
+FIRINGS: dict[type, tuple[str, str, str, str, str, tuple[str, ...]]] = {
+    # class: (toggle, endpoint, endpoint, payload, kind, proof fields)
+    Cast: ("cast_rule", "src", "dst", "val", "CastFire", ("proof", "val")),
+    EqRec: ("eqrec_rule", "lhs", "rhs", "base", "EqRecFire", ("proof",)),
+    J: ("j_rule", "src", "dst", "val", "JFire", ("val",)),
+}
 
 
 # Where a spine subterm sits in the whole term: (parent node, field the
@@ -149,18 +158,12 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term,
         case Lam(_, body) if args:
             budget.spend()
             return build_apps(subst(body, 0, args[0]), args[1:]), BETA
-        case Cast(src, dst, _, val) if budget.rules.cast_rule:
-            if _convert.convert(env, ctx, src, dst, budget):
+        case Cast() | EqRec() | J():
+            toggle, lhs, rhs, payload, kind, _ = FIRINGS[type(head)]
+            if getattr(budget.rules, toggle) and _convert.convert(
+                    env, ctx, getattr(head, lhs), getattr(head, rhs), budget):
                 budget.spend()
-                return build_apps(val, args), CAST_FIRE
-        case EqRec(_, _, lhs, rhs, base, _) if budget.rules.eqrec_rule:
-            if _convert.convert(env, ctx, lhs, rhs, budget):
-                budget.spend()
-                return build_apps(base, args), EQREC_FIRE
-        case J(src, dst, val) if budget.rules.j_rule:
-            if _convert.convert(env, ctx, src, dst, budget):
-                budget.spend()
-                return build_apps(val, args), J_FIRE
+                return build_apps(getattr(head, payload), args), kind
         case Global(name):
             unfolded = unfold(env, head, args, budget)
             if unfolded is not None:

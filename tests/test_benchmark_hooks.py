@@ -1,8 +1,10 @@
-"""The kernel names that the benchmark's traced runs wrap exist.
+"""The kernel names that the benchmark wraps and reads exist.
 
 ``perfbench/tracing.py`` wraps kernel functions by attribute, and its
-``Tracer`` replaces ``RuleSet.new_budget``.  A kernel change that deletes or
-renames one of them would otherwise fail only the benchmark's own tests.
+``Tracer`` replaces ``RuleSet.new_budget``; ``perfbench/workloads.py`` and
+``perfbench/run.py`` reach the kernel as ``k.<module>.<name>``.  A kernel
+change that deletes or renames one of them would otherwise fail only the
+benchmark's own tests.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from helpers import kernel
 
@@ -37,3 +41,27 @@ def test_every_wrapped_kernel_name_exists():
                if not hasattr(owner, attr)]
     assert missing == []
     assert callable(k.rules.RuleSet.new_budget)
+
+
+def _kernel_reads(path: Path) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` that ``path`` reads as ``k.<module>.<name>``,
+    where ``k`` is the kernel namespace, bare or an attribute (``self.k``)."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Attribute)):
+            root = node.value.value
+            if "k" in (getattr(root, "id", None), getattr(root, "attr", None)):
+                reads.add((node.value.attr, node.attr))
+    return reads
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "run.py"])
+def test_every_kernel_name_the_benchmark_reads_exists(name):
+    modules = _kernel_modules()
+    reads = _kernel_reads(PERFBENCH / name)
+    assert reads  # the scan finds them
+    k = kernel(*modules)
+    missing = sorted(f"{m}.{a}" for m, a in reads
+                     if m not in modules or not hasattr(getattr(k, m), a))
+    assert missing == []

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from importlib import resources
 
 import pytest
 
 from itt import (
-    CASE_NAMES, FuelExhausted,
-    Global, PragmaReduce,
-    alpha_eq, elaborate, load_example, parse_term,
+    CASE_NAMES, Fuel, FuelExhausted,
+    Global, PragmaReduce, RuleSet, TypeCheckError,
+    alpha_eq, elaborate, load_example, parse_program, parse_term, pretty,
     run_all, ruleset_label,
 )
 from itt.corpus import run_case
@@ -140,3 +141,71 @@ def test_run_case_fuel_is_an_override():
     assert report.entries == [("FuelExhausted: declaration 3 (delta): "
                                "step budget exhausted", False)]
     assert not report.passed
+
+
+# One declaration that asks conversion the same question about two bound
+# globals twice, so that the second answer comes from the environment's
+# memo.  No corpus case asks a repeat with less fuel left than the first
+# answer spent.
+_REPEATED_QUERY = parse_program("""
+def T : Prop := forall (A : Prop), A -> A.
+def T1 : Prop := T.
+def T2 : Prop := T1.
+def S1 : Prop := T.
+axiom x : T2.
+axiom F : S1 -> S1 -> Prop.
+#check F x x.
+""")
+_VARIANTS = ({}, {"cast_rule": False}, {"eqrec_rule": False},
+             {"proof_irrelevance": False})
+
+
+def _run(monkeypatch, program, rules, strategy):
+    """What a run shows (each pragma's result, or the error that ended it),
+    the fuel that each of its budgets spent, and whether a budget stopped
+    it: a spend found the budget empty."""
+    budgets, stopped = [], []
+    new_budget, spend = RuleSet.new_budget, Fuel.spend
+
+    def counting(self):
+        budgets.append(new_budget(self))
+        return budgets[-1]
+
+    def stopping(self):
+        try:
+            spend(self)
+        except FuelExhausted:
+            stopped.append(self)
+            raise
+
+    with monkeypatch.context() as m:
+        m.setattr(RuleSet, "new_budget", counting)
+        m.setattr(Fuel, "spend", stopping)
+        try:
+            _, results = elaborate(program, rules, reduce_strategy=strategy)
+            shown = [(r.index, pretty(r.type_)) if r.trace is None else
+                     (r.index, r.trace.status_line(), len(r.trace.steps))
+                     for r in results]
+        except (TypeCheckError, FuelExhausted) as exc:
+            shown = [f"{type(exc).__name__}: {exc}"]
+    return shown, [rules.fuel - b.remaining for b in budgets], bool(stopped)
+
+
+def test_fuel_is_monotone(monkeypatch):
+    # a run is stopped exactly at the budgets below its cost, the most that
+    # one of its budgets spends at the default fuel; any larger budget shows
+    # the same results and spends the same fuel
+    programs = [(c.program, c.rules) for c in map(load_example, CASE_NAMES)]
+    programs.append((_REPEATED_QUERY, RuleSet()))
+    for program, base in programs:
+        for flags, strategy in itertools.product(_VARIANTS, ("whnf", "nf")):
+            rules = base.updated(**flags)
+            shown, spent, stopped = _run(monkeypatch, program, rules, strategy)
+            assert not stopped
+            cost = max(spent)
+            for fuel in [*range(1, cost + 2), 2 * cost, 10 * cost]:
+                got = _run(monkeypatch, program, rules.updated(fuel=fuel),
+                           strategy)
+                assert got[2] == (fuel < cost), (flags, strategy, fuel)
+                if not got[2]:
+                    assert got[:2] == (shown, spent), (flags, strategy, fuel)

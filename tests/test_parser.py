@@ -76,6 +76,19 @@ def test_long_arrow_chain_parses_and_prints():
     assert canonical_key(t) == canonical_key(named)
 
 
+def test_a_shadowing_binder_restores_the_outer_name_when_it_closes():
+    # the inner A hides the outer one only in its body; the arrows after it
+    # bind no name, so each later A is one index further out
+    t = parse_term("forall (A : Prop), (forall (A : Prop), A -> A) -> A -> A")
+    assert alpha_eq(t, Pi(PROP, Pi(Pi(PROP, Pi(Var(0), Var(1))),
+                                   Pi(Var(1), Var(2)))))
+    # a binder's own domain still sees the outer name
+    assert alpha_eq(parse_term("fun (A : Prop), fun (A : A), A -> A"),
+                    Lam(PROP, Lam(Var(0), Pi(Var(0), Var(1)))))
+    with pytest.raises(ParseError, match="unbound identifier 'B'"):
+        parse_term("forall (A : Prop), (forall (B : Prop), B) -> B")
+
+
 def test_application_left_associative():
     scope = ("f", "x", "y")
     assert parse_term("f x y", scope) == App(App(Global("f"), Global("x")),

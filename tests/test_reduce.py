@@ -17,8 +17,9 @@ from itt import (
 )
 import itt.reduce
 from itt.convert import convert
-from itt.reduce import BETA, CAST_FIRE, EQREC_FIRE, J_FIRE, TraceStep
-from itt.syntax import CHILDREN
+from itt.reduce import BETA, FIRINGS, TraceStep
+from itt.rules import RULES
+from itt.syntax import CHILDREN, PRIMITIVES, EqRec, J
 from helpers import kernel, parse_trace_json, spent_fuel, workloads
 from reference import step
 from term_strategies import church_numeral, head_loops, head_redexes, open_terms
@@ -46,7 +47,7 @@ def test_cast_step_fires_on_equal_endpoints():
     got = step(env, (), t, rules.new_budget())
     assert got is not None
     result, kind = got
-    assert kind == CAST_FIRE
+    assert kind == "CastFire"
     assert result == Global("delta")  # exactly, in one step
 
 
@@ -56,7 +57,7 @@ def test_cast_proof_shape_is_never_inspected():
     ctx = (proof_ty,)
     t = Cast(Global("Top"), Global("Top"), Var(0), Global("delta"))
     got = step(env, ctx, t, rules.new_budget())
-    assert got == (Global("delta"), CAST_FIRE)
+    assert got == (Global("delta"), "CastFire")
 
 
 def test_stuck_cast_has_no_head_step():
@@ -81,7 +82,7 @@ def test_eqrec_fires_via_conversion_of_endpoints():
         "Eq_rec Prop (fun (X : Prop), Prop) Top (Neg Bot) Bot (h Top (Neg Bot))",
         scope)
     got = step(env, (), t, rules.new_budget())
-    assert got == (Global("Bot"), EQREC_FIRE)
+    assert got == (Global("Bot"), "EqRecFire")
 
 
 def test_beta_contracts_self_application():
@@ -261,11 +262,57 @@ def test_j_fires_only_when_enabled():
     _, env, rules = _env("girard-j")
     scope = env.names()
     t = parse_term("J Top Top top_id", scope)
-    assert step(env, (), t, rules.new_budget()) == (Global("top_id"), J_FIRE)
+    assert step(env, (), t, rules.new_budget()) == (Global("top_id"), "JFire")
     stuck = parse_term("J Top Bot top_id", scope)
     assert head_step(env, (), stuck, rules.new_budget()) is None
     disabled = rules.updated(j_rule=False)
     assert head_step(env, (), t, disabled.new_budget()) is None
+
+
+_FIRING_SRC = """
+axiom A : Prop.
+axiom B : Prop.
+def A2 : Prop := A.
+axiom a : A.
+axiom e : Eq Prop A A2.
+axiom h : Eq Prop A B.
+"""
+# For each eliminator, a well-typed instance whose endpoints convert without
+# being the same term, then one whose endpoints do not convert.
+_FIRING_CASES = {
+    Cast: ("cast A A2 e a", "cast A B h a"),
+    EqRec: ("Eq_rec Prop (fun (X : Prop), Prop) A A2 B e",
+            "Eq_rec Prop (fun (X : Prop), Prop) A B A h"),
+    J: ("J A A2 a", "J A B a"),
+}
+
+
+def test_firing_rows_name_a_toggle_and_fields_of_their_class():
+    helps = {f.name: f.metadata["rule"][2] for f in RULES}
+    keywords = {cls: kw for kw, cls in PRIMITIVES.items()}
+    assert set(FIRINGS) == set(_FIRING_CASES)
+    for cls, (toggle, lhs, rhs, payload, _, proof) in FIRINGS.items():
+        assert toggle in helps
+        assert keywords[cls] in helps[toggle]  # its flag's help names it
+        assert {lhs, rhs, payload, *proof} <= {a for a, _ in CHILDREN[cls]}
+        assert lhs != rhs and payload not in (lhs, rhs)
+
+
+@pytest.mark.parametrize("cls", list(_FIRING_CASES), ids=lambda c: c.__name__)
+def test_each_firing_steps_as_its_row_says(cls):
+    rules = RuleSet(j_rule=True)
+    env, _ = elaborate(parse_program(_FIRING_SRC), rules)
+    fires, stuck = (parse_term(src, env.names()) for src in _FIRING_CASES[cls])
+    toggle, _, _, payload, kind, _ = FIRINGS[cls]
+    trace = whnf(env, (), fires, rules)
+    assert [s.kind for s in trace.steps[:1]] == [kind]
+    assert trace.steps[0].term == getattr(fires, payload)
+    budget = rules.new_budget()  # the step keeps the type, by the typing rules
+    assert convert(env, (), infer(env, (), trace.steps[0].term, budget),
+                   infer(env, (), fires, budget), budget)
+    assert head_step(env, (), stuck, rules.new_budget()) is None
+    off = rules.updated(**{toggle: False})
+    assert head_step(env, (), fires, off.new_budget()) is None
 
 
 def test_cycle_witness_replays_to_itself():
@@ -381,7 +428,7 @@ def test_replay_rejects_tampered_traces():
     assert replay_trace(env, (), trace, rules)
     steps = trace.steps
     kind = _tampered(trace)
-    kind.steps[2] = TraceStep(BETA if steps[2].kind != BETA else CAST_FIRE,
+    kind.steps[2] = TraceStep(BETA if steps[2].kind != BETA else "CastFire",
                               steps[2].sub, steps[2].frame)
     sub = _tampered(trace)
     sub.steps[2] = TraceStep(steps[2].kind, steps[3].sub, steps[2].frame)
