@@ -48,7 +48,8 @@ def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, budget: Fuel) -> b
     Conversion does not call it: the proof column of ``reduce.FIRINGS`` is
     tested against it, and typed irrelevance will build on it.
     """
-    return _typecheck.infer_whnf(env, ctx, type_, budget) == PROP
+    ty = _typecheck.infer(env, ctx, type_, budget)
+    return _reduce.whnf_term(env, ctx, ty, budget) == PROP
 
 
 def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,

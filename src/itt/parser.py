@@ -91,12 +91,12 @@ class Program:
 
 _SORTS = {s.sort: s for s in (PROP, TYPE, KIND)}
 _ATOM_KEYWORDS = {*_SORTS, *PRIMITIVES}
-KEYWORDS = {"def", "axiom", "assume", "forall", "fun", *_ATOM_KEYWORDS}
 
 
 # The token texts that are not names; EOF's text is "".
-_RESERVED = {*KEYWORDS, "∀", "λ", "#check", "#reduce", "(", ")", ":", ":=",
-             ",", ".", "->", "→", ""}
+_RESERVED = {*_ATOM_KEYWORDS, "def", "axiom", "assume", "forall", "fun", "∀",
+             "λ", "#check", "#reduce", "(", ")", ":", ":=", ",", ".", "->",
+             "→", ""}
 _ASCII = {"∀": "forall", "λ": "fun", "→": "->"}
 _NAME_START = frozenset(string.ascii_letters + "_")
 # the texts that cannot start an atom, so end an application

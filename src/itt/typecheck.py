@@ -27,8 +27,8 @@ conversion), and the irrelevant eliminators make that potentially divergent,
 so every entry point threads the same budget as the reducer, one per
 declaration and carrying its rule set (``budget.rules``), and fails with a
 distinguishable FuelExhausted instead of hanging.  A rule that needs the
-shape of a type (a sort, a Pi) reads it from ``infer_whnf``, the weak-head
-form of a term's type.
+shape of a type (a sort, a Pi) reads it from the weak-head form
+(``reduce.whnf_term``) of the type that ``infer`` gives.
 """
 
 from __future__ import annotations
@@ -62,15 +62,10 @@ PI_RULES = {
 }
 
 
-def infer_whnf(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel) -> Term:
-    """The weak-head form of the type of ``t``."""
-    return _reduce.whnf_term(env, ctx, infer(env, ctx, t, budget), budget)
-
-
 def _sort_of_type(env: GlobalEnv, ctx: Context, ty: Term, budget: Fuel,
                   what: str) -> SortT:
     """The sort classifying ``ty``; fails if ``ty`` is not a type."""
-    w = infer_whnf(env, ctx, ty, budget)
+    w = _reduce.whnf_term(env, ctx, infer(env, ctx, ty, budget), budget)
     if isinstance(w, SortT):
         return w
     raise TypeCheckError(f"{what} is not a type: {pretty(ty)} : {pretty(w)}")
@@ -78,7 +73,7 @@ def _sort_of_type(env: GlobalEnv, ctx: Context, ty: Term, budget: Fuel,
 
 def _expect_sort(env: GlobalEnv, ctx: Context, term: Term, expected: SortT,
                  budget: Fuel, what: str) -> None:
-    w = infer_whnf(env, ctx, term, budget)
+    w = _reduce.whnf_term(env, ctx, infer(env, ctx, term, budget), budget)
     if w != expected:
         raise TypeCheckError(
             f"{what} must have sort {expected}, but {pretty(term)} : {pretty(w)}")
@@ -116,7 +111,7 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel) -> Term:
             body_ty = infer(env, ctx_extend(ctx, dom), body, budget)
             return Pi(dom, body_ty, name=n)
         case App(f, a):
-            w = infer_whnf(env, ctx, f, budget)
+            w = _reduce.whnf_term(env, ctx, infer(env, ctx, f, budget), budget)
             if not isinstance(w, Pi):
                 raise TypeCheckError(
                     f"applied term is not a function: {pretty(f)} : {pretty(w)}")
@@ -133,7 +128,8 @@ def infer(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel) -> Term:
             return Eq(ty, val, val)
         case EqRec(ty, motive, lhs, rhs, base, proof):
             _expect_sort(env, ctx, ty, TYPE, budget, "Eq_rec carrier")
-            mty = infer_whnf(env, ctx, motive, budget)
+            mty = _reduce.whnf_term(env, ctx, infer(env, ctx, motive, budget),
+                                    budget)
             if not isinstance(mty, Pi):
                 raise TypeCheckError(
                     f"Eq_rec motive is not a function: {pretty(mty)}")

@@ -1,9 +1,9 @@
 """Readers that only tests need: JSON trace lines back into records, the
 free-variable and global-name walks that ``pretty``'s pre-pass is checked
 against, the binder name ``pretty`` should show, a closure check over a
-global environment, and counts over corpus cases; the fuel a run spends;
-the benchmark's program generators; and the inputs that several test files
-share."""
+global environment, and counts over corpus cases; the budgets a run is
+handed and the fuel it spends; the benchmark's program generators; and the
+inputs that several test files share."""
 
 from __future__ import annotations
 
@@ -11,12 +11,14 @@ import importlib
 import importlib.util
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from itt import (
-    Global, GlobalEnv, PragmaReduce, RuleSet, Term, Var, elaborate, load_example,
+    Fuel, Global, GlobalEnv, PragmaReduce, RuleSet, Term, Var, elaborate,
+    load_example,
 )
 from itt.corpus import CaseReport, ExampleCase
 from itt.syntax import CHILDREN, subterms
@@ -39,22 +41,29 @@ def kernel(*modules: str) -> SimpleNamespace:
                               for m in modules})
 
 
+@contextmanager
+def recorded_budgets(monkeypatch) -> Iterator[list[Fuel]]:
+    """Yield the live list of every budget that ``RuleSet.new_budget`` hands
+    out inside the block, in the order it hands them out."""
+    budgets: list[Fuel] = []
+    new_budget = RuleSet.new_budget
+
+    def recording(rules: RuleSet) -> Fuel:
+        budgets.append(new_budget(rules))
+        return budgets[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(RuleSet, "new_budget", recording)
+        yield budgets
+
+
 def spent_fuel(monkeypatch, run: Callable[[], R]) -> tuple[R, int]:
     """``run()``'s result, and the fuel spent from every budget that
     ``RuleSet.new_budget`` handed out while it ran, as the benchmark's traced
     run counts it."""
-    budgets = []
-    new_budget = RuleSet.new_budget
-
-    def counting(rules: RuleSet):
-        budget = new_budget(rules)
-        budgets.append((budget, budget.remaining))
-        return budget
-
-    with monkeypatch.context() as m:
-        m.setattr(RuleSet, "new_budget", counting)
+    with recorded_budgets(monkeypatch) as budgets:
         out = run()
-    return out, sum(initial - b.remaining for b, initial in budgets)
+    return out, sum(b.rules.fuel - b.remaining for b in budgets)
 
 
 def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:
@@ -157,6 +166,11 @@ CE2_G = """
 axiom G : Top -> Prop.
 """
 CE2_I = "(fun (A : Prop), fun (a : A), a)"
+# counterexample2's declarations, G, a proof g of G at the identity, then
+# ``bad`` (declaration 8), whose checking converts Omega with the identity:
+# Omega's unfolding repeats with period 2 across conversion's states.
+UNFOLDING_CYCLE = (CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\n"
+                   "def bad : G Omega := g.\n")
 
 # counterexample2's Top, id and tautext (declarations 0-2), G and a proof of
 # G at the identity (3-4), then ``bad`` (5), whose type has delta, omega and

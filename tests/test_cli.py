@@ -17,7 +17,9 @@ from itt import (
 from itt import corpus as corpus_mod
 from itt.cli import _build_parser, main
 from itt.rules import RULES
-from helpers import CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, parse_trace_json
+from helpers import (
+    CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, UNFOLDING_CYCLE, parse_trace_json,
+)
 
 CE1 = "src/itt/corpus/examples/counterexample1.itt"
 CE2 = "src/itt/corpus/examples/counterexample2.itt"
@@ -128,8 +130,7 @@ def test_result_too_deep_to_print_names_declaration(tmp_path, source, options,
 
 def test_conversion_cycle_while_checking_exits_4(tmp_path):
     src = tmp_path / "bad.itt"
-    src.write_text(CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\n"
-                   "def bad : G Omega := g.\n")
+    src.write_text(UNFOLDING_CYCLE)
     start = time.perf_counter()
     proc = _run_itt("check", str(src))
     elapsed = time.perf_counter() - start
@@ -144,9 +145,8 @@ def test_conversion_diverging_without_repeat_exits_3(tmp_path):
     # delta grows Omega's spine, so its unfolding never repeats: the budget
     # ends it, although Brent's compare of the deep states overflows
     src = tmp_path / "grow.itt"
-    src.write_text(CE2_DEFS.replace(
-        "z (Top -> Top) id z.", "z (Top -> Top) id (z (Top -> Top) id z).")
-        + CE2_G + f"axiom g : G {CE2_I}.\n" "def bad : G Omega := g.\n")
+    src.write_text(UNFOLDING_CYCLE.replace(
+        "z (Top -> Top) id z.", "z (Top -> Top) id (z (Top -> Top) id z)."))
     proc = _run_itt("check", str(src), "--max-steps", "3000")
     assert proc.returncode == 3
     assert proc.stderr == ("fuel exhausted: declaration 8 (bad): "
@@ -317,8 +317,7 @@ def test_corpus_reports_every_case_when_fuel_runs_out(capsys):
 def test_corpus_conversion_cycle_exits_4(capsys, monkeypatch):
     # a case whose checking loops in conversion still gets its report
     case = load_example("counterexample2")
-    bad = dataclasses.replace(case, program=parse_program(
-        CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\ndef bad : G Omega := g.\n"))
+    bad = dataclasses.replace(case, program=parse_program(UNFOLDING_CYCLE))
     monkeypatch.setattr(corpus_mod, "load_example", lambda name: bad)
     assert main(["corpus", "--case", "counterexample2"]) == 4
     assert capsys.readouterr().out == (

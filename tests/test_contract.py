@@ -28,14 +28,22 @@ record_expected = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_expected)
 
 
-def _dump(hash_seed: str) -> bytes:
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-    return subprocess.run([sys.executable, str(SCRIPTS / "contract_dump.py")],
-                          env=env, capture_output=True, check=True).stdout
+def _dumps(*hash_seeds: str) -> list[bytes]:
+    """The dump under each hash seed, its runs started before any is read."""
+    procs = [subprocess.Popen([sys.executable, str(SCRIPTS / "contract_dump.py")],
+                              env={**os.environ, "PYTHONHASHSEED": seed},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for seed in hash_seeds]
+    outs = [proc.communicate() for proc in procs]
+    for proc, (out, err) in zip(procs, outs):
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args,
+                                                out, err)
+    return [out for out, _ in outs]
 
 
 def test_contract_dump_matches_its_digest_under_two_hash_seeds():
-    first, second = _dump("1"), _dump("2")
+    first, second = _dumps("1", "2")
     assert first == second
     pinned = (SCRIPTS / "contract_dump.sha256").read_text().strip()
     assert hashlib.sha256(first).hexdigest() == pinned

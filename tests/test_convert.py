@@ -22,7 +22,10 @@ from itt import reduce as reduce_module
 from itt.convert import convert
 from itt.reduce import FIRINGS
 from itt.syntax import CHILDREN
-from helpers import CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, case_env
+from helpers import (
+    CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, UNFOLDING_CYCLE, case_env,
+    recorded_budgets,
+)
 from term_strategies import GLOBAL_POOL, open_terms
 
 
@@ -305,8 +308,7 @@ def test_divergent_conversion_is_a_detected_cycle():
     # Omega unfolds back to itself inside convert, so no budget suffices; the
     # detector reports that before 100 units are spent, where a plain
     # FuelExhausted would mean the budget simply ran out
-    program = parse_program(CE2_DEFS + CE2_G + f"axiom g : G {CE2_I}.\n"
-                            "def bad : G Omega := g.\n")
+    program = parse_program(UNFOLDING_CYCLE)
     with pytest.raises(ConversionCycle, match=r"^declaration 8 \(bad\): ") as info:
         elaborate(program, RuleSet(fuel=100))
     assert isinstance(info.value, FuelExhausted)
@@ -319,18 +321,11 @@ def test_head_reduction_cycle_is_detected_while_checking(monkeypatch,
                                                          irrelevance):
     # bad's loop runs inside one whnf_term call, not across convert's
     # unfolding states; whnf_term's own check reports it within 50 units
-    budgets = []
-    new_budget = RuleSet.new_budget
-
-    def counting(rules):
-        budgets.append(new_budget(rules))
-        return budgets[-1]
-
-    monkeypatch.setattr(RuleSet, "new_budget", counting)
     rules = RuleSet(proof_irrelevance=irrelevance)
-    with pytest.raises(ConversionCycle, match=r"^declaration 5 \(bad\): "
-                       r"reduction repeats with period 4$") as info:
-        elaborate(parse_program(INLINE_OMEGA), rules)
+    with recorded_budgets(monkeypatch) as budgets:
+        with pytest.raises(ConversionCycle, match=r"^declaration 5 \(bad\): "
+                           r"reduction repeats with period 4$") as info:
+            elaborate(parse_program(INLINE_OMEGA), rules)
     assert info.value.period == 4
     assert rules.fuel - budgets[-1].remaining < 50
 
@@ -342,15 +337,8 @@ def test_cast_whose_side_condition_loops_exhausts_the_reduction(monkeypatch):
         CE2_DEFS + CE2_G + f"axiom p : Eq Prop (G Omega) (G {CE2_I}).\n"
         "axiom x : G Omega.\n"))
     term = parse_term(f"cast (G Omega) (G {CE2_I}) p x", env.names())
-    budgets = []
-    new_budget = RuleSet.new_budget
-
-    def counting(rules):
-        budgets.append(new_budget(rules))
-        return budgets[-1]
-
-    monkeypatch.setattr(RuleSet, "new_budget", counting)
-    trace = normalize(env, (), term, RuleSet())
+    with recorded_budgets(monkeypatch) as budgets:
+        trace = normalize(env, (), term, RuleSet())
     assert trace.status == FUEL_EXHAUSTED and trace.steps == []
     [budget] = budgets
     assert budget.remaining > DEFAULT_FUEL - 100

@@ -14,7 +14,9 @@ from itt import (
 )
 from itt.corpus import run_case
 from itt.parser import PragmaCheck
-from helpers import checked, closed_over_axioms, reduce_pragma_count
+from helpers import (
+    checked, closed_over_axioms, recorded_budgets, reduce_pragma_count,
+)
 
 
 def test_every_case_loads_and_elaborates():
@@ -164,12 +166,8 @@ def _run(monkeypatch, program, rules, strategy):
     """What a run shows (each pragma's result, or the error that ended it),
     the fuel that each of its budgets spent, and whether a budget stopped
     it: a spend found the budget empty."""
-    budgets, stopped = [], []
-    new_budget, spend = RuleSet.new_budget, Fuel.spend
-
-    def counting(self):
-        budgets.append(new_budget(self))
-        return budgets[-1]
+    stopped = []
+    spend = Fuel.spend
 
     def stopping(self):
         try:
@@ -178,8 +176,8 @@ def _run(monkeypatch, program, rules, strategy):
             stopped.append(self)
             raise
 
-    with monkeypatch.context() as m:
-        m.setattr(RuleSet, "new_budget", counting)
+    with (recorded_budgets(monkeypatch) as budgets,
+          monkeypatch.context() as m):
         m.setattr(Fuel, "spend", stopping)
         try:
             _, results = elaborate(program, rules, reduce_strategy=strategy)

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from itt import (
     CASE_NAMES, DEFAULT_RULES, KIND, PROP, TYPE,
-    Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, RuleSet,
-    TypeCheckError, Var,
+    Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, TypeCheckError,
+    Var,
     alpha_eq, check, elaborate, infer, load_example, parse_program,
     parse_term, pretty,
 )
 from itt.convert import convert
-from helpers import case_env, kernel, spent_fuel, workloads
+from helpers import case_env, kernel, recorded_budgets, spent_fuel, workloads
 
 
 def test_pts_ladder():
@@ -44,6 +46,15 @@ def test_impredicativity_witnesses_never_type():
     env, rules = case_env("counterexample1")
     for src in ("forall (A : Prop), A", "forall (A : Prop), A -> A"):
         assert infer(env, (), parse_term(src), rules.new_budget()) == PROP
+
+
+def test_a_400_arrow_chain_checks_at_the_default_recursion_limit():
+    # checking a Pi nests two frames per arrow, infer and _sort_of_type;
+    # the 800-arrow chain of the CLI fuzz tests still overflows
+    assert sys.getrecursionlimit() == 1000
+    _, [result] = elaborate(parse_program(
+        "#check forall (A : Prop), " + "A -> " * 400 + "A.\n"))
+    assert result.type_ == PROP
 
 
 def test_delta_checks_against_top():
@@ -214,19 +225,12 @@ def test_one_budget_per_declaration_and_per_reduce(monkeypatch, name, budgets):
     # each #reduce that runs makes one more; a nested call that made its own
     # budget would add to the count and hide the fuel it spent
     case = load_example(name)
-    made = []
-    new_budget = RuleSet.new_budget
-
-    def counting(rules):
-        made.append(new_budget(rules))
-        return made[-1]
-
-    monkeypatch.setattr(RuleSet, "new_budget", counting)
     decls = case.program.declarations
-    elaborate(case.program, case.rules, reduce_strategy=case.strategy)
-    reduces = sum(isinstance(d, PragmaReduce) for d in decls)
-    assert len(made) == budgets == len(decls) + reduces
-    assert all(b.rules is case.rules for b in made)
-    made.clear()
-    elaborate(case.program, case.rules, run_reduce=False)
-    assert len(made) == len(decls)
+    with recorded_budgets(monkeypatch) as made:
+        elaborate(case.program, case.rules, reduce_strategy=case.strategy)
+        reduces = sum(isinstance(d, PragmaReduce) for d in decls)
+        assert len(made) == budgets == len(decls) + reduces
+        assert all(b.rules is case.rules for b in made)
+        made.clear()
+        elaborate(case.program, case.rules, run_reduce=False)
+        assert len(made) == len(decls)
