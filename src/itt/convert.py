@@ -8,10 +8,13 @@ work (ROADMAP item 1).
 
 Every query spends one unit of fuel, and a query of a term with itself (the
 same object) or of two equal leaves (``Var``, ``SortT``, ``Global``) costs
-exactly that unit: it is answered before any reduction.  Otherwise weak-head
-forms are compared, with lazy delta unfolding as in Lean 4's kernel: a
-global unfolds only when the heads disagree (or agree but their parts do
-not), and then the head of greater definitional height
+exactly that unit: it is answered before any reduction.  The same object
+also comes from one Beta instantiation that a budget shares
+(``Fuel.instances``), so a query of two results of it is answered at once,
+even when they diverge, where two copies would be reduced.  Otherwise
+weak-head forms are compared, with lazy delta unfolding as in Lean 4's
+kernel: a global unfolds only when the heads disagree (or agree but their
+parts do not), and then the head of greater definitional height
 (``GlobalEnv.height``) unfolds, the left one on a tie.  Since a body names
 only earlier globals, two aliases meet at their common alias without
 unfolding past it, and comparisons stay close to the named forms they

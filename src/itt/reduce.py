@@ -5,11 +5,15 @@ Reduction rules, each with its step kind: the text that traces print for
 it (the three firings are the rows of ``FIRINGS``, each gated by a toggle of
 the budget's ``RuleSet``):
 
-    App(Lam(_, b), a)       |> subst(b, 0, a)                        Beta
+    App(Lam(_, b), a)       |> subst(b, 0, a), once per budget       Beta
     Global(n) with a body   |> body                                  Delta(n)
     Cast(A, B, e, x)        |> x   when A and B are convertible      CastFire
     EqRec(T, P, a, b, x, e) |> x   when a and b are convertible      EqRecFire
     J(A, B, x)              |> x   when A and B are convertible      JFire
+
+Beta substitutes once per budget for each pair of body and argument
+objects: ``budget.instances`` keeps the result, and a repeat of the pair
+shares it, though it spends its unit of fuel and is traced as any step.
 
 CastFire and EqRecFire never look at the shape of the proof argument; only
 the endpoints are compared.  Delta is need-driven: a global unfolds when its
@@ -157,7 +161,11 @@ def head_step(env: GlobalEnv, ctx: Context, t: Term,
     match head:
         case Lam(_, body) if args:
             budget.spend()
-            return build_apps(subst(body, 0, args[0]), args[1:]), BETA
+            arg = args[0]
+            key = (id(body), id(arg))
+            if (hit := budget.instances.get(key)) is None:
+                hit = budget.instances[key] = (body, arg, subst(body, 0, arg))
+            return build_apps(hit[2], args[1:]), BETA
         case Cast() | EqRec() | J():
             toggle, lhs, rhs, payload, kind, _ = FIRINGS[type(head)]
             if getattr(budget.rules, toggle) and _convert.convert(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from .syntax import Term
+
 DEFAULT_FUEL = 100_000
 
 
@@ -44,9 +46,17 @@ class ConversionCycle(FuelExhausted):
 
 @dataclass
 class Fuel:
-    """The budget of one run, and the rule set it runs under."""
+    """The budget of one run, the rule set it runs under, and its memo of
+    Beta instantiations.
+
+    ``instances`` maps ``(id(body), id(arg))`` to ``(body, arg, subst(body,
+    0, arg))``, so a Beta step on a pair this budget has substituted before
+    shares the stored result.  An entry holds both key objects, so their ids
+    are not reused while it lives; the memo dies with its budget."""
     remaining: int
     rules: RuleSet
+    instances: dict[tuple[int, int], tuple[Term, Term, Term]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def spend(self) -> None:
         self.remaining -= 1

@@ -9,9 +9,10 @@ code with the kernel's ``shift`` and ``subst``: not its traversal, its
 traces are checked against: consecutive snapshots of a strong-normalization
 trace must be one ``step`` apart, and an ``nf`` cycle report must return to
 its witness after exactly ``period`` steps.  It is not used by ``itt``
-itself, which has one traversal, ``normalize``.  It still contracts each
-redex by the kernel's ``head_step``, so it checks the traversal order and
-the snapshots, not the rules.
+itself, which has one traversal, ``normalize``.  It contracts Beta with the
+``subst`` below, so the kernel's memoized Beta instantiation is checked
+against a substitution that shares no code with it; every other rule (Delta
+and the three firings) still goes through the kernel's ``head_step``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from itt import (
     App, Context, Fuel, Global, GlobalEnv, Lam, Pi, ScopeError, SortT,
     Term, Var, ctx_extend,
 )
-from itt.reduce import _with_child, head_step
-from itt.syntax import CHILDREN
+from itt.reduce import BETA, _with_child, head_step
+from itt.syntax import CHILDREN, build_apps, unwind_apps
 
 
 def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
@@ -73,6 +74,10 @@ def step(env: GlobalEnv, ctx: Context, t: Term,
          budget: Fuel) -> tuple[Term, str] | None:
     """Contract the leftmost-outermost redex, or None if ``t`` is in normal
     form with respect to the budget's rules."""
+    head, args = unwind_apps(t)
+    if type(head) is Lam and args:
+        budget.spend()
+        return build_apps(subst(head.body, 0, args[0]), args[1:]), BETA
     r = head_step(env, ctx, t, budget)
     if r is not None:
         return r

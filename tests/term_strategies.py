@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from itt import (
     PROP, TYPE,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var, build_apps,
+    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var, build_apps, pretty,
 )
 
 GLOBAL_POOL = ("g0", "g1", "g2")
@@ -93,3 +93,14 @@ def church_numeral(k: int):
     for _ in range(k):
         body = App(Var(1), body)
     return Lam(PROP, Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))
+
+
+def church_exp_program(m: int, n: int) -> str:
+    """The source of a program that defines ``Nat``, the numerals ``m`` and
+    ``n`` and ``exp``, then ends in ``#reduce exp m n``."""
+    return ("def Nat : Prop := forall (A : Prop), (A -> A) -> A -> A.\n"
+            f"def m : Nat := {pretty(church_numeral(m))}.\n"
+            f"def n : Nat := {pretty(church_numeral(n))}.\n"
+            "def exp : Nat -> Nat -> Nat :=\n"
+            "  fun (m : Nat), fun (n : Nat), fun (A : Prop), n (A -> A) (m A).\n"
+            "#reduce exp m n.\n")

@@ -22,7 +22,9 @@ from itt.rules import RULES
 from itt.syntax import CHILDREN, PRIMITIVES, EqRec, J
 from helpers import kernel, parse_trace_json, spent_fuel, workloads
 from reference import step
-from term_strategies import church_numeral, head_loops, head_redexes, open_terms
+from term_strategies import (
+    church_exp_program, church_numeral, head_loops, head_redexes, open_terms,
+)
 
 
 def _env(name, **flags):
@@ -460,13 +462,8 @@ def test_deep_church_exponentiation_normalizes(m, n, steps):
     # the normal form is m**n applications deep; keys must not recurse on it
     assert church_numeral(2) == parse_term(
         "fun (A : Prop), fun (s : A -> A), fun (x : A), s (s x)")
-    src = ("def Nat : Prop := forall (A : Prop), (A -> A) -> A -> A.\n"
-           f"def m : Nat := {pretty(church_numeral(m))}.\n"
-           f"def n : Nat := {pretty(church_numeral(n))}.\n"
-           "def exp : Nat -> Nat -> Nat :=\n"
-           "  fun (m : Nat), fun (n : Nat), fun (A : Prop), n (A -> A) (m A).\n"
-           "#reduce exp m n.\n")
-    _, results = elaborate(parse_program(src), reduce_strategy="nf")
+    _, results = elaborate(parse_program(church_exp_program(m, n)),
+                           reduce_strategy="nf")
     trace = results[-1].trace
     assert trace.status == NORMAL_FORM and len(trace.steps) == steps
     assert canonical_key(trace.final) == canonical_key(church_numeral(m ** n))
