@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Run the benchmark's workloads and record the end-to-end medians.
 
-Each workload of BENCHMARK.json runs once per seed through
-``perfbench/run.py --trace 0`` in a fresh process.  The script exits 1 if any
-run's verdicts are not all correct.  With ``--out`` it writes, per tree and
-workload, every run's end-to-end metrics and their median:
+Each workload of BENCHMARK.json, or each one named by ``--workload``, runs
+once per seed through ``perfbench/run.py --trace 0`` in a fresh process.
+The script exits 1 if any run's verdicts are not all correct.  With
+``--out`` it writes, per tree and workload, every run's end-to-end metrics
+and their median:
 
     python3 scripts/bench.py --seconds 1                       # verdicts only
     python3 scripts/bench.py --seconds 8 --seeds 1 2 3 \\
         --tree parent=../itt-parent --tree change=. --out bench.json
+    python3 scripts/bench.py --seconds 2 --seeds 11 12 13 \\
+        --workload check-chain --tree parent=../itt-parent --tree change=.
 
 A tree is a checkout to run, named ``label=path``; the default is this one,
 named ``change``.  Runs of several trees alternate, one per tree for each
@@ -68,7 +71,7 @@ def iqr(values: list[float]) -> float:
 
 
 def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
-    """Per workload and end-to-end metric: the first tree's median and
+    """Per workload run and end-to-end metric: the first tree's median and
     the distance between its quartiles (``iqr``); then each other tree's
     median, its ratio to the first tree's median, and the pairs of runs (one
     seed each) it won against the first tree by the metric's ``better``
@@ -81,7 +84,7 @@ def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
     """
     first, *others = runs
     lines = []
-    for w in (w["name"] for w in spec["workloads"]):
+    for w in runs[first]:
         for metric in spec["end_to_end"]:
             m, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             base, ref = medians[first][w][m], runs[first][w][m]
@@ -101,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seconds", type=float, required=True,
                     help="seconds per run")
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="a workload to run (repeatable; default all)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--tree", action="append", metavar="LABEL=PATH",
                     help="a checkout to run (repeatable; default change=.)")
@@ -114,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"--tree wants LABEL=PATH, got {item!r}")
         trees[label] = Path(path).resolve()
     metrics = [m["name"] for m in spec["end_to_end"]]
+    if args.workload:
+        names = [w for w in names if w in args.workload]
 
     runs = {label: {w: {m: [] for m in metrics} for w in names}
             for label in trees}

@@ -9,25 +9,29 @@ work (ROADMAP item 1).
 Every query spends one unit of fuel, and a query of a term with itself (the
 same object) or of two equal leaves (``Var``, ``SortT``, ``Global``) costs
 exactly that unit: it is answered before any reduction.  The same object
-also comes from one Beta instantiation that a budget shares
-(``Fuel.instances``), so a query of two results of it is answered at once,
-even when they diverge, where two copies would be reduced.  Otherwise
-weak-head forms are compared, with lazy delta unfolding as in Lean 4's
-kernel: a global unfolds only when the heads disagree (or agree but their
-parts do not), and then the head of greater definitional height
-(``GlobalEnv.height``) unfolds, the left one on a tie.  Since a body names
-only earlier globals, two aliases meet at their common alias without
-unfolding past it, and comparisons stay close to the named forms they
-started from.  Two heads of height 0 (no defined global) do not convert.
+also comes from one parse, which builds one ``Global`` per name, and from
+one Beta instantiation that a budget shares (``Fuel.instances``), so a
+query of two results of it is answered at once, even when they diverge,
+where two copies would be reduced.  Otherwise weak-head forms are compared,
+with lazy delta unfolding as in Lean 4's kernel: a global unfolds only when
+the heads disagree (or agree but their parts do not), and then the head of
+greater definitional height (``GlobalEnv.height``) unfolds, the left one on
+a tie.  Since a body names only earlier globals, two aliases meet at their
+common alias without unfolding past it, and comparisons stay close to the
+named forms they started from.  Two heads of height 0 (no defined global)
+do not convert.
 
-A query of two different bound globals is answered once per environment and
+A pair of two different bound globals is answered once per environment and
 rule set: ``GlobalEnv.conversions``, keyed on ``budget.rules`` and the names,
-keeps its answer and the fuel its live run spent after its own unit, which
-cannot change, as a body names only earlier globals and no entry is
-replaced.  A repeat spends that fuel again, or runs live if the budget holds
-less, to run out at the same step; so only a query too deep for Python's
-stack may end differently (answered from the memo, not RecursionError).  A
-raise stores nothing; the key omits ``ctx``.
+keeps its answer and the fuel spent from it to the end, which cannot change,
+as a body names only earlier globals and no entry is replaced.  A pair is
+kept when a query starts from it and when the unfolding meets it: a query
+of the pair spends only its own unit before the same deterministic loop,
+and a run that ends repeats no state, so both spend alike.  A later query
+or state of a kept pair spends that fuel again, or runs live if the budget
+holds less, to run out at the same step; so only a query too deep for
+Python's stack may end differently (answered from the memo, not
+RecursionError).  A raise stores nothing; the key omits ``ctx``.
 
 Unfolding can loop, since this theory does not normalize.  A pair of
 weak-head forms equal to an earlier pair raises ConversionCycle, a
@@ -74,15 +78,12 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     # leaves (Var, SortT, Global) compare in O(1)
     if t1 is t2:
         return True
-    key = None
+    passed: list[tuple[tuple, int]] = []  # the named pairs met, to store
     if not CHILDREN[type(t1)]:
         if t1 == t2:
             return True
-        if type(t1) is Global is type(t2) and env.lookup(t1.name) and env.lookup(t2.name):
-            key, start = (budget.rules, t1.name, t2.name), budget.remaining
-            if (hit := env.conversions.get(key)) and hit[1] <= start:
-                budget.remaining -= hit[1]  # replay the live query's fuel
-                return hit[0]
+        if (answer := _recall(env, t1, t2, budget, passed)) is not None:
+            return answer
     w1 = _reduce.whnf_term(env, ctx, t1, budget, unfold_heads=False)
     w2 = _reduce.whnf_term(env, ctx, t2, budget, unfold_heads=False)
     # Brent's cycle check: the next state depends only on (w1, w2), so a
@@ -110,9 +111,26 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             raise ConversionCycle(period)
         if period == power:
             saved, power, period = (w1, w2), 2 * power, 0
-    if key is not None:
-        env.conversions[key] = (answer, start - budget.remaining)
+        if (answer := _recall(env, w1, w2, budget, passed)) is not None:
+            break
+    for key, left in passed:
+        env.conversions[key] = (answer, left - budget.remaining)
     return answer
+
+
+def _recall(env: GlobalEnv, t1: Term, t2: Term, budget: Fuel,
+            passed: list[tuple[tuple, int]]) -> bool | None:
+    """For two bare globals of different names, both bound: their stored
+    answer, its fuel spent, if the budget holds that fuel.  Otherwise None,
+    and the pair's key and the fuel left join ``passed``."""
+    if (type(t1) is Global is type(t2) and t1.name != t2.name
+            and env.lookup(t1.name) and env.lookup(t2.name)):
+        key = (budget.rules, t1.name, t2.name)
+        if (hit := env.conversions.get(key)) and hit[1] <= budget.remaining:
+            budget.remaining -= hit[1]  # replay the live run's fuel
+            return hit[0]
+        passed.append((key, budget.remaining))
+    return None
 
 
 def _height(env: GlobalEnv, t: Term) -> int:

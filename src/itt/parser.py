@@ -23,12 +23,15 @@ accepted on input, ASCII is emitted on output):
 The primitive forms must be fully applied; under-application is an arity
 error, since the reduction rules only ever match saturated nodes.  Scope is
 resolved during parsing: binders become de Bruijn indices (the shared
-``var``), known globals become Global references, anything else is an
-unbound-identifier error.  An arrow ``A -> B`` is ``forall (_ : A), B``:
-its codomain is parsed under an unnamed binder that no name resolves to, so
-the parser's terms are final and nothing rebuilds them.  A declaration
-without a body, ``axiom`` or ``assume``, parses to the ``EnvEntry`` that
-checking adds to the environment, its keyword as the entry's kind.
+``var``), a known global becomes the parse's one ``Global`` of its name,
+built on its first use, and anything else is an unbound-identifier error.
+So every occurrence of a name in one parse is the same object, and
+conversion answers two of them by identity.  An arrow ``A -> B`` is
+``forall (_ : A), B``: its codomain is parsed under an unnamed binder that
+no name resolves to, so the parser's terms are final and nothing rebuilds
+them.  A declaration without a body, ``axiom`` or ``assume``, parses to the
+``EnvEntry`` that checking adds to the environment, its keyword as the
+entry's kind.
 
 Lexing: a token is its text.  One regex, ``_SCAN_RE``, skips blanks and
 comments and captures every token's text in a single ``findall``, and the
@@ -153,7 +156,8 @@ class _Parser:
     def __init__(self, toks: list[str], globals_in_scope: Iterable[str]) -> None:
         self.toks = toks
         self.pos = 0
-        self.globals = set(globals_in_scope)
+        # each global name in scope, and its one Global once a use built it
+        self.globals: dict[str, Global | None] = dict.fromkeys(globals_in_scope)
         self.depth = 0  # the number of enclosing binders, arrows included
         self.scope: dict[str, int | None] = {}  # name -> depth of its binder
 
@@ -243,9 +247,11 @@ class _Parser:
     def resolve(self, name: str) -> Term:
         if (bound := self.scope.get(name)) is not None:
             return var(self.depth - bound)
-        if name in self.globals:
-            return Global(name)
-        raise _Failure(f"unbound identifier {name!r}", self.pos - 1)
+        if (leaf := self.globals.get(name)) is None:
+            if name not in self.globals:
+                raise _Failure(f"unbound identifier {name!r}", self.pos - 1)
+            leaf = self.globals[name] = Global(name)
+        return leaf
 
 
 @contextmanager
@@ -303,7 +309,7 @@ def _parse_declarations(p: _Parser) -> Program:
             else:
                 p.expect(":", "':'")
                 decls.append(EnvEntry(name, p.parse_term(), None, tok))
-            p.globals.add(name)  # in scope from the next declaration
+            p.globals[name] = None  # in scope from the next declaration
         elif tok == "#check" or tok == "#reduce":
             p.pos += 1
             term = p.parse_term()

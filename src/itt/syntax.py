@@ -180,9 +180,24 @@ def build_apps(head: Term, args: Sequence[Term]) -> Term:
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Alpha-equivalence.  Literal structural equality under de Bruijn
-    representation; display names are excluded from dataclass comparison."""
-    return t1 == t2
+    """Alpha-equivalence: structural equality under de Bruijn indices, binder
+    names excluded, as dataclass ``==`` has it, but from an explicit stack of
+    node pairs, so deep terms compare without recursion.  Per pair: the same
+    object, else the class, a leaf's payload, then children in ``CHILDREN``
+    order."""
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if not (kids := CHILDREN[cls]):
+            if getattr(a, _PAYLOAD[cls]) != getattr(b, _PAYLOAD[cls]):
+                return False
+        todo.extend((getattr(a, k), getattr(b, k)) for k, _ in reversed(kids))
+    return True
 
 
 def subterms(t: Term) -> Iterator[Term]:

@@ -2,8 +2,8 @@
 free-variable and global-name walks that ``pretty``'s pre-pass is checked
 against, the binder name ``pretty`` should show, a closure check over a
 global environment, and counts over corpus cases; the budgets a run is
-handed and the fuel it spends; the benchmark's program generators; and the
-inputs that several test files share."""
+handed, the fuel it spends and what it shows; the benchmark's program
+generators; and the inputs that several test files share."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from itt import (
-    Fuel, Global, GlobalEnv, PragmaReduce, RuleSet, Term, Var, elaborate,
-    load_example,
+    Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, Program, RuleSet,
+    Term, TypeCheckError, Var, elaborate, load_example, pretty,
 )
 from itt.corpus import CaseReport, ExampleCase
 from itt.syntax import CHILDREN, subterms
@@ -64,6 +64,28 @@ def spent_fuel(monkeypatch, run: Callable[[], R]) -> tuple[R, int]:
     with recorded_budgets(monkeypatch) as budgets:
         out = run()
     return out, sum(b.rules.fuel - b.remaining for b in budgets)
+
+
+# The rule variants that differential runs check each corpus case under.
+FLAG_VARIANTS = ({}, {"cast_rule": False}, {"eqrec_rule": False},
+                 {"proof_irrelevance": False})
+
+
+def observe(monkeypatch, program: Program, rules: RuleSet,
+            strategy: str) -> tuple[list, list[int]]:
+    """What a run shows (each ``#check`` type, each trace's step kinds, step
+    keys and status line, or the error that ended it) and the fuel each of
+    its budgets spent."""
+    with recorded_budgets(monkeypatch) as budgets:
+        try:
+            _, results = elaborate(program, rules, reduce_strategy=strategy)
+            shown = [pretty(r.type_) if r.trace is None else
+                     ([(s.kind, s.key) for s in r.trace.steps],
+                      r.trace.status_line())
+                     for r in results]
+        except (TypeCheckError, FuelExhausted, RecursionError) as exc:
+            shown = [f"{type(exc).__name__}: {exc}"]
+    return shown, [b.rules.fuel - b.remaining for b in budgets]
 
 
 def parse_trace_json(lines: Iterable[str]) -> tuple[list[dict], str]:

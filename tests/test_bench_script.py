@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 _spec = importlib.util.spec_from_file_location("bench_script", _PATH)
@@ -33,3 +36,57 @@ def test_iqr_is_the_distance_between_the_quartiles():
     assert bench.iqr([0.5]) == 0.0
     assert bench.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
     assert bench.iqr([4.0, 1.0, 3.0, 2.0]) == 1.5
+
+
+def _stub_runs(monkeypatch) -> list[tuple[str, str, int]]:
+    """Stub ``run_once`` with a correct run of fixed metrics, and return the
+    live list of the ``(tree, workload, seed)`` it was called with."""
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0}
+                            for m in spec["end_to_end"]}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    return calls
+
+
+def test_every_workload_runs_by_default(monkeypatch, capsys):
+    calls = _stub_runs(monkeypatch)
+    assert bench.main(["--seconds", "1"]) == 0
+    assert [w for _, w, _ in calls] == [
+        "church-nf", "paper-loops", "conv-diverge", "check-chain"]
+
+
+def test_workload_option_picks_workloads_in_benchmark_order(
+        monkeypatch, capsys, tmp_path):
+    calls = _stub_runs(monkeypatch)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seconds", "1", "--seeds", "3", "4",
+                       "--workload", "check-chain", "--workload", "church-nf",
+                       "--tree", f"a={tmp_path / 'p'}",
+                       "--tree", f"b={tmp_path / 'c'}",
+                       "--out", str(out)]) == 0
+    # per seed and workload, one run per tree, the first tree rotating
+    assert calls == [("p", "church-nf", 3), ("c", "church-nf", 3),
+                     ("p", "check-chain", 3), ("c", "check-chain", 3),
+                     ("c", "church-nf", 4), ("p", "church-nf", 4),
+                     ("c", "check-chain", 4), ("p", "check-chain", 4)]
+    record = json.loads(out.read_text())
+    assert [list(record["median"][t]) for t in "ab"] == [
+        ["church-nf", "check-chain"]] * 2
+    compared = capsys.readouterr().out.splitlines()
+    assert {line.split()[0] for line in compared if "iqr" in line} == {
+        "church-nf", "check-chain"}
+
+
+def test_an_unknown_workload_is_rejected(monkeypatch, capsys):
+    calls = _stub_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--seconds", "1", "--workload", "no-such"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'no-such'" in capsys.readouterr().err
+    assert calls == []

@@ -13,17 +13,13 @@ import itertools
 
 from itt import (
     CASE_NAMES, NORMAL_FORM, PROP,
-    App, FuelExhausted, Global, Lam, PragmaReduce, RuleSet, TypeCheckError,
-    Var, elaborate, head_step, load_example, parse_program, pretty,
-    reduce_with,
+    App, Global, Lam, PragmaReduce, RuleSet, Var, elaborate, head_step,
+    load_example, parse_program, reduce_with,
 )
 import itt.reduce
 from itt.reduce import BETA
-from helpers import recorded_budgets
+from helpers import FLAG_VARIANTS, observe
 from term_strategies import church_exp_program
-
-VARIANTS = ({}, {"cast_rule": False}, {"eqrec_rule": False},
-            {"proof_irrelevance": False})
 
 
 class _Forgetful(dict):
@@ -59,29 +55,14 @@ def _counting_subst(monkeypatch) -> list[int]:
     return calls
 
 
-def _observe(monkeypatch, program, rules, strategy):
-    """What a run shows (each ``#check`` type, each trace's step kinds, step
-    keys and status line, or the error that ended it) and the fuel each of
-    its budgets spent."""
-    with recorded_budgets(monkeypatch) as budgets:
-        try:
-            _, results = elaborate(program, rules, reduce_strategy=strategy)
-            shown = [pretty(r.type_) if r.trace is None else
-                     ([(s.kind, s.key) for s in r.trace.steps],
-                      r.trace.status_line())
-                     for r in results]
-        except (TypeCheckError, FuelExhausted, RecursionError) as exc:
-            shown = [f"{type(exc).__name__}: {exc}"]
-    return shown, [b.rules.fuel - b.remaining for b in budgets]
-
-
 def test_beta_memo_changes_no_step_answer_or_fuel(monkeypatch):
     # every corpus case under four rule variants and both strategies, and
     # Church exp 3 3 under nf: the same steps, status lines and fuel with
     # the memo as with every lookup missing, and fewer substitutions
     runs = [(case.program, case.rules.updated(**flags), strategy)
             for case in map(load_example, CASE_NAMES)
-            for flags, strategy in itertools.product(VARIANTS, ("whnf", "nf"))]
+            for flags, strategy in itertools.product(FLAG_VARIANTS,
+                                                     ("whnf", "nf"))]
     runs.append((parse_program(church_exp_program(3, 3)), RuleSet(), "nf"))
     observed, substs = {}, {}
     for memo in (True, False):
@@ -89,7 +70,7 @@ def test_beta_memo_changes_no_step_answer_or_fuel(monkeypatch):
             if not memo:
                 _forget_beta(m)
             calls = _counting_subst(m)
-            observed[memo] = [_observe(m, *run) for run in runs]
+            observed[memo] = [observe(m, *run) for run in runs]
         substs[memo] = calls[0]
     for run, got, want in zip(runs, observed[True], observed[False]):
         assert got == want, (run[1], run[2])

@@ -455,6 +455,26 @@ def test_a_memo_hit_without_enough_fuel_runs_out_at_the_live_step():
     assert _outcome(warm, *pair, cost) == (True, 0)
 
 
+def test_a_state_met_while_unfolding_answers_a_later_query(monkeypatch):
+    # T30 against T0 passes (T20, T0) and stores it with the 20 unfoldings
+    # left from there: a later query of that pair spends its own unit and
+    # those 20, with no weak-head reduction; one unit short, it still runs
+    # out at the live step
+    warm = _alias_chain(30)
+    assert _fuel_spent(warm, Global("T30"), Global("T0")) == 31
+    calls = []
+    whnf_term = reduce_module.whnf_term
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return whnf_term(*args, **kwargs)
+
+    monkeypatch.setattr(reduce_module, "whnf_term", counting)
+    assert _fuel_spent(warm, Global("T20"), Global("T0")) == 21
+    assert calls == []
+    assert _outcome(warm, Global("T20"), Global("T0"), 20) == (FuelExhausted, -1)
+
+
 # fired unfolds to a cast that fires to top_value only under the cast rule
 _CAST_PAIR_SRC = """
 def Top : Prop := forall (A : Prop), A -> A.

@@ -15,7 +15,8 @@ from itt import (
 from itt.corpus import run_case
 from itt.parser import PragmaCheck
 from helpers import (
-    checked, closed_over_axioms, recorded_budgets, reduce_pragma_count,
+    FLAG_VARIANTS, checked, closed_over_axioms, recorded_budgets,
+    reduce_pragma_count,
 )
 
 
@@ -158,8 +159,6 @@ axiom x : T2.
 axiom F : S1 -> S1 -> Prop.
 #check F x x.
 """)
-_VARIANTS = ({}, {"cast_rule": False}, {"eqrec_rule": False},
-             {"proof_irrelevance": False})
 
 
 def _run(monkeypatch, program, rules, strategy):
@@ -196,7 +195,7 @@ def test_fuel_is_monotone(monkeypatch):
     programs = [(c.program, c.rules) for c in map(load_example, CASE_NAMES)]
     programs.append((_REPEATED_QUERY, RuleSet()))
     for program, base in programs:
-        for flags, strategy in itertools.product(_VARIANTS, ("whnf", "nf")):
+        for flags, strategy in itertools.product(FLAG_VARIANTS, ("whnf", "nf")):
             rules = base.updated(**flags)
             shown, spent, stopped = _run(monkeypatch, program, rules, strategy)
             assert not stopped

@@ -71,9 +71,10 @@ def test_long_arrow_chain_parses_and_prints():
     assert pretty(t) == ARROW_CHAIN
     named = parse_term("forall (A : Prop), " + "".join(
         f"forall (x{i} : A), " for i in range(1, 801)) + "A")
-    # alpha-equal terms share their key; ``alpha_eq`` (``==``) recurses and
-    # overflows this deep (ROADMAP item 9)
+    # alpha-equal terms share their key, and ``alpha_eq`` compares them
+    # without recursion (``==`` overflows this deep)
     assert canonical_key(t) == canonical_key(named)
+    assert alpha_eq(t, named)
 
 
 def test_a_shadowing_binder_restores_the_outer_name_when_it_closes():
@@ -93,6 +94,50 @@ def test_application_left_associative():
     scope = ("f", "x", "y")
     assert parse_term("f x y", scope) == App(App(Global("f"), Global("x")),
                                              Global("y"))
+
+
+def _globals_named(t, name):
+    """Every ``Global`` called ``name`` in ``t``, one entry per occurrence."""
+    found, todo = [], [t]
+    while todo:
+        cur = todo.pop()
+        if type(cur) is Global and cur.name == name:
+            found.append(cur)
+        todo.extend(getattr(cur, attr) for attr, _ in CHILDREN[type(cur)])
+    return found
+
+
+def test_one_global_per_name_per_parse():
+    # every occurrence of a name in one parse is one object: within a
+    # declaration, across declarations, and in a pragma
+    decls = parse_program(
+        "axiom T : Prop.\n"
+        "def f : T -> T := fun (x : T), x.\n"
+        "def g : T -> T -> T := fun (x : T), fun (y : T), f y.\n"
+        "#check g (f T).\n").declarations
+    terms = [t for d in decls[1:] for t in
+             ((d.stated_type, d.body) if type(d) is Def else (d.term,))]
+    for name, count in [("T", 9), ("f", 2), ("g", 1)]:
+        uses = [g for t in terms for g in _globals_named(t, name)]
+        assert len(uses) == count and all(g is uses[0] for g in uses)
+    # a scope given to parse_term shares the same way
+    t = parse_term("T -> f (f T)", scope=("T", "f", "unused"))
+    for name in "Tf":
+        uses = _globals_named(t, name)
+        assert len(uses) == 2 and uses[0] is uses[1]
+    # a Global from another parse, or built by hand, is equal but not the same
+    shared = [_globals_named(terms[0], "T")[0], _globals_named(t, "T")[0]]
+    for built in (parse_term("T", scope=("T",)), Global("T")):
+        assert all(built == g and built is not g for g in shared)
+
+
+def test_a_binder_hides_the_shared_global():
+    # a binder named like a global resolves to a Var, and the global's one
+    # node still serves its uses outside the binder
+    t = parse_term("T -> (fun (T : Prop), T) T", scope=("T",))
+    assert alpha_eq(t, Pi(Global("T"), App(Lam(PROP, Var(0)), Global("T"))))
+    assert t.codomain.fn.body == Var(0)
+    assert t.domain is t.codomain.arg
 
 
 def test_unicode_aliases():

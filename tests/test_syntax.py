@@ -281,6 +281,20 @@ def test_hash_of_a_deep_term_does_not_recurse():
     assert hash(a) != hash(church_numeral(2 ** 10 - 1))
 
 
+def test_alpha_eq_of_deep_terms_does_not_recurse():
+    # two separately built copies of a numeral about 1,030 deep, on which
+    # dataclass == overflows, and a copy whose innermost leaf differs
+    a, b = church_numeral(1030), church_numeral(1030)
+    with pytest.raises(RecursionError):
+        _ = a == b
+    assert alpha_eq(a, b)
+    body = Var(2)  # the numeral's innermost leaf is Var(0)
+    for _ in range(1030):
+        body = App(Var(1), body)
+    changed = Lam(PROP, Lam(Pi(Var(0), Var(1)), Lam(Var(1), body)))
+    assert not alpha_eq(a, changed) and not alpha_eq(changed, a)
+
+
 def _nodes(t):
     yield t
     for kid in subterms(t):
