@@ -48,14 +48,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def describe(tree: Path) -> str | None:
-    """The tree's commit, with ``-dirty`` if it has uncommitted changes."""
+def describe(tree: Path) -> str:
+    """The tree's commit, with ``-dirty`` if it has uncommitted changes, when
+    the tree is the top of a git checkout; otherwise its resolved path.  A
+    copy made by ``git archive`` has no commit, and a directory inside
+    another checkout must not take that checkout's."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=tree, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
     try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-            cwd=tree, capture_output=True, text=True, check=True).stdout.strip()
+        if Path(git("rev-parse", "--show-toplevel")).resolve() == tree.resolve():
+            return git("describe", "--always", "--dirty", "--abbrev=12")
     except (OSError, subprocess.CalledProcessError):
-        return None
+        pass
+    return str(tree.resolve())
 
 
 def _num(x: float) -> str:

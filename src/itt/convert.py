@@ -34,10 +34,10 @@ Python's stack may end differently (answered from the memo, not
 RecursionError).  A raise stores nothing; the key omits ``ctx``.
 
 Unfolding can loop, since this theory does not normalize.  A pair of
-weak-head forms equal to an earlier pair raises ConversionCycle, a
-FuelExhausted that gives the period; the check spends no fuel.  While
-checking, ``itt`` reports it with exit code 4, e.g. ``conversion cycle:
-declaration 8 (bad): unfolding repeats with period 2``.
+weak-head forms alpha-equal to an earlier pair, at any depth (``alpha_eq``),
+raises ConversionCycle, a FuelExhausted that gives the period; the check
+spends no fuel.  While checking, ``itt`` reports it with exit code 4, e.g.
+``conversion cycle: declaration 8 (bad): unfolding repeats with period 2``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, ConversionCycle, Fuel
-from .syntax import CHILDREN, PROP, App, Global, Term, unwind_apps
+from .syntax import CHILDREN, PROP, App, Global, Term, alpha_eq, unwind_apps
 
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, budget: Fuel) -> bool:
@@ -103,11 +103,7 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
             w2 = _reduce.whnf_term(env, ctx, u2, budget, unfold_heads=False)
         period += 1
-        try:
-            repeat = w1 == saved[0] and w2 == saved[1]
-        except RecursionError:  # == recurses: too deep to confirm a repeat
-            repeat = False
-        if repeat:
+        if alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1]):
             raise ConversionCycle(period)
         if period == power:
             saved, power, period = (w1, w2), 2 * power, 0

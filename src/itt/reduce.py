@@ -22,12 +22,12 @@ strong normalization, so traces keep named forms as long as possible.
 
 Divergence is not observed as a timeout but *detected*.  Every head
 reduction, traced or not, runs Brent's check in ``whnf_term``: each state is
-compared by ``==`` (alpha-equality) with one state, re-saved at each power of
-two steps, and a repeat raises ``ConversionCycle`` with its period.  A traced
-spine then certifies, as when the budget or the stack runs out:
+compared by ``alpha_eq``, at any depth, with one state, re-saved at each
+power of two steps, and a repeat raises ``ConversionCycle`` with its period.
+A traced spine then certifies, as when the budget or the stack runs out:
 ``CycleDetector`` replays its recorded states, reports the first repeat and
 its period, and drops the later steps.  So the first repeat is exact, and a
-cycle is only ever reported where ``==`` confirmed one.
+cycle is only ever reported where ``alpha_eq`` confirmed one.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .env import Context, GlobalEnv, ctx_extend
 from .rules import ConversionCycle, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     CHILDREN, App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    build_apps, canonical_key, pretty, rebuild, subst, unwind_apps,
+    alpha_eq, build_apps, canonical_key, pretty, rebuild, subst, unwind_apps,
 )
 
 NORMAL_FORM = "NormalForm"
@@ -135,18 +135,22 @@ class CycleDetector:
     """Term-index map over one reduction spine: the certifier that
     ``_certify`` runs over the spine's recorded states.
 
-    A term is looked up by its hash, which comes from its digest, and
-    confirmed by ``==`` (alpha-equality), so terms with equal hashes that
-    are not alpha-equal are both recorded and never reported.  A report
-    gives the index of the first occurrence.
+    A term is filed under its hash, which comes from its digest, and a
+    match is confirmed by ``alpha_eq``, so terms with equal hashes that are
+    not alpha-equal are both recorded and never reported, and no state is
+    too deep to confirm.  A report gives the index of the first occurrence.
     """
 
     def __init__(self) -> None:
-        self._seen: dict[Term, int] = {}
+        self._seen: dict[int, list[tuple[Term, int]]] = {}
 
     def observe(self, index: int, term: Term) -> CycleReport | None:
-        first = self._seen.setdefault(term, index)
-        return None if first == index else CycleReport(first, index - first)
+        bucket = self._seen.setdefault(hash(term), [])
+        for seen, first in bucket:
+            if alpha_eq(seen, term):
+                return CycleReport(first, index - first)
+        bucket.append((term, index))
+        return None
 
 
 class _CycleFound(Exception):
@@ -219,11 +223,7 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel,
         if steps is not None:
             steps.append(TraceStep(kind, t, frame))
         since += 1
-        try:
-            repeat = t == saved
-        except RecursionError:  # == recurses: too deep to confirm a repeat
-            repeat = False
-        if repeat:
+        if alpha_eq(t, saved):
             raise ConversionCycle(since, "reduction")
         if since == power:
             saved, power, since = t, 2 * power, 0

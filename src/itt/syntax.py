@@ -36,7 +36,6 @@ _TAGS: dict[type, bytes] = {}
 PRIMITIVES: dict[str, type] = {}
 
 
-@dataclass(frozen=True)
 class Term:
     def __str__(self) -> str:
         return pretty(self)
@@ -181,10 +180,14 @@ def build_apps(head: Term, args: Sequence[Term]) -> Term:
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Alpha-equivalence: structural equality under de Bruijn indices, binder
-    names excluded, as dataclass ``==`` has it, but from an explicit stack of
-    node pairs, so deep terms compare without recursion.  Per pair: the same
-    object, else the class, a leaf's payload, then children in ``CHILDREN``
-    order."""
+    names excluded.  It is dataclass ``==``, unless that overflows the stack;
+    then the same comparison runs from an explicit stack of node pairs, so
+    it answers at any depth.  Per pair: the same object, else the class, a
+    leaf's payload, then children in ``CHILDREN`` order."""
+    try:
+        return t1 == t2
+    except RecursionError:
+        pass
     todo = [(t1, t2)]
     while todo:
         a, b = todo.pop()

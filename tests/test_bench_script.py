@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,35 @@ def test_an_unknown_workload_is_rejected(monkeypatch, capsys):
     assert exit_.value.code == 2
     assert "invalid choice: 'no-such'" in capsys.readouterr().err
     assert calls == []
+
+
+def _git(cwd: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+         *args], cwd=cwd, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def test_each_tree_is_labelled_by_its_own_commit_or_its_path(
+        monkeypatch, capsys, tmp_path):
+    # a checkout is labelled by its commit; a directory inside it that git
+    # does not track, and a plain copy outside any checkout, by their paths
+    _stub_runs(monkeypatch)
+    checkout, copy = tmp_path / "checkout", tmp_path / "copy"
+    inner = checkout / "parent"
+    for tree in (checkout, inner, copy):
+        tree.mkdir()
+        (tree / "file").write_text("x\n")
+    _git(checkout, "init", "-q")
+    _git(checkout, "add", "file")
+    _git(checkout, "commit", "-q", "-m", "one file")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seconds", "1", "--workload", "church-nf",
+                       "--tree", f"change={checkout}",
+                       "--tree", f"inner={inner}", "--tree", f"copy={copy}",
+                       "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["trees"] == {
+        "change": _git(checkout, "rev-parse", "--short=12", "HEAD"),
+        "inner": str(inner.resolve()),
+        "copy": str(copy.resolve()),
+    }

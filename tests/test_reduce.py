@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import example, given, settings
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
     App, Cast, ConversionCycle, CycleDetector, Eq, Fuel, FuelExhausted,
-    Global, Lam, Pi, Refl, RuleSet, Term, Var,
+    Global, GlobalEnv, Lam, Pi, Refl, RuleSet, Term, Var,
     alpha_eq, build_apps, canonical_key, elaborate, head_step, infer,
     load_example, normalize, parse_program, parse_term, pretty, replay_trace,
     trace_to_json_lines, trace_to_text, unwind_apps, whnf, whnf_term,
 )
 import itt.reduce
 from itt.convert import convert
+from itt.env import EnvEntry
 from itt.reduce import BETA, FIRINGS, TraceStep
 from itt.rules import RULES
 from itt.syntax import CHILDREN, PRIMITIVES, EqRec, J
@@ -351,6 +353,75 @@ def test_cycle_detector_hash_collision_falls_back_to_alpha(monkeypatch):
     report = det.observe(2, Lam(PROP, Var(0), name="y"))
     assert report is not None
     assert (report.first_index, report.period) == (0, 2)  # first, not other
+
+
+# A spine this long overflows the stack of dataclass ==, so a check that
+# compares its states by == alone cannot see them repeat.
+_DEEP = 3 * sys.getrecursionlimit()
+_SPINES = pytest.mark.parametrize("n", [50, _DEEP], ids=["shallow", "deep"])
+
+
+def _self_app() -> Term:
+    return Lam(PROP, App(Var(0), Var(0)), name="z")
+
+
+def _loop(n: int) -> Term:
+    """``(fun (z : Prop), z z) (fun (z : Prop), z z) a ... a``, ``n`` times
+    ``a``, built anew at each call."""
+    return build_apps(App(_self_app(), _self_app()), [Global("a")] * n)
+
+
+def _loop_env() -> GlobalEnv:
+    """The axiom ``a``, ``omega := fun (z : Prop), z z`` and ``Omega :=
+    omega omega``, entered without type checking: reduction and conversion
+    read only the bodies."""
+    env = GlobalEnv()
+    env.add(EnvEntry("a", PROP, None, "axiom"))
+    env.add(EnvEntry("omega", Pi(PROP, PROP), _self_app(), "def"))
+    env.add(EnvEntry("Omega", PROP, App(Global("omega"), Global("omega")),
+                     "def"))
+    return env
+
+
+@_SPINES
+def test_a_loop_of_any_depth_is_detected_untraced(n):
+    with pytest.raises(ConversionCycle) as cycle:
+        whnf_term(_loop_env(), (), _loop(n), RuleSet(fuel=50).new_budget())
+    assert cycle.value.period == 1
+
+
+@_SPINES
+def test_a_loop_of_any_depth_is_certified_traced(n):
+    trace = whnf(_loop_env(), (), _loop(n), RuleSet(fuel=50))
+    assert trace.status_line() == "STATUS CycleDetected first=0 period=1"
+
+
+@_SPINES
+def test_a_conversion_loop_of_any_depth_is_detected(n):
+    spine = build_apps(Global("Omega"), [Global("a")] * n)
+    with pytest.raises(ConversionCycle) as cycle:
+        convert(_loop_env(), (), spine, PROP, RuleSet(fuel=200).new_budget())
+    assert cycle.value.period == 1
+
+
+def test_cycle_detector_confirms_a_repeat_of_deep_terms():
+    det = CycleDetector()
+    assert det.observe(0, _loop(_DEEP)) is None
+    assert det.observe(1, _loop(_DEEP - 1)) is None
+    report = det.observe(2, _loop(_DEEP))  # built apart from the first
+    assert report is not None
+    assert (report.first_index, report.period) == (0, 2)
+
+
+@_SPINES
+def test_a_terminating_spine_of_any_depth_returns(n):
+    spine = build_apps(Lam(PROP, Var(0), name="x"), [Global("a")] * n)
+    want = build_apps(Global("a"), [Global("a")] * (n - 1))
+    got = whnf_term(_loop_env(), (), spine, RuleSet(fuel=50).new_budget())
+    assert alpha_eq(got, want)
+    trace = whnf(_loop_env(), (), spine, RuleSet(fuel=50))
+    assert trace.status_line() == "STATUS NormalForm"
+    assert len(trace.steps) == 1
 
 
 def test_each_trace_step_is_printed_once(monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,9 @@ from itt import (
     alpha_eq, canonical_key, normalize, parse_term, pretty, shift, subst,
 )
 from itt.reduce import BETA
-from itt.syntax import CHILDREN, PRIMITIVES, _print_scan, subterms, var
+from itt.syntax import (
+    CHILDREN, PRIMITIVES, _print_scan, rebuild, subterms, var,
+)
 import reference
 from helpers import collect_globals, has_free_var, smallest_free_name
 from term_strategies import (
@@ -299,6 +302,46 @@ def _nodes(t):
     yield t
     for kid in subterms(t):
         yield from _nodes(kid)
+
+
+def _wrapped(t):
+    """``t`` under ``fun (_ : Prop),`` binders, 100 more than the recursion
+    limit, built anew at each call, so dataclass == overflows on two of them
+    (each level costs it a frame) and ``alpha_eq`` takes its explicit walk."""
+    for _ in range(sys.getrecursionlimit() + 100):
+        t = Lam(PROP, t)
+    return t
+
+
+def _grafted(t, k, sub):
+    """A copy of ``t`` that shares no node with it, with ``sub`` in place of
+    its ``k``-th node in preorder."""
+    seen = -1
+
+    def copy(t):
+        nonlocal seen
+        seen += 1
+        if seen == k:
+            return sub
+        if not CHILDREN[type(t)]:
+            return dataclasses.replace(t)
+        return rebuild(t, [copy(kid) for kid in subterms(t)])
+
+    return copy(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(open_terms, open_terms, st.data())
+def test_alpha_eq_past_the_recursion_limit_agrees_with_eq(a, b, data):
+    # a against b, and a against a copy of a with b grafted at one node, so
+    # that the two differ, if at all, in one child of one node
+    k = data.draw(st.integers(0, sum(1 for _ in _nodes(a)) - 1))
+    deep = _wrapped(a)
+    for other in (b, _grafted(a, k, b)):
+        deep_other = _wrapped(other)
+        with pytest.raises(RecursionError):
+            _ = deep == deep_other
+        assert alpha_eq(deep, deep_other) == (a == other)
 
 
 @given(open_terms)
