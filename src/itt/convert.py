@@ -74,7 +74,7 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     if budget is None:
         budget = DEFAULT_RULES.new_budget()
     budget.spend()  # conversion queries consume the shared budget
-    # identity, not ==: dataclass == recurses and costs O(size); but two
+    # identity, not ==: a node's == recurses and costs O(size); but two
     # leaves (Var, SortT, Global) compare in O(1)
     if t1 is t2:
         return True

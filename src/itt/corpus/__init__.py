@@ -45,6 +45,7 @@ def ruleset_label(rules: RuleSet) -> str:
 
 @dataclass(frozen=True)
 class ExampleCase:
+    """A corpus program with the rules it runs under and its expected outcomes."""
     name: str
     source: str
     strategy: str
@@ -89,6 +90,7 @@ def load_example(name: str) -> ExampleCase:
 
 @dataclass
 class CaseReport:
+    """The outcome of running one corpus case: one entry per expectation."""
     name: str
     ruleset: str
     entries: list[tuple[str, bool | None]]  # (description, ok / None=skipped)

@@ -25,6 +25,7 @@ def ctx_lookup(ctx: Context, index: int) -> Term:
 
 @dataclass(frozen=True)
 class EnvEntry:
+    """A ``def``, ``axiom`` or ``assume``: its name, its type, a ``def``'s body."""
     name: str
     type_: Term
     body: Term | None  # absent for axioms and assumptions

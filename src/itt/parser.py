@@ -69,6 +69,7 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class Def:
+    """A ``def`` declaration: a name, its stated type if any, and its body."""
     name: str
     stated_type: Term | None
     body: Term
@@ -76,11 +77,13 @@ class Def:
 
 @dataclass(frozen=True)
 class PragmaCheck:
+    """A ``#check`` pragma: infer the type of ``term``."""
     term: Term
 
 
 @dataclass(frozen=True)
 class PragmaReduce:
+    """A ``#reduce`` pragma: reduce ``term`` under the run's strategy."""
     term: Term
 
 
@@ -89,6 +92,7 @@ Declaration = Def | EnvEntry | PragmaCheck | PragmaReduce
 
 @dataclass(frozen=True)
 class Program:
+    """A parsed source file: its declarations in source order."""
     declarations: tuple[Declaration, ...]
 
 

@@ -32,7 +32,6 @@ cycle is only ever reported where ``alpha_eq`` confirmed one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -104,12 +103,14 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class CycleReport:
+    """A detected cycle: where it starts in the trace, and its length."""
     first_index: int  # the witness is ``trace.snapshots()[first_index]``
     period: int
 
 
 @dataclass
 class Trace:
+    """A reduction run: its initial term, its steps, and how it ended."""
     initial: Term
     steps: list[TraceStep]
     strategy: str  # "whnf" | "nf"
@@ -330,6 +331,7 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_to_json_lines(trace: Trace) -> list[str]:
+    import json  # here, not at the top: only JSON traces need it
     lines = [json.dumps({"index": i, "kind": s.kind,
                          "term": s.text, "key": s.key})
              for i, s in enumerate(trace.steps, start=1)]

@@ -66,6 +66,7 @@ class Fuel:
 
 @dataclass(frozen=True)
 class RuleSet:
+    """Which reduction and conversion rules are on, and the fuel per budget."""
     cast_rule: bool = field(default=True, metadata={"rule": (
         "--no-cast-rule", "cast", "disable the cast reduction rule")})
     eqrec_rule: bool = field(default=True, metadata={"rule": (

@@ -16,13 +16,15 @@ A node's class statement is the one declaration of its shape.  Its fields
 declared ``Term`` are its children, and the one under its binder is marked
 ``binds``.  Its class keywords give its digest tag and, for a primitive form,
 its surface keyword.  ``CHILDREN``, ``PRIMITIVES`` and the digest's tables
-are derived from these.
+are derived from these, and so are a node's methods: ``Term`` gives every
+node its ``repr``, its hash and its frozenness, and ``_compile_nodes`` gives
+each node class its own ``__init__`` and ``__eq__``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Callable, Iterator, Sequence
 
 
@@ -37,8 +39,19 @@ PRIMITIVES: dict[str, type] = {}
 
 
 class Term:
+    """The base of every node class.  A node behaves as an instance of a
+    frozen dataclass, but its class costs less to make: a ``dataclass`` call
+    that generates no method registers it, so ``dataclasses.fields`` and
+    ``replace`` and ``__match_args__`` work on it; its ``repr``, frozenness
+    and hash are ``Term``'s; and ``_compile_nodes`` gives it an ``__init__``
+    and an ``__eq__`` of its own."""
+
     def __str__(self) -> str:
         return pretty(self)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({args})"
 
     def __hash__(self) -> int:
         """The hash of the node's digest (``canonical_key``), so equal for
@@ -46,17 +59,23 @@ class Term:
         them), and as cheap and as safe on deep terms as the digest."""
         return hash(self.__dict__.get(_DIGEST) or _digest(self))
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __init_subclass__(cls, tag: bytes, keyword: str | None = None) -> None:
-        # Set before @dataclass runs, which then keeps it rather than
-        # generating a recursive field-by-field hash.
-        cls.__hash__ = Term.__hash__
+        # A node class has a docstring, which spares it the one that this
+        # call would build from ``inspect.signature``.
+        dataclass(init=False, repr=False, eq=False)(cls)
         _TAGS[cls] = tag
         if keyword is not None:
             PRIMITIVES[keyword] = cls
 
 
-@dataclass(frozen=True)
 class Var(Term, tag=b"V"):
+    """A bound variable: ``index`` counts the binders between it and its own."""
     index: int
 
 
@@ -75,58 +94,51 @@ class _Vars(dict):
 var: Callable[[int], Var] = _Vars().__getitem__
 
 
-@dataclass(frozen=True)
 class SortT(Term, tag=b"S"):
+    """A sort: ``Prop``, ``Type`` or ``Kind``."""
     sort: str  # "Prop" | "Type" | "Kind"
 
 
-# The three sorts.  A sort built elsewhere is equal to one of these but need
-# not be the same object, so compare sorts with ``==``.
-PROP = SortT("Prop")
-TYPE = SortT("Type")
-KIND = SortT("Kind")
-
-
-@dataclass(frozen=True)
 class Pi(Term, tag=b"P"):
+    """The dependent function type ``forall (name : domain), codomain``."""
     domain: Term
     codomain: Term = field(metadata={"binds": True})
     name: str = field(default="_", compare=False)
 
 
-@dataclass(frozen=True)
 class Lam(Term, tag=b"L"):
+    """The function ``fun (name : domain), body``."""
     domain: Term
     body: Term = field(metadata={"binds": True})
     name: str = field(default="_", compare=False)
 
 
-@dataclass(frozen=True)
 class App(Term, tag=b"A"):
+    """The application of ``fn`` to ``arg``."""
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Global(Term, tag=b"G"):
+    """A declared name: an axiom, an assumption or a definition."""
     name: str
 
 
-@dataclass(frozen=True)
 class Eq(Term, tag=b"E", keyword="Eq"):
+    """The proposition ``Eq ty lhs rhs`` that two elements of ``ty`` are equal."""
     ty: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
 class Refl(Term, tag=b"R", keyword="refl"):
+    """The proof ``refl ty val`` that ``val`` equals itself."""
     ty: Term
     val: Term
 
 
-@dataclass(frozen=True)
 class EqRec(Term, tag=b"Q", keyword="Eq_rec"):
+    """``Eq_rec``: ``base : motive lhs`` carried along ``proof`` to ``motive rhs``."""
     ty: Term
     motive: Term
     lhs: Term
@@ -135,20 +147,52 @@ class EqRec(Term, tag=b"Q", keyword="Eq_rec"):
     proof: Term
 
 
-@dataclass(frozen=True)
 class Cast(Term, tag=b"C", keyword="cast"):
+    """The coercion of ``val : src`` to ``dst`` along ``proof : Eq Prop src dst``."""
     src: Term
     dst: Term
     proof: Term
     val: Term
 
 
-@dataclass(frozen=True)
 class J(Term, tag=b"J", keyword="J"):
+    """The coercion of ``val : src`` to ``dst``, without evidence."""
     src: Term
     dst: Term
     val: Term
 
+
+def _compile_nodes() -> None:
+    """Give each node class the ``__init__`` and ``__eq__`` that
+    ``@dataclass(frozen=True)`` would write, compiled for all classes in one
+    ``exec`` rather than five per class.  Each class keeps code of its own:
+    functions shared by the classes of one arity were slower to call."""
+    src = []
+    for cls in _TAGS:
+        fs = fields(cls)
+        params = [f.name if f.default is MISSING else f"{f.name}={f.default!r}" for f in fs]
+        mine, theirs = ("".join(f"{who}.{f.name}, " for f in fs if f.compare)
+                        for who in ("self", "other"))
+        src += [f"class {cls.__name__}:",  # a stand-in, for the qualified names
+                f"  def __init__(self, {', '.join(params)}):",
+                *(f"    _set(self, {f.name!r}, {f.name})" for f in fs),
+                "  def __eq__(self, other):",
+                "    if other.__class__ is self.__class__:",
+                f"      return ({mine}) == ({theirs})",
+                "    return NotImplemented"]
+    made: dict = {"_set": object.__setattr__}
+    exec("\n".join(src), made)
+    for cls in _TAGS:
+        cls.__init__, cls.__eq__ = made[cls.__name__].__init__, made[cls.__name__].__eq__
+
+
+_compile_nodes()
+
+# The three sorts.  A sort built elsewhere is equal to one of these but need
+# not be the same object, so compare sorts with ``==``.
+PROP = SortT("Prop")
+TYPE = SortT("Type")
+KIND = SortT("Kind")
 
 # The fields declared ``Term`` of each node, in declaration order (which is
 # surface order), each flagged when it sits under the node's binder.
@@ -180,9 +224,10 @@ def build_apps(head: Term, args: Sequence[Term]) -> Term:
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Alpha-equivalence: structural equality under de Bruijn indices, binder
-    names excluded.  It is dataclass ``==``, unless that overflows the stack;
-    then the same comparison runs from an explicit stack of node pairs, so
-    it answers at any depth.  Per pair: the same object, else the class, a
+    names excluded.  It is ``==``, whose ``__eq__`` (``_compile_nodes``)
+    compares the fields recursively, unless that overflows the stack; then
+    the same comparison runs from an explicit stack of node pairs, so it
+    answers at any depth.  Per pair: the same object, else the class, a
     leaf's payload, then children in ``CHILDREN`` order."""
     try:
         return t1 == t2

@@ -175,6 +175,7 @@ def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
 
 @dataclass(frozen=True)
 class PragmaResult:
+    """What a pragma produced: a ``#check``'s type or a ``#reduce``'s trace."""
     kind: str  # "check" | "reduce"
     index: int  # the pragma's position among the program's declarations
     term: Term

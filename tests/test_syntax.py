@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from itt import (
     DEFAULT_RULES, KIND, PROP, TYPE,
-    App, GlobalEnv, Global, Lam, Pi, ScopeError, SortT, TraceStep, Var,
+    App, Cast, Eq, EqRec, GlobalEnv, Global, J, Lam, Pi, Refl, ScopeError,
+    SortT, TraceStep, Var,
     alpha_eq, canonical_key, normalize, parse_term, pretty, shift, subst,
 )
 from itt.reduce import BETA
@@ -176,6 +177,76 @@ def test_children_are_the_compared_term_fields_in_order():
     bound = {(cls, attr) for cls, fields in CHILDREN.items()
              for attr, under in fields if under}
     assert bound == {(Pi, "codomain"), (Lam, "body")}
+
+
+# Each node class: its fields in order, the arguments of one instance, and
+# that instance's repr.
+_V0, _V1, _V2, _V3, _V4, _V5 = (var(i) for i in range(6))
+_NODE_CLASSES = {
+    Var: (("index",), (3,), "Var(index=3)"),
+    SortT: (("sort",), ("Type",), "SortT(sort='Type')"),
+    Pi: (("domain", "codomain", "name"), (PROP, _V0, "x"),
+         "Pi(domain=SortT(sort='Prop'), codomain=Var(index=0), name='x')"),
+    Lam: (("domain", "body", "name"), (_V1, _V0, "y"),
+          "Lam(domain=Var(index=1), body=Var(index=0), name='y')"),
+    App: (("fn", "arg"), (Global("f"), _V0),
+          "App(fn=Global(name='f'), arg=Var(index=0))"),
+    Global: (("name",), ("g",), "Global(name='g')"),
+    Eq: (("ty", "lhs", "rhs"), (_V0, _V1, _V2),
+         "Eq(ty=Var(index=0), lhs=Var(index=1), rhs=Var(index=2))"),
+    Refl: (("ty", "val"), (_V0, _V1), "Refl(ty=Var(index=0), val=Var(index=1))"),
+    EqRec: (("ty", "motive", "lhs", "rhs", "base", "proof"),
+            (_V0, _V1, _V2, _V3, _V4, _V5),
+            "EqRec(ty=Var(index=0), motive=Var(index=1), lhs=Var(index=2),"
+            " rhs=Var(index=3), base=Var(index=4), proof=Var(index=5))"),
+    Cast: (("src", "dst", "proof", "val"), (_V0, _V1, _V2, _V3),
+           "Cast(src=Var(index=0), dst=Var(index=1), proof=Var(index=2),"
+           " val=Var(index=3))"),
+    J: (("src", "dst", "val"), (_V0, _V1, _V2),
+        "J(src=Var(index=0), dst=Var(index=1), val=Var(index=2))"),
+}
+
+
+def test_the_node_class_table_covers_every_node_class():
+    assert list(_NODE_CLASSES) == list(CHILDREN)
+
+
+@pytest.mark.parametrize("cls", list(CHILDREN), ids=lambda c: c.__name__)
+def test_node_classes_behave_as_frozen_dataclasses(cls):
+    names, args, text = _NODE_CLASSES[cls]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert cls.__match_args__ == names
+    node = cls(*args)
+    assert node == cls(**dict(zip(names, args)))
+    assert repr(node) == text
+    hash(node)  # memoizes the digest on ``node``
+    first = {int: 7, str: "z"}.get(type(args[0]), Global("h"))
+    changed = dataclasses.replace(node, **{names[0]: first})
+    assert type(changed) is cls and changed == cls(first, *args[1:])
+    assert [getattr(changed, n) for n in names] == [first, *args[1:]]
+    assert "_digest" not in vars(changed) and changed != node
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*args, unknown=None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, names[0], first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(node, names[0])
+    assert getattr(node, names[0]) == args[0]
+    if cls in (Pi, Lam):  # the binder's name is for display only
+        renamed = dataclasses.replace(node, name="other")
+        assert renamed == node and hash(renamed) == hash(node)
+        assert cls(*args[:2]) == node and cls(*args[:2]).name == "_"
+    assert node != object() and (node == object()) is False
+
+
+def test_each_node_class_has_its_own_init_and_eq_code():
+    # one code object per class: an __init__ or __eq__ shared by the classes
+    # of one arity, as a closure, was slower at every later call
+    for method in ("__init__", "__eq__"):
+        codes = [vars(cls)[method].__code__ for cls in CHILDREN]
+        assert len({id(code) for code in codes}) == len(CHILDREN), method
 
 
 # Terms whose free indices all lie below ``c``, paired with ``c``.
