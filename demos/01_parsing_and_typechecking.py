@@ -17,7 +17,7 @@ def main() -> None:
     print("\n".join(f"    {line}" for line in case.source.splitlines()
                     if line and not line.startswith("--")))
 
-    env, results = elaborate(case.program, case.rules, run_reduce=False)
+    env, results = elaborate(case.program, case.rules, reduce_strategy=None)
 
     print("\nelaborated globals:")
     for entry in env:

@@ -77,6 +77,25 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def parse_trees(ap: argparse.ArgumentParser, items: list[str] | None) -> dict[str, Path]:
+    """The checkouts that ``--tree LABEL=PATH`` options name, each path
+    resolved; by default this one, named ``change``."""
+    trees: dict[str, Path] = {}
+    for item in items or [f"change={ROOT}"]:
+        label, sep, path = item.partition("=")
+        if not sep or not label:
+            ap.error(f"--tree wants LABEL=PATH, got {item!r}")
+        trees[label] = Path(path).resolve()
+    return trees
+
+
+def rotated(order: list, i: int) -> list:
+    """``order`` started at its item ``i`` (modulo its length), so that the
+    tree that runs first changes from one round of runs to the next."""
+    k = i % len(order)
+    return order[k:] + order[:k]
+
+
 def compare(spec: dict, runs: dict, medians: dict) -> list[str]:
     """Per workload run and end-to-end metric: the first tree's median and
     the distance between its quartiles (``iqr``); then each other tree's
@@ -119,12 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, help="write the results as JSON")
     args = ap.parse_args(argv)
 
-    trees: dict[str, Path] = {}
-    for item in args.tree or [f"change={ROOT}"]:
-        label, sep, path = item.partition("=")
-        if not sep or not label:
-            ap.error(f"--tree wants LABEL=PATH, got {item!r}")
-        trees[label] = Path(path).resolve()
+    trees = parse_trees(ap, args.tree)
     metrics = [m["name"] for m in spec["end_to_end"]]
     if args.workload:
         names = [w for w in names if w in args.workload]
@@ -135,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     order = list(trees.items())
     for i, seed in enumerate(args.seeds):
         for workload in names:
-            for label, tree in order[i % len(order):] + order[:i % len(order)]:
+            for label, tree in rotated(order, i):
                 result = run_once(tree, workload, seed, args.seconds)
                 if result["correct"] is not True:
                     wrong.append(f"{label} {workload} seed {seed}: "

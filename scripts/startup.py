@@ -34,9 +34,8 @@ import sys
 import time
 from pathlib import Path
 
-from bench import iqr  # scripts/bench.py, beside this file
+from bench import iqr, parse_trees, rotated  # scripts/bench.py, beside this file
 
-ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "pass": ["-c", "pass"],
     "import itt": ["-c", "import itt"],
@@ -65,12 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    trees: dict[str, Path] = {}
-    for item in args.tree or [f"change={ROOT}"]:
-        label, sep, path = item.partition("=")
-        if not sep or not label:
-            ap.error(f"--tree wants LABEL=PATH, got {item!r}")
-        trees[label] = Path(path).resolve()
+    trees = parse_trees(ap, args.tree)
 
     flag = subprocess.run([sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
                           capture_output=True, text=True, check=True).stdout.strip()
@@ -79,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     order = list(trees.items())
     for i in range(args.runs):
         for name, command in COMMANDS.items():
-            for label, tree in order[i % len(order):] + order[:i % len(order)]:
+            for label, tree in rotated(order, i):
                 times[label][name].append(run_once(tree, command))
     for label, per in times.items():
         for name, values in per.items():

@@ -142,7 +142,7 @@ def _printing(program: Program, res: PragmaResult) -> Iterator[None]:
 def _cmd_check(args: argparse.Namespace) -> int:
     rules = DEFAULT_RULES.updated(**_rule_fields(args))
     program = parse_program(_read_source(args.path))
-    _, results = elaborate(program, rules, run_reduce=False)
+    _, results = elaborate(program, rules, reduce_strategy=None)
     for res in results:
         with _printing(program, res):
             print(f"{pretty(res.term)} : {pretty(res.type_)}")

@@ -8,27 +8,27 @@ work (ROADMAP item 1).
 
 Every query spends one unit of fuel, and a query of a term with itself (the
 same object) or of two equal leaves (``Var``, ``SortT``, ``Global``) costs
-exactly that unit: it is answered before any reduction.  The same object
-also comes from one parse, which builds one ``Global`` per name, and from
-one Beta instantiation that a budget shares (``Fuel.instances``), so a
-query of two results of it is answered at once, even when they diverge,
-where two copies would be reduced.  Otherwise weak-head forms are compared,
-with lazy delta unfolding as in Lean 4's kernel: a global unfolds only when
-the heads disagree (or agree but their parts do not), and then the head of
-greater definitional height (``GlobalEnv.height``) unfolds, the left one on
-a tie.  Since a body names only earlier globals, two aliases meet at their
-common alias without unfolding past it, and comparisons stay close to the
-named forms they started from.  Two heads of height 0 (no defined global)
-do not convert.
+exactly that unit: identity is answered before any reduction, and no rule
+steps a leaf.  The same object also comes from one parse, which builds one
+``Global`` per name, and from one Beta instantiation that a budget shares
+(``Fuel.instances``), so a query of two results of it is answered at once,
+even when they diverge, where two copies would be reduced.  Otherwise
+weak-head forms are compared, with lazy delta unfolding as in Lean 4's
+kernel: a global unfolds only when the heads disagree (or agree but their
+parts do not), and then the head of greater definitional height
+(``GlobalEnv.height``) unfolds, the left one on a tie.  Since a body names
+only earlier globals, two aliases meet at their common alias without
+unfolding past it, and comparisons stay close to the named forms they
+started from.  Two heads of height 0 (no defined global) do not convert.
 
 A pair of two different bound globals is answered once per environment and
-rule set: ``GlobalEnv.conversions``, keyed on ``budget.rules`` and the names,
-keeps its answer and the fuel spent from it to the end, which cannot change,
-as a body names only earlier globals and no entry is replaced.  A pair is
-kept when a query starts from it and when the unfolding meets it: a query
-of the pair spends only its own unit before the same deterministic loop,
-and a run that ends repeats no state, so both spend alike.  A later query
-or state of a kept pair spends that fuel again, or runs live if the budget
+rule set.  Each such pair of weak-head forms that the loop meets, its first
+included, is consulted once, and one not found is kept in
+``GlobalEnv.conversions``, keyed on ``budget.rules`` and the names, with its
+answer and the fuel spent from there to the end.  That fuel cannot change, as a body names only
+earlier globals and no entry is replaced, and a run that ends repeats no
+state, so the loop from a pair spends alike wherever it was met.  A later
+state of a kept pair spends that fuel again, or runs live if the budget
 holds less, to run out at the same step; so only a query too deep for
 Python's stack may end differently (answered from the memo, not
 RecursionError).  A raise stores nothing; the key omits ``ctx``.
@@ -74,22 +74,17 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     if budget is None:
         budget = DEFAULT_RULES.new_budget()
     budget.spend()  # conversion queries consume the shared budget
-    # identity, not ==: a node's == recurses and costs O(size); but two
-    # leaves (Var, SortT, Global) compare in O(1)
+    # identity, not ==: a node's == recurses and costs O(size), and one
+    # object that reduces would otherwise be reduced twice
     if t1 is t2:
         return True
-    passed: list[tuple[tuple, int]] = []  # the named pairs met, to store
-    if not CHILDREN[type(t1)]:
-        if t1 == t2:
-            return True
-        if (answer := _recall(env, t1, t2, budget, passed)) is not None:
-            return answer
     w1 = _reduce.whnf_term(env, ctx, t1, budget, unfold_heads=False)
     w2 = _reduce.whnf_term(env, ctx, t2, budget, unfold_heads=False)
+    passed: list[tuple[tuple, int]] = []  # the named pairs met, to store
     # Brent's cycle check: the next state depends only on (w1, w2), so a
     # state equal to the one saved at the last power of two never returns.
     saved, power, period = (w1, w2), 1, 0
-    while True:
+    while (answer := _recall(env, w1, w2, budget, passed)) is None:
         answer = type(w1) is type(w2) and _parts_convert(env, ctx, w1, w2, budget)
         if answer:
             break
@@ -107,8 +102,6 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
             raise ConversionCycle(period)
         if period == power:
             saved, power, period = (w1, w2), 2 * power, 0
-        if (answer := _recall(env, w1, w2, budget, passed)) is not None:
-            break
     for key, left in passed:
         env.conversions[key] = (answer, left - budget.remaining)
     return answer
@@ -116,9 +109,10 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
 
 def _recall(env: GlobalEnv, t1: Term, t2: Term, budget: Fuel,
             passed: list[tuple[tuple, int]]) -> bool | None:
-    """For two bare globals of different names, both bound: their stored
-    answer, its fuel spent, if the budget holds that fuel.  Otherwise None,
-    and the pair's key and the fuel left join ``passed``."""
+    """The loop's consult of each state: for two bare globals of different
+    names, both bound, their stored answer, its fuel spent, if the budget
+    holds that fuel.  Otherwise None, and the pair's key and the fuel left
+    join ``passed``."""
     if (type(t1) is Global is type(t2) and t1.name != t2.name
             and env.lookup(t1.name) and env.lookup(t2.name)):
         key = (budget.rules, t1.name, t2.name)

@@ -191,14 +191,14 @@ def name_declaration(exc: Exception, index: int, decl: Declaration) -> None:
 
 
 def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
-              reduce_strategy: str = "nf",
-              run_reduce: bool = True) -> tuple[GlobalEnv, list[PragmaResult]]:
+              reduce_strategy: str | None = "nf") -> tuple[GlobalEnv, list[PragmaResult]]:
     """Process declarations in order against a growing global environment.
 
-    Each declaration gets a fresh budget of ``rules.fuel`` steps.  The first
-    failing declaration aborts with its TypeCheckError, FuelExhausted (a
-    ConversionCycle among them) or RecursionError, re-raised with the message
-    prefixed by its index and name.
+    Each ``#reduce`` pragma runs under ``reduce_strategy``, "nf" or "whnf";
+    under None it is type-checked but not run.  Each declaration gets a fresh
+    budget of ``rules.fuel`` steps.  The first failing declaration aborts
+    with its TypeCheckError, FuelExhausted (a ConversionCycle among them) or
+    RecursionError, re-raised with the message prefixed by its index and name.
     """
     env = GlobalEnv()
     results: list[PragmaResult] = []
@@ -223,7 +223,7 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
                     results.append(PragmaResult("check", index, term, type_=ty))
                 case PragmaReduce(term):
                     infer(env, (), term, budget)
-                    if run_reduce:
+                    if reduce_strategy is not None:
                         trace = _reduce.reduce_with(env, (), term, rules,
                                                     reduce_strategy)
                         results.append(PragmaResult("reduce", index, term,

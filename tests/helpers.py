@@ -174,7 +174,7 @@ def case_env(name: str, **flags: bool) -> tuple[GlobalEnv, RuleSet]:
     under the case's rule set with ``flags`` changed."""
     case = load_example(name)
     rules = case.rules.updated(**flags)
-    env, _ = elaborate(case.program, rules, run_reduce=False)
+    env, _ = elaborate(case.program, rules, reduce_strategy=None)
     return env, rules
 
 

@@ -81,7 +81,7 @@ def test_sanity_church_beta_steps_share_substitutions(monkeypatch):
     # exp two two: 2 of its 12 Beta steps repeat a (body, argument) pair
     # that the budget already substituted
     case = load_example("sanity-church")
-    env, _ = elaborate(case.program, case.rules, run_reduce=False)
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     (term,) = [d.term for d in case.program.declarations
                if isinstance(d, PragmaReduce)]
     calls = _counting_subst(monkeypatch)

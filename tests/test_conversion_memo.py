@@ -1,9 +1,9 @@
 """The conversion memo, ``GlobalEnv.conversions``.
 
 ``convert`` stores the answer and the fuel of every pair of different bound
-globals that a query starts from or meets while unfolding, and answers a
-later query, or a later state of a query, from it.  These tests run the
-same work with the memo and with a memo that never answers and keeps
+globals that its loop meets as a pair of weak-head forms, the first one
+included, and answers a later state of any query from it.  These tests run
+the same work with the memo and with a memo that never answers and keeps
 nothing, and check that answers, outcomes and the fuel of every budget agree.
 """
 
@@ -13,8 +13,8 @@ import itertools
 import random
 
 from itt import (
-    CASE_NAMES, DEFAULT_FUEL, DEFAULT_RULES, PROP, EnvEntry, Fuel,
-    FuelExhausted, Global, GlobalEnv, load_example, parse_term,
+    CASE_NAMES, DEFAULT_FUEL, DEFAULT_RULES, PROP, App, EnvEntry, Fuel,
+    FuelExhausted, Global, GlobalEnv, Lam, Var, load_example, parse_term,
 )
 import itt.reduce
 from itt.convert import convert
@@ -112,14 +112,26 @@ def test_the_conversion_memo_changes_no_answer_outcome_or_fuel(monkeypatch):
     assert unfolds[True] < unfolds[False]
 
 
-def test_a_state_met_while_unfolding_is_stored_with_its_own_fuel():
-    # T5 against T0 passes T4, T3, T2 and T1: each pair is stored with the
-    # fuel from that state to the end, one unfolding per step
+def _stored_from(t1) -> dict:
+    """The memo after ``t1`` is converted with T0 in a fresh environment of
+    ``def T_k : Prop := T_(k-1)`` for k = 1..5, after a closed T0."""
     env = GlobalEnv()
     env.add(EnvEntry("T0", PROP, parse_term("forall (A : Prop), A"), "def"))
     for k in range(1, 6):
         env.add(EnvEntry(f"T{k}", PROP, Global(f"T{k - 1}"), "def"))
-    budget = Fuel(DEFAULT_FUEL, DEFAULT_RULES)
-    assert convert(env, (), Global("T5"), Global("T0"), budget)
-    assert env.conversions == {(DEFAULT_RULES, f"T{k}", "T0"): (True, k)
-                               for k in range(1, 6)}
+    assert convert(env, (), t1, Global("T0"), Fuel(DEFAULT_FUEL, DEFAULT_RULES))
+    return env.conversions
+
+
+def test_a_state_met_while_unfolding_is_stored_with_its_own_fuel():
+    # T5 against T0 passes T4, T3, T2 and T1: each pair is stored with the
+    # fuel from that state to the end, one unfolding per step
+    assert _stored_from(Global("T5")) == {
+        (DEFAULT_RULES, f"T{k}", "T0"): (True, k) for k in range(1, 6)}
+
+
+def test_a_first_state_reached_by_reduction_is_stored_with_its_own_fuel():
+    # (fun x => x) T5 reaches the first state (T5, T0) by one Beta, which
+    # that state's fuel does not count
+    redex = App(Lam(PROP, Var(0), name="x"), Global("T5"))
+    assert _stored_from(redex) == _stored_from(Global("T5"))

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -112,7 +114,7 @@ def _programs():
     """(env, rules, root terms) of each corpus program, then of one more."""
     for name in CASE_NAMES:
         case = load_example(name)
-        env, _ = elaborate(case.program, case.rules, run_reduce=False)
+        env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
         pragmas = [d.term for d in case.program.declarations
                    if isinstance(d, (PragmaCheck, PragmaReduce))]
         yield env, case.rules, _roots(env) + pragmas
@@ -217,6 +219,33 @@ def test_conversion_is_an_equivalence_on_corpus_terms(name):
                 for k in range(len(roots)):
                     if known.get((j, k)) and (i, k) in known:
                         assert known[i, k], (irrelevance, i, j, k)
+
+
+_RECORD_PATH = Path(__file__).resolve().parents[1] / "scripts" / "record_expected.py"
+_spec = importlib.util.spec_from_file_location("record_expected", _RECORD_PATH)
+record_expected = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_expected)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_each_reduction_step_converts_with_its_source(name):
+    # reduction lies inside conversion: along each #reduce run of the
+    # expected tables (every rule set they record, and both strategies),
+    # each of the first 60 steps gives a term that converts with the one
+    # before it
+    case = load_example(name)
+    for overrides, strategy in itertools.product(record_expected.VARIANTS,
+                                                 ("whnf", "nf")):
+        rules = case.rules.updated(**overrides)
+        env, results = elaborate(case.program, rules, reduce_strategy=strategy)
+        for res in results:
+            if res.kind != "reduce":
+                continue
+            snapshots = [res.trace.initial,
+                         *(step.term for step in res.trace.steps[:60])]
+            for before, after in zip(snapshots, snapshots[1:]):
+                assert convert(env, (), before, after, Fuel(3000, rules)), (
+                    overrides, strategy, pretty(before), pretty(after))
 
 
 def test_congruence_spot_checks():
@@ -390,21 +419,30 @@ def test_global_heights_follow_declaration_order():
     assert env.height("missing") == 0
 
 
+def _record_reduction(monkeypatch):
+    """The names of the calls to ``head_step`` and ``unfold``, in order: every
+    reduction step and every unfolding passes through one of them."""
+    calls = []
+    for name in ("head_step", "unfold"):
+        def recording(*args, _name=name, _real=getattr(reduce_module, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(reduce_module, name, recording)
+    return calls
+
+
 def test_equal_leaves_answer_without_reducing(monkeypatch):
     # separately built leaves are == but not the same object: the query
-    # spends its one unit and answers before any weak-head reduction
+    # spends its one unit and answers with no reduction step or unfolding
     env, _ = elaborate(parse_program("def T : Prop := forall (A : Prop), A.\n"))
     prop = SortT("Prop")
     assert prop == PROP and prop is not PROP
-
-    def no_reduction(*args, **kwargs):
-        raise AssertionError("whnf_term called")
-
-    monkeypatch.setattr(reduce_module, "whnf_term", no_reduction)
+    calls = _record_reduction(monkeypatch)
     for t1, t2 in [(Global("T"), Global("T")), (Var(2), Var(2)), (prop, PROP)]:
         budget = Fuel(1, DEFAULT_RULES)
         assert convert(env, (PROP,) * 3, t1, t2, budget=budget)
         assert budget.remaining == 0
+    assert calls == []
 
 
 # An alias forest: N0 is an axiom; each later N_k is an axiom or names an
@@ -458,21 +496,26 @@ def test_a_memo_hit_without_enough_fuel_runs_out_at_the_live_step():
 def test_a_state_met_while_unfolding_answers_a_later_query(monkeypatch):
     # T30 against T0 passes (T20, T0) and stores it with the 20 unfoldings
     # left from there: a later query of that pair spends its own unit and
-    # those 20, with no weak-head reduction; one unit short, it still runs
-    # out at the live step
+    # those 20, with no reduction step or unfolding; one unit short, it
+    # still runs out at the live step
     warm = _alias_chain(30)
     assert _fuel_spent(warm, Global("T30"), Global("T0")) == 31
-    calls = []
-    whnf_term = reduce_module.whnf_term
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return whnf_term(*args, **kwargs)
-
-    monkeypatch.setattr(reduce_module, "whnf_term", counting)
+    calls = _record_reduction(monkeypatch)
     assert _fuel_spent(warm, Global("T20"), Global("T0")) == 21
     assert calls == []
     assert _outcome(warm, Global("T20"), Global("T0"), 20) == (FuelExhausted, -1)
+
+
+def test_a_query_that_reduces_to_a_kept_pair_answers_from_the_memo(monkeypatch):
+    # (fun x => x) T20 reduces by one Beta to T20, and (T20, T0), kept by
+    # the warm-up, is the loop's first state: the query spends its own
+    # unit, the Beta and the 20 kept unfoldings, and unfolds nothing
+    warm = _alias_chain(30)
+    assert _fuel_spent(warm, Global("T30"), Global("T0")) == 31
+    calls = _record_reduction(monkeypatch)
+    redex = App(Lam(PROP, Var(0), name="x"), Global("T20"))
+    assert _fuel_spent(warm, redex, Global("T0")) == 22
+    assert calls == ["head_step"]
 
 
 # fired unfolds to a cast that fires to top_value only under the cast rule

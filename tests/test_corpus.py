@@ -67,7 +67,7 @@ def test_unrecorded_ruleset_skips_instead_of_failing():
 
 def test_counterexample1_omega_type_as_displayed():
     case = load_example("counterexample1")
-    env, _ = elaborate(case.program, case.rules, run_reduce=False)
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     want = parse_term(
         "Neg (forall (A : Prop), forall (B : Prop), Eq Prop A B)", env.names())
     assert alpha_eq(env.lookup("Omega").type_, want)
@@ -75,14 +75,14 @@ def test_counterexample1_omega_type_as_displayed():
 
 def test_counterexample2_omega_is_closed_over_axioms():
     case = load_example("counterexample2")
-    env, _ = elaborate(case.program, case.rules, run_reduce=False)
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     assert closed_over_axioms(env, Global("Omega"))
     assert closed_over_axioms(env, env.lookup("Omega").body)
 
 
 def test_counterexample1_reduce_target_is_open():
     case = load_example("counterexample1")
-    env, _ = elaborate(case.program, case.rules, run_reduce=False)
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     (reduce_decl,) = [d for d in case.program.declarations
                       if isinstance(d, PragmaReduce)]
     assert not closed_over_axioms(env, reduce_decl.term)  # mentions assume h
@@ -90,7 +90,7 @@ def test_counterexample1_reduce_target_is_open():
 
 def test_propext_variant_derives_the_equality_axiom():
     case = load_example("counterexample2-propext")
-    env, _ = elaborate(case.program, case.rules, run_reduce=False)
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     tautext = env.lookup("tautext")
     assert tautext.kind == "def" and tautext.body is not None
     assert env.lookup("propext").kind == "axiom"

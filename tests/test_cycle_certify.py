@@ -106,7 +106,7 @@ def test_corpus_cycles_match_the_exact_detector(monkeypatch,
         case = load_example(name)
         for flags in VARIANTS:
             rules = case.rules.updated(**flags)
-            env, _ = elaborate(case.program, rules, run_reduce=False)
+            env, _ = elaborate(case.program, rules, reduce_strategy=None)
             for decl in case.program.declarations:
                 if not isinstance(decl, PragmaReduce):
                     continue
@@ -124,7 +124,7 @@ def test_long_tails_match_the_exact_detector(monkeypatch,
     hashes each state of these long spines, so every fourth budget is
     compared, by alpha-equality."""
     case = load_example("counterexample2")
-    env, _ = elaborate(case.program, case.rules, run_reduce=False)
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     firsts = set()
     for k in TAILS:
         binders = "".join(f"fun (y{j} : Top), " for j in range(k))
@@ -150,7 +150,7 @@ def test_corpus_cycle_reports_are_certificates():
         case = load_example(name)
         for flags in VARIANTS:
             rules = case.rules.updated(**flags)
-            env, _ = elaborate(case.program, rules, run_reduce=False)
+            env, _ = elaborate(case.program, rules, reduce_strategy=None)
             for decl in case.program.declarations:
                 if not isinstance(decl, PragmaReduce):
                     continue

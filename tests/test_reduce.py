@@ -32,7 +32,7 @@ from term_strategies import (
 def _env(name, **flags):
     case = load_example(name)
     rules = case.rules.updated(**flags)
-    env, _ = elaborate(case.program, rules, run_reduce=False)
+    env, _ = elaborate(case.program, rules, reduce_strategy=None)
     return case, env, rules
 
 
@@ -256,7 +256,7 @@ def test_replay_matches_the_original_run_on_generated_programs(expr):
 def test_fuel_exhaustion_status():
     case = load_example("sanity-church")
     rules = case.rules
-    env, _ = elaborate(case.program, rules, run_reduce=False)
+    env, _ = elaborate(case.program, rules, reduce_strategy=None)
     tiny = RuleSet(fuel=3)
     trace = normalize(env, (), parse_term("exp two two", env.names()), tiny)
     assert trace.status == FUEL_EXHAUSTED

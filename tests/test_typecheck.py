@@ -232,5 +232,5 @@ def test_one_budget_per_declaration_and_per_reduce(monkeypatch, name, budgets):
         assert len(made) == budgets == len(decls) + reduces
         assert all(b.rules is case.rules for b in made)
         made.clear()
-        elaborate(case.program, case.rules, run_reduce=False)
+        elaborate(case.program, case.rules, reduce_strategy=None)
         assert len(made) == len(decls)
