@@ -46,7 +46,7 @@ from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, ConversionCycle, Fuel
-from .syntax import CHILDREN, PROP, App, Global, Term, alpha_eq, unwind_apps
+from .syntax import CHILDREN, PROP, App, Global, Term, alpha_eq, build_apps, unwind_apps
 
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, budget: Fuel) -> bool:
@@ -92,10 +92,10 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
         if h1 == h2 == 0:
             break
         if h1 >= h2:
-            u1 = _reduce.unfold(env, *unwind_apps(w1), budget)
+            u1 = build_apps(*_reduce.unfold(env, *unwind_apps(w1), budget))
             w1 = _reduce.whnf_term(env, ctx, u1, budget, unfold_heads=False)
         else:
-            u2 = _reduce.unfold(env, *unwind_apps(w2), budget)
+            u2 = build_apps(*_reduce.unfold(env, *unwind_apps(w2), budget))
             w2 = _reduce.whnf_term(env, ctx, u2, budget, unfold_heads=False)
         period += 1
         if alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1]):

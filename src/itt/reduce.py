@@ -11,9 +11,11 @@ the budget's ``RuleSet``):
     EqRec(T, P, a, b, x, e) |> x   when a and b are convertible      EqRecFire
     J(A, B, x)              |> x   when A and B are convertible      JFire
 
-Beta substitutes once per budget for each pair of body and argument
-objects: ``budget.instances`` keeps the result, and a repeat of the pair
-shares it, though it spends its unit of fuel and is traced as any step.
+A spine reduces as a head and an argument ``Stack``, as in Krivine's
+machine: cons cells ``(arg, rest, length)``, the first argument on top, None
+when empty, tails shared.  A step builds no ``App``.  Beta pops an argument
+and substitutes once per budget for each pair of body and argument objects
+(``budget.instances``); a repeat shares the result but spends its fuel.
 
 CastFire and EqRecFire never look at the shape of the proof argument; only
 the endpoints are compared.  Delta is need-driven: a global unfolds when its
@@ -22,8 +24,8 @@ strong normalization, so traces keep named forms as long as possible.
 
 Divergence is not observed as a timeout but *detected*.  Every head
 reduction, traced or not, runs Brent's check in ``whnf_term``: each state is
-compared by ``alpha_eq``, at any depth, with one state, re-saved at each
-power of two steps, and a repeat raises ``ConversionCycle`` with its period.
+compared, by argument count and then ``alpha_eq`` at any depth, with one
+state re-saved at each power of two steps; a repeat raises ``ConversionCycle``.
 A traced spine then certifies, as when the budget or the stack runs out:
 ``CycleDetector`` replays its recorded states, reports the first repeat and
 its period, and drops the later steps.  So the first repeat is exact, and a
@@ -41,7 +43,7 @@ from .env import Context, GlobalEnv, ctx_extend
 from .rules import ConversionCycle, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     CHILDREN, App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, SortT, Term, Var,
-    alpha_eq, build_apps, canonical_key, pretty, rebuild, subst, unwind_apps,
+    alpha_eq, canonical_key, pretty, rebuild, subst,
 )
 
 NORMAL_FORM = "NormalForm"
@@ -75,14 +77,38 @@ def _with_child(node: Term, attr: str, child: Term) -> Term:
                           for a, _ in CHILDREN[type(node)]])
 
 
-@dataclass(frozen=True, eq=False)
+Stack = tuple[Term, "Stack", int] | None
+
+
+def _unwind(t: Term, args: Stack) -> tuple[Term, Stack]:
+    """The head of the spine ``t`` and ``t``'s arguments pushed on ``args``."""
+    while type(t) is App:
+        args = (t.arg, args, args[2] + 1 if args else 1)
+        t = t.fn
+    return t, args
+
+
+def _apply(t: Term, args: Stack) -> Term:
+    """``t`` applied to ``args``, by one new ``App`` per argument."""
+    while args is not None:
+        t, args = App(t, args[0]), args[1]
+    return t
+
+
+@dataclass(eq=False)
 class TraceStep:
-    """One step: its kind and the contracted spine subterm in its frame.  The
-    whole-term snapshot, its key and its printed form are built on first
-    access, so each is built at most once."""
+    """One step: its kind, what ``head_step`` returned (a term ``head`` over
+    the stack ``args``, empty by default) and the spine's frame; not frozen,
+    which would triple its cost.  The spine ``sub``, the snapshot ``term``,
+    its key and its printed form are each built once, on first access."""
     kind: str
-    sub: Term
+    head: Term
     frame: Frame
+    args: Stack = None
+
+    @cached_property
+    def sub(self) -> Term:
+        return _apply(self.head, self.args)
 
     @cached_property
     def term(self) -> Term:
@@ -159,44 +185,57 @@ class _CycleFound(Exception):
         self.report = report
 
 
-def head_step(env: GlobalEnv, ctx: Context, t: Term,
-              budget: Fuel) -> tuple[Term, str] | None:
-    """One step at the head of the application spine, or None if head-stable."""
-    head, args = unwind_apps(t)
+def head_step(env: GlobalEnv, ctx: Context, head: Term, args: Stack,
+              budget: Fuel) -> tuple[tuple[Term, Stack], str] | None:
+    """One step of ``head`` (no ``App``) applied to ``args``: a term and the
+    stack it is applied to, and the step's kind; or None if head-stable.
+    Beta pops an argument; a firing and Delta keep the whole stack."""
     match head:
         case Lam(_, body) if args:
             budget.spend()
-            arg = args[0]
+            arg, rest, _ = args
             key = (id(body), id(arg))
             if (hit := budget.instances.get(key)) is None:
                 hit = budget.instances[key] = (body, arg, subst(body, 0, arg))
-            return build_apps(hit[2], args[1:]), BETA
+            return (hit[2], rest), BETA
         case Cast() | EqRec() | J():
             toggle, lhs, rhs, payload, kind, _ = FIRINGS[type(head)]
             if getattr(budget.rules, toggle) and _convert.convert(
                     env, ctx, getattr(head, lhs), getattr(head, rhs), budget):
                 budget.spend()
-                return build_apps(getattr(head, payload), args), kind
+                return (getattr(head, payload), args), kind
         case Global(name):
-            unfolded = unfold(env, head, args, budget)
-            if unfolded is not None:
+            if (unfolded := unfold(env, head, args, budget)) is not None:
                 return unfolded, f"Delta({name})"
     return None
 
 
-def unfold(env: GlobalEnv, head: Global, args: list[Term],
-           budget: Fuel) -> Term | None:
-    """Delta: the spine ``head args`` with the global head replaced by its
-    body, or None when the head is an axiom or an assumption."""
+def unfold(env: GlobalEnv, head: Global, args: list[Term] | Stack,
+           budget: Fuel) -> tuple[Term, list[Term] | Stack] | None:
+    """Delta: the body of the global ``head`` paired with its arguments (a
+    list or a stack), or None when the head is an axiom or an assumption."""
     entry = env.lookup(head.name)
     if entry is not None and entry.body is not None:
         budget.spend()
-        return build_apps(entry.body, args)
+        return entry.body, args
     return None
 
 
 # Heads on which no rule fires, whatever the arguments and the rule set.
 _STABLE = frozenset({SortT, Pi, Eq, Refl, Var})
+_HELD = _STABLE | {Global}  # and a Global, when Delta is held back
+
+
+def _same_state(head: Term, args: Stack, head2: Term, args2: Stack) -> bool:
+    """Alpha-equal spines?  Counts, then heads, then arguments to a shared tail."""
+    if ((args[2] if args else 0) != (args2[2] if args2 else 0)
+            or not alpha_eq(head, head2)):
+        return False
+    while args is not args2:
+        if not alpha_eq(args[0], args2[0]):
+            return False
+        args, args2 = args[1], args2[1]
+    return True
 
 
 def whnf_term(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel,
@@ -205,29 +244,34 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel,
     """Weak-head form: the only loop that calls ``head_step``.
 
     ``unfold_heads=False`` suppresses Delta at the head, so that conversion
-    can unfold incrementally on its own terms.  Before each step, a spine
-    headed by a ``SortT``, ``Pi``, ``Eq``, ``Refl`` or ``Var``, or by a
-    ``Global`` when ``unfold_heads`` is False, is returned as it stands, with
-    no call to ``head_step`` and no fuel spent: no rule would step it.  Each
-    step runs Brent's check, and is appended to ``steps`` (if given) as a
-    ``TraceStep`` at ``frame``."""
-    saved, power, since = t, 1, 0
-    while True:
-        head = t
-        while type(head) is App:
-            head = head.fn
-        if type(head) in _STABLE or (not unfold_heads and type(head) is Global):
-            return t
-        if (r := head_step(env, ctx, t, budget)) is None:
-            return t
-        t, kind = r
+    can unfold incrementally on its own terms.  A spine headed by a
+    ``SortT``, ``Pi``, ``Eq``, ``Refl`` or ``Var``, or by a ``Global`` when
+    ``unfold_heads`` is False, is returned as it stands, with no call to
+    ``head_step`` and no fuel spent: no rule would step it.  A step builds
+    no ``App``; it runs Brent's check, and is appended to ``steps`` (if
+    given) as a ``TraceStep`` at ``frame``.  The result is built at the end;
+    a term the last step returned over an empty stack is returned as is."""
+    stable = _STABLE if unfold_heads else _HELD
+    head = t
+    while type(head) is App:
+        head = head.fn
+    if type(head) in stable:
+        return t
+    head, args = _unwind(t, None)
+    saved, power, since, last = (head, args), 1, 0, None
+    while type(head) not in stable and (
+            r := head_step(env, ctx, head, args, budget)) is not None:
+        last, kind = r
         if steps is not None:
-            steps.append(TraceStep(kind, t, frame))
+            steps.append(TraceStep(kind, last[0], frame, last[1]))
+        head, args = _unwind(*last)
         since += 1
-        if alpha_eq(t, saved):
+        if _same_state(head, args, *saved):
             raise ConversionCycle(since, "reduction")
         if since == power:
-            saved, power, since = t, 2 * power, 0
+            saved, power, since = (head, args), 2 * power, 0
+    return (t if last is None else steps[-1].sub if steps is not None
+            else _apply(*last))
 
 
 def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame, budget: Fuel,

@@ -2,8 +2,9 @@
 free-variable and global-name walks that ``pretty``'s pre-pass is checked
 against, the binder name ``pretty`` should show, a closure check over a
 global environment, and counts over corpus cases; the budgets a run is
-handed, the fuel it spends and what it shows; the benchmark's program
-generators; and the inputs that several test files share."""
+handed, the fuel it spends and what it shows; one head step of a whole
+term; the benchmark's program generators; and the inputs that several test
+files share."""
 
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from itt import (
-    Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, Program, RuleSet,
-    Term, TypeCheckError, Var, elaborate, load_example, pretty,
+    Context, Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, Program,
+    RuleSet, Term, TypeCheckError, Var, elaborate, head_step, load_example,
+    pretty,
 )
 from itt.corpus import CaseReport, ExampleCase
+from itt.reduce import _apply, _unwind
 from itt.syntax import CHILDREN, subterms
 
 R = TypeVar("R")
@@ -64,6 +67,15 @@ def spent_fuel(monkeypatch, run: Callable[[], R]) -> tuple[R, int]:
     with recorded_budgets(monkeypatch) as budgets:
         out = run()
     return out, sum(b.rules.fuel - b.remaining for b in budgets)
+
+
+def step_term(env: GlobalEnv, ctx: Context, t: Term,
+              budget: Fuel) -> tuple[Term, str] | None:
+    """``head_step`` on the whole spine ``t``: its head and argument stack go
+    in, and the step's term over its stack comes out as one term, with the
+    step's kind; or None if ``t`` is head-stable."""
+    r = head_step(env, ctx, *_unwind(t, None), budget)
+    return None if r is None else (_apply(*r[0]), r[1])
 
 
 # The rule variants that differential runs check each corpus case under.

@@ -12,7 +12,8 @@ its witness after exactly ``period`` steps.  It is not used by ``itt``
 itself, which has one traversal, ``normalize``.  It contracts Beta with the
 ``subst`` below, so the kernel's memoized Beta instantiation is checked
 against a substitution that shares no code with it; every other rule (Delta
-and the three firings) still goes through the kernel's ``head_step``.
+and the three firings) still goes through the kernel's ``head_step``, by
+``helpers.step_term``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from itt import (
     App, Context, Fuel, Global, GlobalEnv, Lam, Pi, ScopeError, SortT,
     Term, Var, ctx_extend,
 )
-from itt.reduce import BETA, _with_child, head_step
+from itt.reduce import BETA, _with_child
 from itt.syntax import CHILDREN, build_apps, unwind_apps
+from helpers import step_term
 
 
 def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
@@ -78,7 +80,7 @@ def step(env: GlobalEnv, ctx: Context, t: Term,
     if type(head) is Lam and args:
         budget.spend()
         return build_apps(subst(head.body, 0, args[0]), args[1:]), BETA
-    r = head_step(env, ctx, t, budget)
+    r = step_term(env, ctx, t, budget)
     if r is not None:
         return r
     for attr, under_binder in CHILDREN[type(t)]:

@@ -13,12 +13,12 @@ import itertools
 
 from itt import (
     CASE_NAMES, NORMAL_FORM, PROP,
-    App, Global, Lam, PragmaReduce, RuleSet, Var, elaborate, head_step,
+    App, Global, Lam, PragmaReduce, RuleSet, Var, elaborate,
     load_example, parse_program, reduce_with,
 )
 import itt.reduce
 from itt.reduce import BETA
-from helpers import FLAG_VARIANTS, observe
+from helpers import FLAG_VARIANTS, observe, step_term
 from term_strategies import church_exp_program
 
 
@@ -99,18 +99,18 @@ def test_one_budget_shares_a_beta_instantiation():
     rules = RuleSet()
     budget = rules.new_budget()
     assert budget.instances == {}
-    first, kind = head_step(env, (), App(Lam(PROP, body), a), budget)
+    first, kind = step_term(env, (), App(Lam(PROP, body), a), budget)
     assert kind == BETA and first == App(a, a)
     # a new redex on the same body and argument objects: the stored result
-    again, _ = head_step(env, (), App(Lam(PROP, body, name="y"), a), budget)
+    again, _ = step_term(env, (), App(Lam(PROP, body, name="y"), a), budget)
     assert again is first
     # another argument is another instantiation
-    other, _ = head_step(env, (), App(Lam(PROP, body), b), budget)
+    other, _ = step_term(env, (), App(Lam(PROP, body), b), budget)
     assert other == App(b, b)
     # the memo skips the substitution, not the step's fuel
     assert budget.remaining == rules.fuel - 3
     # a fresh budget starts empty and substitutes anew
     fresh = rules.new_budget()
     assert fresh.instances == {}
-    anew, _ = head_step(env, (), App(Lam(PROP, body), a), fresh)
+    anew, _ = step_term(env, (), App(Lam(PROP, body), a), fresh)
     assert anew == first and anew is not first

@@ -15,11 +15,12 @@ import pytest
 
 from itt import (
     CASE_NAMES, CYCLE_DETECTED, ConversionCycle, CycleDetector, FuelExhausted,
-    PragmaReduce, alpha_eq, elaborate, head_step, load_example, parse_term,
+    PragmaReduce, alpha_eq, elaborate, load_example, parse_term,
     reduce_with, trace_to_text, whnf_term,
 )
 import itt.reduce
 from itt.reduce import TraceStep, _CycleFound
+from helpers import step_term
 from reference import step
 
 VARIANTS = ({}, {"proof_irrelevance": False}, {"cast_rule": False},
@@ -33,7 +34,7 @@ def reference_spine(env, ctx, sub, frame, budget, steps):
     repeat."""
     detector = CycleDetector()
     detector.observe(len(steps), sub)
-    while (r := head_step(env, ctx, sub, budget)) is not None:
+    while (r := step_term(env, ctx, sub, budget)) is not None:
         sub, kind = r
         steps.append(TraceStep(kind, sub, frame))
         report = detector.observe(len(steps), sub)
@@ -143,8 +144,9 @@ def test_long_tails_match_the_exact_detector(monkeypatch,
 def test_corpus_cycle_reports_are_certificates():
     """A cycle report claims that ``period`` steps from its witness return to
     the witness, and that no fewer do.  Re-run exactly those steps with no
-    detector: ``head_step`` for whnf, the leftmost-outermost ``step`` for nf.
-    From a whnf witness, ``whnf_term`` must report the same period."""
+    detector: ``head_step`` (by ``step_term``) for whnf, the
+    leftmost-outermost ``step`` for nf.  From a whnf witness, ``whnf_term``
+    must report the same period."""
     checked = 0
     for name in CASE_NAMES:
         case = load_example(name)
@@ -154,7 +156,7 @@ def test_corpus_cycle_reports_are_certificates():
             for decl in case.program.declarations:
                 if not isinstance(decl, PragmaReduce):
                     continue
-                for strategy, one_step in (("whnf", head_step), ("nf", step)):
+                for strategy, one_step in (("whnf", step_term), ("nf", step)):
                     trace = reduce_with(env, (), decl.term, rules, strategy)
                     if trace.status != CYCLE_DETECTED:
                         continue

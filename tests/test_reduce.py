@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -19,10 +21,10 @@ from itt import (
 import itt.reduce
 from itt.convert import convert
 from itt.env import EnvEntry
-from itt.reduce import BETA, FIRINGS, TraceStep
+from itt.reduce import BETA, FIRINGS, TraceStep, _apply
 from itt.rules import RULES
 from itt.syntax import CHILDREN, PRIMITIVES, EqRec, J
-from helpers import kernel, parse_trace_json, spent_fuel, workloads
+from helpers import kernel, parse_trace_json, spent_fuel, step_term, workloads
 from reference import step
 from term_strategies import (
     church_exp_program, church_numeral, head_loops, head_redexes, open_terms,
@@ -67,7 +69,7 @@ def test_cast_proof_shape_is_never_inspected():
 def test_stuck_cast_has_no_head_step():
     _, env, rules = _env("counterexample1")
     t = parse_term("cast Top Bot (h Top Top) delta", env.names())
-    assert head_step(env, (), t, rules.new_budget()) is None
+    assert step_term(env, (), t, rules.new_budget()) is None
 
 
 def test_stuck_cast_on_normal_components_has_no_step_at_all():
@@ -268,9 +270,9 @@ def test_j_fires_only_when_enabled():
     t = parse_term("J Top Top top_id", scope)
     assert step(env, (), t, rules.new_budget()) == (Global("top_id"), "JFire")
     stuck = parse_term("J Top Bot top_id", scope)
-    assert head_step(env, (), stuck, rules.new_budget()) is None
+    assert step_term(env, (), stuck, rules.new_budget()) is None
     disabled = rules.updated(j_rule=False)
-    assert head_step(env, (), t, disabled.new_budget()) is None
+    assert step_term(env, (), t, disabled.new_budget()) is None
 
 
 _FIRING_SRC = """
@@ -314,9 +316,9 @@ def test_each_firing_steps_as_its_row_says(cls):
     budget = rules.new_budget()  # the step keeps the type, by the typing rules
     assert convert(env, (), infer(env, (), trace.steps[0].term, budget),
                    infer(env, (), fires, budget), budget)
-    assert head_step(env, (), stuck, rules.new_budget()) is None
+    assert step_term(env, (), stuck, rules.new_budget()) is None
     off = rules.updated(**{toggle: False})
-    assert head_step(env, (), fires, off.new_budget()) is None
+    assert step_term(env, (), fires, off.new_budget()) is None
 
 
 def test_cycle_witness_replays_to_itself():
@@ -327,7 +329,7 @@ def test_cycle_witness_replays_to_itself():
         cur = witness
         budget = rules.new_budget()
         for _ in range(trace.cycle.period):
-            cur, _ = head_step(env, (), cur, budget)
+            cur, _ = step_term(env, (), cur, budget)
         assert alpha_eq(cur, witness)
 
 
@@ -422,6 +424,80 @@ def test_a_terminating_spine_of_any_depth_returns(n):
     trace = whnf(_loop_env(), (), spine, RuleSet(fuel=50))
     assert trace.status_line() == "STATUS NormalForm"
     assert len(trace.steps) == 1
+
+
+_ALIASES = """
+axiom A : Prop.
+axiom F : Prop -> Prop.
+axiom a : Prop.
+def f : Prop := F A.
+def g : Prop := f.
+"""
+
+
+def test_whnf_term_returns_the_objects_it_reaches():
+    # a term reached over an empty stack is returned as it is, not rebuilt:
+    # conversion's identity shortcut depends on these shared objects
+    env, _ = elaborate(parse_program(_ALIASES))
+    budget = RuleSet().new_budget()
+    assert whnf_term(env, (), Global("g"), budget) is env.lookup("f").body
+    redex = parse_term("(fun (x : Prop), F x) a", env.names())
+    assert whnf_term(env, (), redex, budget) is whnf_term(env, (), redex,
+                                                          budget)
+    for stable in ("F a", "forall (x : Prop), x"):
+        spine = parse_term(stable, env.names())
+        assert whnf_term(env, (), spine, budget) is spine
+
+
+def _count_apps(monkeypatch) -> dict[str, int]:
+    """The number of ``App`` nodes built and compared from here on."""
+    counts = {"__init__": 0, "__eq__": 0}
+    for name in counts:
+        def counting(self, *args, _name=name, _real=getattr(App, name)):
+            counts[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(App, name, counting)
+    return counts
+
+
+def test_head_reduction_is_linear_in_the_spine(monkeypatch):
+    # the identity applied to n copies of itself, then to ``a``: each Beta
+    # pops one argument, so no step builds or compares the spine
+    n, ident = 300, Lam(PROP, Var(0), name="x")
+    env, a = _loop_env(), Global("a")
+    spine = build_apps(ident, [ident] * n + [a])
+    counts = _count_apps(monkeypatch)
+    assert whnf_term(env, (), spine, RuleSet().new_budget()) is a
+    assert counts["__init__"] <= n and counts["__eq__"] <= n
+    trace = whnf(env, (), spine, RuleSet())
+    assert trace.status == NORMAL_FORM and len(trace.steps) == n + 1
+    assert counts["__init__"] == 0  # no snapshot read yet
+    assert alpha_eq(trace.snapshots()[1], build_apps(ident, [ident] * (n - 1)
+                                                     + [a]))
+
+
+def _grow_env():
+    """counterexample2 with ``delta`` growing ``Omega``'s spine at each turn,
+    as the contract dump's ``grow-diverge`` input, with irrelevance off."""
+    spec = importlib.util.spec_from_file_location(
+        "contract_dump", Path(__file__).resolve().parents[1] / "scripts"
+        / "contract_dump.py")
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    rules = RuleSet(proof_irrelevance=False)
+    return elaborate(parse_program(dump._GROW_DEFS.decode()), rules)[0], rules
+
+
+def test_grow_diverge_exhausts_its_budget_without_a_cycle():
+    env, rules = _grow_env()
+    trace = whnf(env, (), Global("Omega"), rules.updated(fuel=1000))
+    assert trace.status == FUEL_EXHAUSTED and trace.cycle is None
+    assert len(trace.steps) == 667
+    budget = rules.updated(fuel=4000).new_budget()
+    with pytest.raises(FuelExhausted) as info:
+        whnf_term(env, (), Global("Omega"), budget)
+    assert not isinstance(info.value, ConversionCycle)
+    assert budget.remaining == -1
 
 
 def test_each_trace_step_is_printed_once(monkeypatch):
@@ -595,7 +671,7 @@ def test_snapshots_built_on_demand_match_a_fresh_run(name, flags):
             fresh = parse_term(pretty(after), scope)  # nothing memoized
             assert s.key == canonical_key(fresh)
             budget = rules.new_budget()
-            got = (head_step(env, (), before, budget)
+            got = (step_term(env, (), before, budget)
                    if trace.strategy == "whnf" else
                    step(env, (), before, budget))
             assert got is not None and got[1] == s.kind
@@ -633,7 +709,7 @@ def test_held_back_delta_asks_head_step_once(monkeypatch):
     asked = []
 
     def counting(*args):
-        asked.append(args[2])
+        asked.append(_apply(*args[2:4]))  # the whole spine asked about
         return head_step(*args)
 
     monkeypatch.setattr(itt.reduce, "head_step", counting)
@@ -653,7 +729,7 @@ def _looped_whnf(env, ctx, t, budget, unfold_heads, states):
     appends each state it reaches to ``states``."""
     states.append(t)
     while unfold_heads or not isinstance(unwind_apps(t)[0], Global):
-        if (r := head_step(env, ctx, t, budget)) is None:
+        if (r := step_term(env, ctx, t, budget)) is None:
             break
         t = r[0]
         states.append(t)
