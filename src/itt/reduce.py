@@ -27,9 +27,9 @@ reduction, traced or not, runs Brent's check in ``whnf_term``: each state is
 compared, by argument count and then ``alpha_eq`` at any depth, with one
 state re-saved at each power of two steps; a repeat raises ``ConversionCycle``.
 A traced spine then certifies, as when the budget or the stack runs out:
-``CycleDetector`` replays its recorded states, reports the first repeat and
-its period, and drops the later steps.  So the first repeat is exact, and a
-cycle is only ever reported where ``alpha_eq`` confirmed one.
+``CycleDetector`` replays its states by ``_same_state`` too, building no spine,
+reports the first repeat and its period, and drops the later steps.  So the
+first repeat is exact, and only ``alpha_eq`` confirms a reported cycle.
 """
 
 from __future__ import annotations
@@ -159,24 +159,26 @@ class Trace:
 
 
 class CycleDetector:
-    """Term-index map over one reduction spine: the certifier that
+    """State-index map over one reduction spine: the certifier that
     ``_certify`` runs over the spine's recorded states.
 
-    A term is filed under its hash, which comes from its digest, and a
-    match is confirmed by ``alpha_eq``, so terms with equal hashes that are
-    not alpha-equal are both recorded and never reported, and no state is
-    too deep to confirm.  A report gives the index of the first occurrence.
+    A state (a head over a stack, or a term unwound to one) is filed under
+    its head's hash and argument count and confirmed by ``_same_state``, so
+    unequal states on one key are never reported, and no state is too deep
+    to confirm.  A report gives the index of the first occurrence.
     """
 
     def __init__(self) -> None:
-        self._seen: dict[int, list[tuple[Term, int]]] = {}
+        self._seen: dict[tuple[int, int], list[tuple[Term, Stack, int]]] = {}
 
-    def observe(self, index: int, term: Term) -> CycleReport | None:
-        bucket = self._seen.setdefault(hash(term), [])
-        for seen, first in bucket:
-            if alpha_eq(seen, term):
+    def observe(self, index: int, head: Term,
+                args: Stack = None) -> CycleReport | None:
+        head, args = _unwind(head, args)
+        bucket = self._seen.setdefault((hash(head), args[2] if args else 0), [])
+        for seen, seen_args, first in bucket:
+            if _same_state(seen, seen_args, head, args):
                 return CycleReport(first, index - first)
-        bucket.append((term, index))
+        bucket.append((head, args, index))
         return None
 
 
@@ -290,17 +292,17 @@ def _spine(env: GlobalEnv, ctx: Context, sub: Term, frame: Frame, budget: Fuel,
 
 def _certify(initial: Term, steps: list[TraceStep], start: int) -> None:
     """Raise ``_CycleFound`` at the first repeat among the spine's states
-    (``initial``, then the ``sub`` of ``steps[start:]``), after deleting the
-    steps that follow it; return if no state repeats.
+    (``initial``, then the ``head`` over ``args`` of ``steps[start:]``),
+    after deleting the steps that follow it; return if no state repeats.
 
-    The detector is keyed on the spine subterm: the frame is fixed while the
-    spine runs, so plugging is injective in ``sub`` and a repeat of the whole
-    term is exactly a repeat of the subterm.
+    The detector is keyed on the spine's state, and no ``sub`` is built: the
+    frame is fixed while the spine runs, so plugging is injective in the
+    spine and a repeat of the whole term is exactly a repeat of the state.
     """
     detector = CycleDetector()
     detector.observe(start, initial)
-    for index in range(start + 1, len(steps) + 1):
-        report = detector.observe(index, steps[index - 1].sub)
+    for index, step in enumerate(steps[start:], start + 1):
+        report = detector.observe(index, step.head, step.args)
         if report is not None:
             del steps[index:]
             raise _CycleFound(report)

@@ -1,10 +1,11 @@
 """Differential gate for traced cycle detection.
 
 ``reduce._spine`` spots a repeat with the Brent check of ``whnf_term`` and
-then certifies it with ``CycleDetector``.  The reference below is the exact
-detector alone: it puts every state of the spine into one ``CycleDetector``
-and stops at the first repeat.  Swapping it in for ``_spine`` must not
-change any trace text or status line, at any budget, under either strategy.
+then certifies it with ``CycleDetector`` on the machine's states.  The
+reference below shares no code with either: it builds every state of the
+spine as a term, compares it by ``alpha_eq`` with every earlier one, and
+stops at the first repeat.  Swapping it in for ``_spine`` must not change
+any trace text or status line, at any budget, under either strategy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 from itt import (
-    CASE_NAMES, CYCLE_DETECTED, ConversionCycle, CycleDetector, FuelExhausted,
+    CASE_NAMES, CYCLE_DETECTED, ConversionCycle, CycleReport, FuelExhausted,
     PragmaReduce, alpha_eq, elaborate, load_example, parse_term,
     reduce_with, trace_to_text, whnf_term,
 )
@@ -30,16 +31,16 @@ TAILS = (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33)
 
 
 def reference_spine(env, ctx, sub, frame, budget, steps):
-    """Every state of the spine goes into one detector; stop at the first
-    repeat."""
-    detector = CycleDetector()
-    detector.observe(len(steps), sub)
+    """Each state of the spine, built as a term, is compared by ``alpha_eq``
+    with every earlier one; stop at the first repeat."""
+    states = {len(steps): sub}  # index in the trace -> state
     while (r := step_term(env, ctx, sub, budget)) is not None:
         sub, kind = r
         steps.append(TraceStep(kind, sub, frame))
-        report = detector.observe(len(steps), sub)
-        if report is not None:
-            raise _CycleFound(report)
+        for first, seen in states.items():
+            if alpha_eq(seen, sub):
+                raise _CycleFound(CycleReport(first, len(steps) - first))
+        states[len(steps)] = sub
     return sub
 
 
@@ -121,9 +122,9 @@ def test_corpus_cycles_match_the_exact_detector(monkeypatch,
 def test_long_tails_match_the_exact_detector(monkeypatch,
                                              certified_after_exhaustion):
     """``(fun (y1 : Top), ... fun (yk : Top), Omega) omega ... omega`` and its
-    ``id`` wrapper first repeat after about k steps.  The exact detector
-    hashes each state of these long spines, so every fourth budget is
-    compared, by alpha-equality."""
+    ``id`` wrapper first repeat after about k steps.  The reference compares
+    each state of these long spines with every earlier one, so every fourth
+    budget is compared, by alpha-equality."""
     case = load_example("counterexample2")
     env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
     firsts = set()
@@ -139,6 +140,19 @@ def test_long_tails_match_the_exact_detector(monkeypatch,
                         render=False, stride=4)
     assert max(firsts) > 32
     assert certified_after_exhaustion[0] > 0
+
+
+def test_written_out_loops_match_the_exact_detector(monkeypatch):
+    """Self-applications written out rather than named: the first repeated
+    state's head is a copy of, not the object of, the head it repeats, so a
+    detector that told heads apart by identity would miss the repeat."""
+    case = load_example("counterexample2")
+    env, _ = elaborate(case.program, case.rules, reduce_strategy=None)
+    loop = "(fun (x : Prop), x x) (fun (y : Prop), y y)"
+    for src in (loop, f"{loop} Prop", f"id ({loop})"):
+        term = parse_term(src, env.names())
+        for strategy in ("whnf", "nf"):
+            assert _sweep_fuel(env, term, case.rules, strategy, monkeypatch)
 
 
 def test_corpus_cycle_reports_are_certificates():

@@ -355,6 +355,27 @@ def test_cycle_detector_hash_collision_falls_back_to_alpha(monkeypatch):
     report = det.observe(2, Lam(PROP, Var(0), name="y"))
     assert report is not None
     assert (report.first_index, report.period) == (0, 2)  # first, not other
+    # states over a stack: same head and argument count, so one key
+    assert det.observe(3, first, (Var(1), None, 1)) is None
+    assert det.observe(4, first, (Var(0), None, 1)) is None  # other argument
+    assert det.observe(5, other, (Var(1), None, 1)) is None  # other head
+    report = det.observe(6, App(Lam(PROP, Var(0), name="y"), Var(1)))
+    assert report is not None
+    assert (report.first_index, report.period) == (3, 3)
+
+
+def test_cycle_detector_a_state_over_a_stack_is_its_built_term():
+    f, a, b = Lam(PROP, Var(0), name="x"), Global("a"), Global("b")
+    forms = [(build_apps(f, [a, b]),), (App(f, a), (b, None, 1)),
+             (Lam(PROP, Var(0), name="y"), (a, (b, None, 1), 2))]
+    for one in forms:
+        for other in forms:
+            det = CycleDetector()
+            assert det.observe(0, *one) is None
+            assert det.observe(1, f, (a, None, 1)) is None  # one argument less
+            report = det.observe(2, *other)
+            assert report is not None
+            assert (report.first_index, report.period) == (0, 2)
 
 
 # A spine this long overflows the stack of dataclass ==, so a check that
@@ -498,6 +519,21 @@ def test_grow_diverge_exhausts_its_budget_without_a_cycle():
         whnf_term(env, (), Global("Omega"), budget)
     assert not isinstance(info.value, ConversionCycle)
     assert budget.remaining == -1
+
+
+def test_certifying_an_exhausted_trace_builds_no_spine(monkeypatch):
+    # the certifier compares the machine's states, so a traced run builds
+    # no more ``App`` nodes than the untraced loop; one that rebuilt each
+    # state's spine to compare it built 56,018 here
+    env, rules = _grow_env()
+    rules = rules.updated(fuel=1000)
+    counts = _count_apps(monkeypatch)
+    with pytest.raises(FuelExhausted):
+        whnf_term(env, (), Global("Omega"), rules.new_budget())
+    untraced, counts["__init__"] = counts["__init__"], 0
+    trace = whnf(env, (), Global("Omega"), rules)
+    assert trace.status == FUEL_EXHAUSTED and len(trace.steps) == 667
+    assert counts["__init__"] <= untraced
 
 
 def test_each_trace_step_is_printed_once(monkeypatch):

@@ -19,7 +19,7 @@ def test_spines_reports_each_input_and_mode_once_per_run():
                          line).group(1, 2, 3, 4)
             for line in proc.stdout.splitlines()]
     inputs = [f"identity {n}" for n in (1000, 2000, 4000)] + [
-        f"grow {f}" for f in (500, 1000, 2000)]
+        f"grow {f}" for f in (2000, 4000, 8000)]
     assert [(i, m, w) for i, m, w, _ in rows] == [
         (i, m, w) for i in inputs
         for m, w in (("whnf_term", "fuel"), ("whnf", "steps"))]
