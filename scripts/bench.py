@@ -35,11 +35,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one ``perfbench/run.py`` run, as JSON."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """The last stdout line of one ``perfbench/run.py --trace`` run, as JSON."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:

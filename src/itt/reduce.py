@@ -35,8 +35,7 @@ first repeat is exact, and only ``alpha_eq`` confirms a reported cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from typing import Any, Callable
 
 from . import convert as _convert
 from .env import Context, GlobalEnv, ctx_extend
@@ -95,22 +94,34 @@ def _apply(t: Term, args: Stack) -> Term:
     return t
 
 
+class _once:
+    """A field that ``fn`` computes on its first read into the instance
+    ``__dict__``; unlike Python 3.11's ``cached_property``, it takes no lock."""
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj: Any, cls: type | None = None) -> Any:
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(eq=False)
 class TraceStep:
     """One step: its kind, what ``head_step`` returned (a term ``head`` over
     the stack ``args``, empty by default) and the spine's frame; not frozen,
     which would triple its cost.  The spine ``sub``, the snapshot ``term``,
-    its key and its printed form are each built once, on first access."""
+    its key and its printed form are each built once, on first read."""
     kind: str
     head: Term
     frame: Frame
     args: Stack = None
 
-    @cached_property
+    @_once
     def sub(self) -> Term:
         return _apply(self.head, self.args)
 
-    @cached_property
+    @_once
     def term(self) -> Term:
         sub, frame = self.sub, self.frame
         while frame is not None:
@@ -118,11 +129,11 @@ class TraceStep:
             sub = _with_child(node, attr, sub)
         return sub
 
-    @cached_property
+    @_once
     def key(self) -> str:
         return canonical_key(self.term)
 
-    @cached_property
+    @_once
     def text(self) -> str:
         return pretty(self.term)
 
@@ -387,14 +398,16 @@ def trace_to_json_lines(trace: Trace) -> list[str]:
 
 def replay_trace(env: GlobalEnv, ctx: Context, trace: Trace,
                  rules: RuleSet) -> bool:
-    """Re-run the recorded strategy and confirm it reproduces the status line
-    and every step's kind (its printed text) and key.
+    """Re-run the recorded strategy and confirm it reproduces the status line,
+    the step count, and each step's kind (its printed text) and snapshot.
 
-    Keys are equal for alpha-equal snapshots, and compared without recursion.
-    The status line carries ``first=`` and ``period=``, and the cycle's
-    witness is the snapshot at ``first``, so equal keys confirm it too.
+    Snapshots are compared by ``alpha_eq``, which answers at any depth, up to
+    the first mismatch; none is digested.  The status line carries ``first=``
+    and ``period=``, and the cycle's witness is the snapshot at ``first``, so
+    equal snapshots confirm it too.
     """
     fresh = reduce_with(env, ctx, trace.initial, rules, trace.strategy)
     return (fresh.status_line() == trace.status_line()
-            and [(s.kind, s.key) for s in fresh.steps]
-            == [(s.kind, s.key) for s in trace.steps])
+            and len(fresh.steps) == len(trace.steps)
+            and all(s.kind == r.kind and alpha_eq(s.term, r.term)
+                    for s, r in zip(fresh.steps, trace.steps)))

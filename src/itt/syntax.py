@@ -201,8 +201,9 @@ CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
                if f.type == "Term")
     for cls in _TAGS
 }
-# The one field of each leaf, its compared payload.
+# The one field of each leaf, its compared payload; the child names of each node.
 _PAYLOAD = {cls: fields(cls)[0].name for cls, kids in CHILDREN.items() if not kids}
+_KID_NAMES = {cls: tuple(a for a, _ in kids) for cls, kids in CHILDREN.items()}
 _KEYWORD = {cls: kw for kw, cls in PRIMITIVES.items()}
 
 
@@ -322,9 +323,9 @@ _DIGEST = "_digest"
 
 def _digest(t: Term) -> bytes:
     """SHA-256 of ``t``'s tag followed by its leaf payload or by its
-    children's digests.  Children are digested first, without recursion, and
-    each digest is memoized in its node's ``_DIGEST`` slot, so a digest costs
-    only the nodes not digested before."""
+    children's digests.  Without recursion, one loop over a node's children
+    pushes those not yet digested or collects their digests; each digest is
+    memoized in its node's ``_DIGEST`` slot, so a digest costs only new nodes."""
     todo = [t]
     while todo:
         cur = todo[-1]
@@ -333,16 +334,17 @@ def _digest(t: Term) -> bytes:
             todo.pop()
             continue
         cls = type(cur)
-        attrs = CHILDREN[cls]
-        if attrs:
-            kids = [memo[a].__dict__.get(_DIGEST) for a, _ in attrs]
-            if None in kids:  # digest the children first
-                todo.extend([memo[a] for (a, _), d in zip(attrs, kids) if d is None])
-                continue
-            body = b"".join(kids)
-        else:
-            body = str(memo[_PAYLOAD[cls]]).encode()
-        memo[_DIGEST] = hashlib.sha256(_TAGS[cls] + body).digest()
+        parts, pending = [], len(todo)
+        for name in _KID_NAMES[cls]:
+            if (d := memo[name].__dict__.get(_DIGEST)) is None:
+                todo.append(memo[name])  # digest the children first
+            else:
+                parts.append(d)
+        if len(todo) > pending:
+            continue
+        if not parts:  # a leaf
+            parts = [str(memo[_PAYLOAD[cls]]).encode()]
+        memo[_DIGEST] = hashlib.sha256(_TAGS[cls] + b"".join(parts)).digest()
         todo.pop()
     return t.__dict__[_DIGEST]
 
@@ -353,8 +355,8 @@ def canonical_key(t: Term) -> str:
 
     The hex form of a SHA-256 Merkle digest of each node's tag, payload and
     child digests, memoized on the node, so a key costs only the nodes not
-    keyed before.  It is the ``key`` of a JSON trace step and what replay
-    compares; a term's hash is the hash of the same digest.
+    keyed before.  It is the ``key`` of a JSON trace step, and a term's hash
+    is the hash of the same digest.
     """
     return _digest(t).hex()
 

@@ -14,15 +14,20 @@ itself, which has one traversal, ``normalize``.  It contracts Beta with the
 against a substitution that shares no code with it; every other rule (Delta
 and the three firings) still goes through the kernel's ``head_step``, by
 ``helpers.step_term``.
+
+``key`` is ``canonical_key`` from its definition, a SHA-256 Merkle digest,
+with each node's tag and children spelled out: plain recursion that memoizes
+nothing and shares no code with the kernel's ``_digest`` or its tables.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields
 
 from itt import (
-    App, Context, Fuel, Global, GlobalEnv, Lam, Pi, ScopeError, SortT,
-    Term, Var, ctx_extend,
+    App, Cast, Context, Eq, EqRec, Fuel, Global, GlobalEnv, J, Lam, Pi, Refl,
+    ScopeError, SortT, Term, Var, ctx_extend,
 )
 from itt.reduce import BETA, _with_child
 from itt.syntax import CHILDREN, build_apps, unwind_apps
@@ -91,3 +96,39 @@ def step(env: GlobalEnv, ctx: Context, t: Term,
             new_child, kind = sub
             return _with_child(t, attr, new_child), kind
     return None
+
+
+def key(t: Term) -> str:
+    """The hex SHA-256 of ``t``'s one-letter tag followed by its leaf
+    payload as text, or by the digests of its children in surface order."""
+    return _digest(t).hex()
+
+
+def _digest(t: Term) -> bytes:
+    def node(tag: bytes, *kids: Term) -> bytes:
+        return hashlib.sha256(tag + b"".join(_digest(k) for k in kids)).digest()
+
+    match t:
+        case Var(i):
+            return hashlib.sha256(b"V" + str(i).encode()).digest()
+        case SortT(sort):
+            return hashlib.sha256(b"S" + sort.encode()).digest()
+        case Global(name):
+            return hashlib.sha256(b"G" + name.encode()).digest()
+        case Pi(dom, cod):
+            return node(b"P", dom, cod)
+        case Lam(dom, body):
+            return node(b"L", dom, body)
+        case App(fn, arg):
+            return node(b"A", fn, arg)
+        case Eq(ty, lhs, rhs):
+            return node(b"E", ty, lhs, rhs)
+        case Refl(ty, val):
+            return node(b"R", ty, val)
+        case EqRec(ty, motive, lhs, rhs, base, proof):
+            return node(b"Q", ty, motive, lhs, rhs, base, proof)
+        case Cast(src, dst, proof, val):
+            return node(b"C", src, dst, proof, val)
+        case J(src, dst, val):
+            return node(b"J", src, dst, val)
+    raise TypeError(f"not a term: {t!r}")

@@ -536,16 +536,23 @@ def test_certifying_an_exhausted_trace_builds_no_spine(monkeypatch):
     assert counts["__init__"] <= untraced
 
 
+def _counting(monkeypatch, name):
+    """Replace ``itt.reduce.<name>`` by a wrapper that counts its calls, and
+    return the live list of the first argument of each call."""
+    seen, real = [], getattr(itt.reduce, name)
+
+    def counting(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(itt.reduce, name, counting)
+    return seen
+
+
 def test_each_trace_step_is_printed_once(monkeypatch):
     _, _, _, traces = _reduce_trace("counterexample2")
     (trace,) = traces
-    printed = []
-
-    def counting(t):
-        printed.append(t)
-        return pretty(t)
-
-    monkeypatch.setattr(itt.reduce, "pretty", counting)
+    printed = _counting(monkeypatch, "pretty")
     text = trace_to_text(trace)
     lines = trace_to_json_lines(trace)
     assert [id(t) for t in printed] == [id(s.term) for s in trace.steps]
@@ -638,6 +645,57 @@ def test_deep_one_step_trace_replays(depth):
     trace = normalize(env, (), Lam(PROP, body, name="x"), rules)
     assert trace.status == NORMAL_FORM and len(trace.steps) == 1
     assert replay_trace(env, (), trace, rules)
+
+
+def test_replay_digests_no_snapshot(monkeypatch):
+    # the recorded steps are keyed, as a JSON trace keys them; replay compares
+    # the fresh run's snapshots with them and keys none of its own
+    _, env, rules, traces = _reduce_trace("counterexample2")
+    (trace,) = traces
+    trace_to_json_lines(trace)
+    keyed = _counting(monkeypatch, "canonical_key")
+    assert replay_trace(env, (), trace, rules)
+    assert keyed == []
+
+
+def test_replay_compares_snapshots_too_deep_for_eq():
+    # (fun (x : Prop), x) a a ... a: one Beta step to a spine of ``a`` three
+    # times the recursion limit long, on which == overflows
+    a, n = Global("a"), 3 * sys.getrecursionlimit()
+    rules = RuleSet()
+    trace = whnf(GlobalEnv(), (), build_apps(Lam(PROP, Var(0), name="x"), [a] * n),
+                 rules)
+    assert trace.status == NORMAL_FORM and len(trace.steps) == 1
+    assert replay_trace(GlobalEnv(), (), trace, rules)
+    bad = _tampered(trace)
+    args = [a] * (n - 1)
+    args[1] = Global("b")  # next to the head, the deepest argument but one
+    bad.steps[0] = TraceStep(trace.steps[0].kind, build_apps(a, args), None)
+    with pytest.raises(RecursionError):  # so alpha_eq takes its own walk
+        _ = bad.steps[0].term == trace.steps[0].term
+    assert not replay_trace(GlobalEnv(), (), bad, rules)
+
+
+def test_each_step_field_is_computed_once(monkeypatch):
+    _, _, _, traces = _reduce_trace("sanity-church")
+    (trace,) = traces
+    for s in trace.steps:  # forget what the run itself read
+        for field in ("sub", "term", "key", "text"):
+            vars(s).pop(field, None)
+    calls = {name: _counting(monkeypatch, name)
+             for name in ("_apply", "_with_child", "canonical_key", "pretty")}
+    for s in trace.steps:
+        for field in ("sub", "term", "key", "text"):
+            assert getattr(s, field) is getattr(s, field)
+    frames = 0
+    for s in trace.steps:
+        frame = s.frame
+        while frame is not None:
+            frames, frame = frames + 1, frame[2]
+    assert frames > len(trace.steps) > 1
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_apply": len(trace.steps), "_with_child": frames,
+        "canonical_key": len(trace.steps), "pretty": len(trace.steps)}
 
 
 @pytest.mark.parametrize(("m", "n", "steps"), [(2, 9, 2049), (3, 6, 1461)])

@@ -295,6 +295,28 @@ def test_key_equal_exactly_when_alpha_equal(a, b):
     assert (canonical_key(a) == canonical_key(b)) == alpha_eq(a, b)
 
 
+@given(terms(depth=3, ctx=2))
+def test_key_is_the_reference_merkle_digest(t):
+    assert canonical_key(t) == reference.key(t)
+
+
+@given(terms(depth=2, ctx=2))
+def test_key_of_a_dag_that_reaches_one_child_twice(t):
+    # ``t``, unkeyed unless it is a shared leaf, is reached four times
+    dag = Eq(t, App(t, t), Pi(t, PROP))
+    assert canonical_key(dag) == reference.key(dag)
+    assert canonical_key(t) == reference.key(t)
+
+
+@given(terms(depth=3, ctx=2), st.data())
+def test_key_of_a_term_whose_children_were_keyed_before(t, data):
+    nodes = list(_nodes(t))
+    for i in data.draw(st.lists(st.integers(0, len(nodes) - 1), max_size=6)):
+        canonical_key(nodes[i])
+    assert canonical_key(t) == reference.key(t)
+    assert [canonical_key(n) for n in nodes] == [reference.key(n) for n in nodes]
+
+
 # ``f ((fun (x : Prop), x) _x1)`` with its argument replaced by ``_x1`` in
 # each way that a term is rebuilt: by ``dataclasses.replace``, by plugging a
 # trace snapshot, and by ``normalize`` after the argument's Beta step.  The
