@@ -22,15 +22,16 @@ unfolding past it, and comparisons stay close to the named forms they
 started from.  Two heads of height 0 (no defined global) do not convert.
 
 A pair of two different bound globals is answered once per environment and
-rule set.  Each such pair of weak-head forms that the loop meets, its first
+rule set.  Two bare globals go straight to the memo, each its own weak-head
+form.  Each such pair of weak-head forms that the loop meets, its first
 included, is consulted once, and one not found is kept in
 ``GlobalEnv.conversions``, keyed on ``budget.rules`` and the names, with its
-answer and the fuel spent from there to the end.  That fuel cannot change, as a body names only
-earlier globals and no entry is replaced, and a run that ends repeats no
-state, so the loop from a pair spends alike wherever it was met.  A later
-state of a kept pair spends that fuel again, or runs live if the budget
-holds less, to run out at the same step; so only a query too deep for
-Python's stack may end differently (answered from the memo, not
+answer and the fuel spent from there to the end.  That fuel cannot change,
+as a body names only earlier globals and no entry is replaced, and a run
+that ends repeats no state, so the loop from a pair spends alike wherever it
+was met.  A later state of a kept pair spends that fuel again, or runs live
+if the budget holds less, to run out at the same step; so only a query too
+deep for Python's stack may end differently (answered from the memo, not
 RecursionError).  A raise stores nothing; the key omits ``ctx``.
 
 Unfolding can loop, since this theory does not normalize.  A pair of
@@ -78,8 +79,10 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     # object that reduces would otherwise be reduced twice
     if t1 is t2:
         return True
-    w1 = _reduce.whnf_term(env, ctx, t1, budget, unfold_heads=False)
-    w2 = _reduce.whnf_term(env, ctx, t2, budget, unfold_heads=False)
+    w1, w2 = t1, t2  # a bare Global is its own weak-head form
+    if type(t1) is not Global or type(t2) is not Global:
+        w1 = _reduce.whnf_term(env, ctx, t1, budget, unfold_heads=False)
+        w2 = _reduce.whnf_term(env, ctx, t2, budget, unfold_heads=False)
     passed: list[tuple[tuple, int]] = []  # the named pairs met, to store
     # Brent's cycle check: the next state depends only on (w1, w2), so a
     # state equal to the one saved at the last power of two never returns.

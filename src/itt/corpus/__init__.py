@@ -35,6 +35,7 @@ _CASES: dict[str, tuple[str, dict[str, bool], tuple[str, ...]]] = {
     "sanity-casts": ("nf", {}, ("Top", "Prop")),
 }
 CASE_NAMES = tuple(_CASES)
+_DATA = resources.files(__package__)  # at import: files() reads sys.modules
 
 
 def ruleset_label(rules: RuleSet) -> str:
@@ -57,7 +58,7 @@ class ExampleCase:
 
 
 def _read_data(subdir: str, filename: str) -> str:
-    return (resources.files(__package__) / subdir / filename).read_text(encoding="utf-8")
+    return (_DATA / subdir / filename).read_text(encoding="utf-8")
 
 
 def _parse_expected(text: str) -> dict[tuple[str, str, int], tuple[str, int | None]]:

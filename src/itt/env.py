@@ -23,7 +23,7 @@ def ctx_lookup(ctx: Context, index: int) -> Term:
     return shift(ctx[-(index + 1)], 0, index + 1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class EnvEntry:
     """A ``def``, ``axiom`` or ``assume``: its name, its type, a ``def``'s body."""
     name: str
@@ -33,8 +33,8 @@ class EnvEntry:
 
 
 class GlobalEnv:
-    """Ordered global declarations.  Entries are immutable; the conversion
-    memo (``conversions``, see ``itt.convert``) only grows."""
+    """Ordered global declarations.  ``add`` never replaces an entry; the
+    conversion memo (``conversions``, see ``itt.convert``) rests on that."""
 
     def __init__(self) -> None:
         self._entries: dict[str, EnvEntry] = {}

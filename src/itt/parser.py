@@ -33,13 +33,13 @@ them.  A declaration without a body, ``axiom`` or ``assume``, parses to the
 ``EnvEntry`` that checking adds to the environment, its keyword as the
 entry's kind.
 
-Lexing: a token is its text.  One regex, ``_SCAN_RE``, skips blanks and
-comments and captures every token's text in a single ``findall``, and the
-parser walks the list of texts by index; ``_RESERVED`` holds the texts that
-are not names.  Positions are computed only for an error: ``_position``
-scans again up to a token's index and gives its ``line:col``, for a text
-that is no token, for a parse error, and for the token the parser had
-reached when the input nested too deeply.
+Lexing: a token is its text.  One ``findall`` of ``_TOKEN_RE`` matches
+every token's text and every comment; comments are dropped, EOF's ``""`` is
+appended, and the parser walks the list of texts by index; ``_RESERVED``
+holds the texts that are not names.  Positions are computed only for an
+error: ``_position`` scans again up to a token's index and gives its
+``line:col``, for a text that is no token, for a parse error, and for the
+token the parser had reached when the input nested too deeply.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass
 class Def:
     """A ``def`` declaration: a name, its stated type if any, and its body."""
     name: str
@@ -75,13 +75,13 @@ class Def:
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass
 class PragmaCheck:
     """A ``#check`` pragma: infer the type of ``term``."""
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass
 class PragmaReduce:
     """A ``#reduce`` pragma: reduce ``term`` under the run's strategy."""
     term: Term
@@ -109,14 +109,10 @@ _NAME_START = frozenset(string.ascii_letters + "_")
 # the texts that cannot start an atom, so end an application
 _NO_ATOM = _RESERVED - {"(", *_ATOM_KEYWORDS}
 
-# Each match skips blanks and comments, then captures one token's text,
-# longest first: an arrow or ":=", a name or pragma (identifiers are
-# ASCII-only), any other character, or EOF's "".  Only a skip can contain a
-# newline.  With \Z the capture matches wherever the skip stops, so a
-# comment that runs to the end is never backtracked into ("x-->y" would
-# otherwise lex a "y").
-_SCAN_RE = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*(->|→|:=|[#A-Za-z_][A-Za-z0-9_]*|.|\Z)")
+# One token's text or one comment, longest first: an arrow or ":=", a name
+# or pragma (identifiers are ASCII-only), "--" to the end of the line ("-->"
+# too), or any other character but a blank.  No token starts with "--".
+_TOKEN_RE = re.compile(r"->|→|:=|[#A-Za-z_][A-Za-z0-9_]*|--[^\n]*|[^ \t\r\n]")
 
 
 def _lex_error(text: str) -> str | None:
@@ -128,19 +124,22 @@ def _lex_error(text: str) -> str | None:
 
 
 def _position(src: str, i: int) -> tuple[int, int]:
-    """The ``(line, col)`` of the ``i``-th token of ``src``."""
-    start = next(islice(_SCAN_RE.finditer(src), i, None)).start(1)
+    """The ``(line, col)`` of the ``i``-th token of ``src``; EOF's is at
+    ``len(src)``."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(src) if m[0][:2] != "--")
+    start = next(islice(starts, i, None), len(src))
     line_start = src.rfind("\n", 0, start) + 1
     return src.count("\n", 0, start) + 1, start - line_start + 1
 
 
 def token_texts(src: str) -> list[str]:
-    """The text of each token of ``src``, ending in EOF's "", with the
-    Unicode aliases in ASCII.  Raises ParseError at the first text that is
-    no token."""
-    texts = _SCAN_RE.findall(src)
-    if len(texts) > 1 and texts[-2] == "":
-        del texts[-1]  # a skip that ends the source also captured ""
+    """The text of each token of ``src``: the matches of ``_TOKEN_RE``
+    that are no comment, then EOF's "", with the Unicode aliases in ASCII.
+    Raises ParseError at the first text that is no token."""
+    texts = _TOKEN_RE.findall(src)
+    if "--" in src:
+        texts = [t for t in texts if t[:2] != "--"]
+    texts.append("")
     distinct = set(texts)
     if any(map(_lex_error, distinct - _RESERVED)):
         i, error = next((i, e) for i, e in enumerate(map(_lex_error, texts))

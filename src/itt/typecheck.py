@@ -179,7 +179,7 @@ def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
             f" for {pretty(t)}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PragmaResult:
     """What a pragma produced: a ``#check``'s type or a ``#reduce``'s trace."""
     kind: str  # "check" | "reduce"

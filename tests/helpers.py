@@ -2,7 +2,8 @@
 free-variable and global-name walks that ``pretty``'s pre-pass is checked
 against, the binder name ``pretty`` should show, a closure check over a
 global environment, and counts over corpus cases; the budgets a run is
-handed, the fuel it spends and what it shows; one head step of a whole
+handed, the fuel it spends and what it shows; the calls a kernel function
+gets; one head step of a whole
 term; the benchmark's program generators; and the inputs that several test
 files share."""
 
@@ -22,6 +23,7 @@ from itt import (
     RuleSet, Term, TypeCheckError, Var, elaborate, head_step, load_example,
     pretty,
 )
+import itt.reduce
 from itt.corpus import CaseReport, ExampleCase
 from itt.reduce import _apply, _unwind
 from itt.syntax import CHILDREN, subterms
@@ -67,6 +69,19 @@ def spent_fuel(monkeypatch, run: Callable[[], R]) -> tuple[R, int]:
     with recorded_budgets(monkeypatch) as budgets:
         out = run()
     return out, sum(b.rules.fuel - b.remaining for b in budgets)
+
+
+def counting_calls(monkeypatch, name: str) -> list:
+    """Replace ``itt.reduce.<name>`` by a wrapper that counts its calls, and
+    return the live list of the first argument of each call."""
+    seen, real = [], getattr(itt.reduce, name)
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(itt.reduce, name, counting)
+    return seen
 
 
 def step_term(env: GlobalEnv, ctx: Context, t: Term,

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +127,34 @@ def test_case_names_match_the_files():
         stems = {f.name.removesuffix(suffix) for f in (data / subdir).iterdir()
                  if f.name.endswith(suffix)}
         assert stems == set(CASE_NAMES), subdir
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+# Loads two trees' kernels into one process, one after the other, as
+# scripts/ab.py does, and prints each tree's source of one example.
+_LOAD_TWO_TREES = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from ab import load_kernel
+first, second = (load_kernel(Path(tree)) for tree in sys.argv[2:])
+print(json.dumps([k.corpus.load_example("sanity-church").source
+                  for k in (first, second)]))
+"""
+
+
+def test_each_loaded_tree_reads_its_own_examples(tmp_path):
+    shutil.copytree(_ROOT / "src" / "itt", tmp_path / "src" / "itt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    example = tmp_path / "src" / "itt" / "corpus" / "examples" / "sanity-church.itt"
+    own = example.read_text(encoding="utf-8")
+    example.write_text(own + "-- edited in the copy\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_TWO_TREES, str(_ROOT / "scripts"),
+         str(_ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [own, own + "-- edited in the copy\n"]
 
 
 def test_one_expected_check_per_check_pragma():

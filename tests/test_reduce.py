@@ -24,7 +24,9 @@ from itt.env import EnvEntry
 from itt.reduce import BETA, FIRINGS, TraceStep, _apply
 from itt.rules import RULES
 from itt.syntax import CHILDREN, PRIMITIVES, EqRec, J
-from helpers import kernel, parse_trace_json, spent_fuel, step_term, workloads
+from helpers import (
+    counting_calls, kernel, parse_trace_json, spent_fuel, step_term, workloads,
+)
 from reference import step
 from term_strategies import (
     church_exp_program, church_numeral, head_loops, head_redexes, open_terms,
@@ -536,23 +538,10 @@ def test_certifying_an_exhausted_trace_builds_no_spine(monkeypatch):
     assert counts["__init__"] <= untraced
 
 
-def _counting(monkeypatch, name):
-    """Replace ``itt.reduce.<name>`` by a wrapper that counts its calls, and
-    return the live list of the first argument of each call."""
-    seen, real = [], getattr(itt.reduce, name)
-
-    def counting(*args):
-        seen.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(itt.reduce, name, counting)
-    return seen
-
-
 def test_each_trace_step_is_printed_once(monkeypatch):
     _, _, _, traces = _reduce_trace("counterexample2")
     (trace,) = traces
-    printed = _counting(monkeypatch, "pretty")
+    printed = counting_calls(monkeypatch, "pretty")
     text = trace_to_text(trace)
     lines = trace_to_json_lines(trace)
     assert [id(t) for t in printed] == [id(s.term) for s in trace.steps]
@@ -653,7 +642,7 @@ def test_replay_digests_no_snapshot(monkeypatch):
     _, env, rules, traces = _reduce_trace("counterexample2")
     (trace,) = traces
     trace_to_json_lines(trace)
-    keyed = _counting(monkeypatch, "canonical_key")
+    keyed = counting_calls(monkeypatch, "canonical_key")
     assert replay_trace(env, (), trace, rules)
     assert keyed == []
 
@@ -682,7 +671,7 @@ def test_each_step_field_is_computed_once(monkeypatch):
     for s in trace.steps:  # forget what the run itself read
         for field in ("sub", "term", "key", "text"):
             vars(s).pop(field, None)
-    calls = {name: _counting(monkeypatch, name)
+    calls = {name: counting_calls(monkeypatch, name)
              for name in ("_apply", "_with_child", "canonical_key", "pretty")}
     for s in trace.steps:
         for field in ("sub", "term", "key", "text"):
