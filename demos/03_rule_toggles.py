@@ -6,7 +6,7 @@ and every program normalizes.  Disabling proof irrelevance changes nothing,
 because the coercion's side condition only compares endpoints.
 """
 
-from itt import elaborate, load_example, pretty, unwind_apps
+from itt import App, elaborate, load_example, pretty
 
 
 def outcome(name: str, **flags) -> str:
@@ -36,7 +36,9 @@ def main() -> None:
     rules = case.rules.updated(cast_rule=False, eqrec_rule=False)
     env, results = elaborate(case.program, rules, reduce_strategy="nf")
     final = results[-1].trace.final
-    head, args = unwind_apps(final)
+    head = final
+    while isinstance(head, App):
+        head = head.fn
     print(f"    head: {type(head).__name__}")
     print(f"    term: {pretty(final)[:90]} ...")
 

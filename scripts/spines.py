@@ -50,15 +50,17 @@ MODES = ("whnf_term", "whnf")
 CHILD = r"""
 import json, sys, time
 from itt import (
-    PROP, EnvEntry, FuelExhausted, Global, GlobalEnv, Lam, RuleSet, Var,
-    build_apps, elaborate, parse_program, whnf, whnf_term,
+    PROP, App, EnvEntry, FuelExhausted, Global, GlobalEnv, Lam, RuleSet, Var,
+    elaborate, parse_program, whnf, whnf_term,
 )
 kind, size, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 if kind == "identity":
     env, rules = GlobalEnv(), RuleSet()
     env.add(EnvEntry("a", PROP, None, "axiom"))
     ident = Lam(PROP, Var(0), name="x")
-    term = build_apps(ident, [ident] * size + [Global("a")])
+    term = ident
+    for arg in [ident] * size + [Global("a")]:
+        term = App(term, arg)
 else:
     rules = RuleSet(fuel=size, proof_irrelevance=False)
     env, _ = elaborate(parse_program(sys.stdin.read()), rules)

@@ -14,8 +14,7 @@ from __future__ import annotations
 from .syntax import (
     KIND, PROP, TYPE,
     App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, ScopeError, SortT,
-    Term, Var, alpha_eq, build_apps, canonical_key, pretty, shift, subst,
-    unwind_apps,
+    Term, Var, alpha_eq, canonical_key, pretty, shift, subst,
 )
 from .rules import (
     DEFAULT_FUEL, DEFAULT_RULES, ConversionCycle, Fuel, FuelExhausted, RuleSet,

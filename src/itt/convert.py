@@ -20,6 +20,8 @@ parts do not), and then the head of greater definitional height
 only earlier globals, two aliases meet at their common alias without
 unfolding past it, and comparisons stay close to the named forms they
 started from.  Two heads of height 0 (no defined global) do not convert.
+An unfolding is one ``reduce.delta_whnf``: the head unfolds over the
+reduction machine's argument stack, by the Delta step of head reduction.
 
 A pair of two different bound globals is answered once per environment and
 rule set.  Two bare globals go straight to the memo, each its own weak-head
@@ -47,7 +49,7 @@ from . import reduce as _reduce
 from . import typecheck as _typecheck
 from .env import Context, GlobalEnv, ctx_extend
 from .rules import DEFAULT_RULES, ConversionCycle, Fuel
-from .syntax import CHILDREN, PROP, App, Global, Term, alpha_eq, build_apps, unwind_apps
+from .syntax import CHILDREN, PROP, App, Global, Term, alpha_eq
 
 
 def is_proposition(env: GlobalEnv, ctx: Context, type_: Term, budget: Fuel) -> bool:
@@ -95,11 +97,9 @@ def convert(env: GlobalEnv, ctx: Context, t1: Term, t2: Term,
         if h1 == h2 == 0:
             break
         if h1 >= h2:
-            u1 = build_apps(*_reduce.unfold(env, *unwind_apps(w1), budget))
-            w1 = _reduce.whnf_term(env, ctx, u1, budget, unfold_heads=False)
+            w1 = _reduce.delta_whnf(env, ctx, w1, budget)
         else:
-            u2 = build_apps(*_reduce.unfold(env, *unwind_apps(w2), budget))
-            w2 = _reduce.whnf_term(env, ctx, u2, budget, unfold_heads=False)
+            w2 = _reduce.delta_whnf(env, ctx, w2, budget)
         period += 1
         if alpha_eq(w1, saved[0]) and alpha_eq(w2, saved[1]):
             raise ConversionCycle(period)

@@ -19,8 +19,9 @@ and substitutes once per budget for each pair of body and argument objects
 
 CastFire and EqRecFire never look at the shape of the proof argument; only
 the endpoints are compared.  Delta is need-driven: a global unfolds when its
-weak-head form is demanded (it heads the spine being reduced) or during
-strong normalization, so traces keep named forms as long as possible.
+weak-head form is demanded (it heads the spine being reduced), during
+strong normalization, or when conversion unfolds it (``delta_whnf``, on the
+same stack), so traces keep named forms as long as possible.
 
 Divergence is not observed as a timeout but *detected*.  Every head
 reduction, traced or not, runs Brent's check in ``whnf_term``: each state is
@@ -226,15 +227,23 @@ def head_step(env: GlobalEnv, ctx: Context, head: Term, args: Stack,
     return None
 
 
-def unfold(env: GlobalEnv, head: Global, args: list[Term] | Stack,
-           budget: Fuel) -> tuple[Term, list[Term] | Stack] | None:
-    """Delta: the body of the global ``head`` paired with its arguments (a
-    list or a stack), or None when the head is an axiom or an assumption."""
+def unfold(env: GlobalEnv, head: Global, args: Stack,
+           budget: Fuel) -> tuple[Term, Stack] | None:
+    """Delta: the body of the global ``head`` over its argument stack, or
+    None when the head is an axiom or an assumption."""
     entry = env.lookup(head.name)
     if entry is not None and entry.body is not None:
         budget.spend()
         return entry.body, args
     return None
+
+
+def delta_whnf(env: GlobalEnv, ctx: Context, w: Term, budget: Fuel) -> Term:
+    """Conversion's unfolding step: Delta at the head of the weak-head form
+    ``w``, a spine headed by a defined global, then the weak-head form of
+    the result with Delta held back at its head."""
+    unfolded = unfold(env, *_unwind(w, None), budget)
+    return whnf_term(env, ctx, _apply(*unfolded), budget, unfold_heads=False)
 
 
 # Heads on which no rule fires, whatever the arguments and the rule set.

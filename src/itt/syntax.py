@@ -207,22 +207,6 @@ _KID_NAMES = {cls: tuple(a for a, _ in kids) for cls, kids in CHILDREN.items()}
 _KEYWORD = {cls: kw for kw, cls in PRIMITIVES.items()}
 
 
-def unwind_apps(t: Term) -> tuple[Term, list[Term]]:
-    """Split an application spine into (head, arguments outermost-last)."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
-def build_apps(head: Term, args: Sequence[Term]) -> Term:
-    for a in args:
-        head = App(head, a)
-    return head
-
-
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Alpha-equivalence: structural equality under de Bruijn indices, binder
     names excluded.  It is ``==``, whose ``__eq__`` (``_compile_nodes``)

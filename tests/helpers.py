@@ -3,12 +3,13 @@ free-variable and global-name walks that ``pretty``'s pre-pass is checked
 against, the binder name ``pretty`` should show, a closure check over a
 global environment, and counts over corpus cases; the budgets a run is
 handed, the fuel it spends and what it shows; the calls a kernel function
-gets; one head step of a whole
-term; the benchmark's program generators; and the inputs that several test
-files share."""
+gets; one head step of a whole term; a spine built from a head and its
+arguments, and a spine's head; the benchmark's program generators; and the
+inputs that several test files share."""
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 import json
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from itt import (
-    Context, Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, Program,
+    App, Context, Fuel, FuelExhausted, Global, GlobalEnv, PragmaReduce, Program,
     RuleSet, Term, TypeCheckError, Var, elaborate, head_step, load_example,
     pretty,
 )
@@ -91,6 +92,18 @@ def step_term(env: GlobalEnv, ctx: Context, t: Term,
     step's kind; or None if ``t`` is head-stable."""
     r = head_step(env, ctx, *_unwind(t, None), budget)
     return None if r is None else (_apply(*r[0]), r[1])
+
+
+def apps(head: Term, args: Iterable[Term]) -> Term:
+    """``head`` applied to ``args``, the first argument innermost."""
+    return functools.reduce(App, args, head)
+
+
+def spine_head(t: Term) -> Term:
+    """The head of the application spine ``t``."""
+    while type(t) is App:
+        t = t.fn
+    return t
 
 
 # The rule variants that differential runs check each corpus case under.

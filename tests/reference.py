@@ -30,7 +30,7 @@ from itt import (
     ScopeError, SortT, Term, Var, ctx_extend,
 )
 from itt.reduce import BETA, _with_child
-from itt.syntax import CHILDREN, build_apps, unwind_apps
+from itt.syntax import CHILDREN
 from helpers import step_term
 
 
@@ -81,10 +81,16 @@ def step(env: GlobalEnv, ctx: Context, t: Term,
          budget: Fuel) -> tuple[Term, str] | None:
     """Contract the leftmost-outermost redex, or None if ``t`` is in normal
     form with respect to the budget's rules."""
-    head, args = unwind_apps(t)
+    head, args = t, []  # the arguments, the first one last
+    while type(head) is App:
+        args.append(head.arg)
+        head = head.fn
     if type(head) is Lam and args:
         budget.spend()
-        return build_apps(subst(head.body, 0, args[0]), args[1:]), BETA
+        out = subst(head.body, 0, args.pop())
+        while args:
+            out = App(out, args.pop())
+        return out, BETA
     r = step_term(env, ctx, t, budget)
     if r is not None:
         return r

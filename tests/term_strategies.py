@@ -7,8 +7,9 @@ import hypothesis.strategies as st
 
 from itt import (
     PROP, TYPE,
-    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var, build_apps, pretty,
+    App, Cast, Eq, EqRec, Global, J, Lam, Pi, Refl, Var, pretty,
 )
+from helpers import apps
 
 GLOBAL_POOL = ("g0", "g1", "g2")
 
@@ -50,7 +51,7 @@ def _head_redexes(ctx: int) -> st.SearchStrategy:
     sub = terms(2, ctx)
 
     def spines(head: st.SearchStrategy) -> st.SearchStrategy:
-        return st.builds(build_apps, head, st.lists(sub, max_size=2))
+        return st.builds(apps, head, st.lists(sub, max_size=2))
 
     return st.one_of(
         spines(st.builds(App, st.builds(Lam, sub, terms(2, ctx + 1)), sub)),
@@ -76,10 +77,10 @@ def _head_loops(ctx: int) -> st.SearchStrategy:
     pool = st.sampled_from([Global(g) for g in GLOBAL_POOL])
     self_app = st.builds(lambda a: App(Lam(a, App(Var(0), Var(0))),
                                        Lam(a, App(Var(0), Var(0)))), sub)
-    unfolding = st.builds(build_apps, pool, st.lists(pool, max_size=2))
+    unfolding = st.builds(apps, pool, st.lists(pool, max_size=2))
     loops = st.one_of(self_app, unfolding)
     casts = st.builds(lambda a, e, x: Cast(a, a, e, x), sub, sub, loops)
-    return st.builds(build_apps, st.one_of(loops, casts),
+    return st.builds(apps, st.one_of(loops, casts),
                      st.lists(sub, max_size=2))
 
 

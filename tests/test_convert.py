@@ -17,7 +17,7 @@ from itt import (
     Global, J, Lam,
     PragmaCheck, PragmaReduce, Refl, RuleSet, SortT, TypeCheckError, Var,
     ctx_extend, elaborate, infer, is_proposition, load_example,
-    normalize, parse_program, parse_term, pretty,
+    normalize, parse_program, parse_term, pretty, run_all,
 )
 import itt
 from itt import reduce as reduce_module
@@ -25,8 +25,8 @@ from itt.convert import convert
 from itt.reduce import FIRINGS
 from itt.syntax import CHILDREN
 from helpers import (
-    CE2_DEFS, CE2_G, CE2_I, INLINE_OMEGA, UNFOLDING_CYCLE, case_env,
-    recorded_budgets,
+    CE2_DEFS, CE2_G, CE2_I, FLAG_VARIANTS, INLINE_OMEGA, UNFOLDING_CYCLE,
+    case_env, recorded_budgets,
 )
 from term_strategies import GLOBAL_POOL, open_terms
 
@@ -277,6 +277,62 @@ def test_disabling_rules_never_creates_conversions():
     for a, b in pairs:
         if not convert(env, (), a, b, rules.new_budget()):
             assert not convert(env, (), a, b, restricted.new_budget())
+
+
+_SPINES_SRC = """
+axiom N : Type.
+axiom a : N.
+axiom b : N.
+axiom F : N -> Prop.
+def G : N -> Prop := F.
+"""
+
+
+def _spine_answers(flags):
+    """Under the default rules with ``flags``: do ``F a`` and ``F b``, ``G a``
+    and ``F b``, and ``G a`` and ``F a`` convert?"""
+    rules = DEFAULT_RULES.updated(**flags)
+    env, _ = elaborate(parse_program(_SPINES_SRC), rules)
+    scope = env.names()
+    return [convert(env, (), parse_term(lhs, scope), parse_term(rhs, scope),
+                    rules.new_budget())
+            for lhs, rhs in (("F a", "F b"), ("G a", "F b"), ("G a", "F a"))]
+
+
+@pytest.mark.parametrize("flags", FLAG_VARIANTS)
+def test_applications_to_different_arguments_do_not_convert(flags):
+    # a _parts_convert that skips App.arg answers True to all three; the G
+    # pairs differ in head, so they run conversion's unfolding step
+    assert _spine_answers(flags) == [False, False, True]
+
+
+def _is_stack(args):
+    """Is ``args`` None or a cell ``(arg, rest, length)`` whose length is
+    its depth, down to None?"""
+    cells = []
+    while type(args) is tuple and len(args) == 3:
+        cells.append(args)
+        args = args[1]
+    return args is None and all(cell[2] == len(cells) - i
+                                for i, cell in enumerate(cells))
+
+
+def test_unfold_receives_only_stacks(monkeypatch):
+    # Delta runs on the machine's argument stack wherever it fires, in head
+    # reduction and in conversion's unfolding step: every corpus case under
+    # each rule set that expected/ records, and the program above
+    seen, real = [], reduce_module.unfold
+
+    def recording(env, head, args, budget):
+        seen.append(args)
+        return real(env, head, args, budget)
+
+    monkeypatch.setattr(reduce_module, "unfold", recording)
+    for overrides in record_expected.VARIANTS:
+        assert all(report.passed for report in run_all(overrides))
+    for flags in FLAG_VARIANTS:
+        _spine_answers(flags)
+    assert seen and all(_is_stack(args) for args in seen)
 
 
 def test_firing_cast_converts_to_its_payload_only_when_enabled():

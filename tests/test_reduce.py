@@ -14,9 +14,9 @@ from itt import (
     CASE_NAMES, CYCLE_DETECTED, NORMAL_FORM, FUEL_EXHAUSTED, PROP,
     App, Cast, ConversionCycle, CycleDetector, Eq, Fuel, FuelExhausted,
     Global, GlobalEnv, Lam, Pi, Refl, RuleSet, Term, Var,
-    alpha_eq, build_apps, canonical_key, elaborate, head_step, infer,
+    alpha_eq, canonical_key, elaborate, head_step, infer,
     load_example, normalize, parse_program, parse_term, pretty, replay_trace,
-    trace_to_json_lines, trace_to_text, unwind_apps, whnf, whnf_term,
+    trace_to_json_lines, trace_to_text, whnf, whnf_term,
 )
 import itt.reduce
 from itt.convert import convert
@@ -25,7 +25,8 @@ from itt.reduce import BETA, FIRINGS, TraceStep, _apply
 from itt.rules import RULES
 from itt.syntax import CHILDREN, PRIMITIVES, EqRec, J
 from helpers import (
-    counting_calls, kernel, parse_trace_json, spent_fuel, step_term, workloads,
+    apps, counting_calls, kernel, parse_trace_json, spent_fuel, spine_head,
+    step_term, workloads,
 )
 from reference import step
 from term_strategies import (
@@ -124,8 +125,7 @@ def test_whnf_with_cast_disabled_sticks():
     _, env, rules, traces = _reduce_trace("counterexample2", cast_rule=False)
     (trace,) = traces
     assert trace.status == NORMAL_FORM
-    head, _ = unwind_apps(trace.final)
-    assert isinstance(head, Cast)
+    assert isinstance(spine_head(trace.final), Cast)
 
 
 def test_normalize_detects_cycle_under_binder():
@@ -368,7 +368,7 @@ def test_cycle_detector_hash_collision_falls_back_to_alpha(monkeypatch):
 
 def test_cycle_detector_a_state_over_a_stack_is_its_built_term():
     f, a, b = Lam(PROP, Var(0), name="x"), Global("a"), Global("b")
-    forms = [(build_apps(f, [a, b]),), (App(f, a), (b, None, 1)),
+    forms = [(apps(f, [a, b]),), (App(f, a), (b, None, 1)),
              (Lam(PROP, Var(0), name="y"), (a, (b, None, 1), 2))]
     for one in forms:
         for other in forms:
@@ -393,7 +393,7 @@ def _self_app() -> Term:
 def _loop(n: int) -> Term:
     """``(fun (z : Prop), z z) (fun (z : Prop), z z) a ... a``, ``n`` times
     ``a``, built anew at each call."""
-    return build_apps(App(_self_app(), _self_app()), [Global("a")] * n)
+    return apps(App(_self_app(), _self_app()), [Global("a")] * n)
 
 
 def _loop_env() -> GlobalEnv:
@@ -423,7 +423,7 @@ def test_a_loop_of_any_depth_is_certified_traced(n):
 
 @_SPINES
 def test_a_conversion_loop_of_any_depth_is_detected(n):
-    spine = build_apps(Global("Omega"), [Global("a")] * n)
+    spine = apps(Global("Omega"), [Global("a")] * n)
     with pytest.raises(ConversionCycle) as cycle:
         convert(_loop_env(), (), spine, PROP, RuleSet(fuel=200).new_budget())
     assert cycle.value.period == 1
@@ -440,8 +440,8 @@ def test_cycle_detector_confirms_a_repeat_of_deep_terms():
 
 @_SPINES
 def test_a_terminating_spine_of_any_depth_returns(n):
-    spine = build_apps(Lam(PROP, Var(0), name="x"), [Global("a")] * n)
-    want = build_apps(Global("a"), [Global("a")] * (n - 1))
+    spine = apps(Lam(PROP, Var(0), name="x"), [Global("a")] * n)
+    want = apps(Global("a"), [Global("a")] * (n - 1))
     got = whnf_term(_loop_env(), (), spine, RuleSet(fuel=50).new_budget())
     assert alpha_eq(got, want)
     trace = whnf(_loop_env(), (), spine, RuleSet(fuel=50))
@@ -488,14 +488,14 @@ def test_head_reduction_is_linear_in_the_spine(monkeypatch):
     # pops one argument, so no step builds or compares the spine
     n, ident = 300, Lam(PROP, Var(0), name="x")
     env, a = _loop_env(), Global("a")
-    spine = build_apps(ident, [ident] * n + [a])
+    spine = apps(ident, [ident] * n + [a])
     counts = _count_apps(monkeypatch)
     assert whnf_term(env, (), spine, RuleSet().new_budget()) is a
     assert counts["__init__"] <= n and counts["__eq__"] <= n
     trace = whnf(env, (), spine, RuleSet())
     assert trace.status == NORMAL_FORM and len(trace.steps) == n + 1
     assert counts["__init__"] == 0  # no snapshot read yet
-    assert alpha_eq(trace.snapshots()[1], build_apps(ident, [ident] * (n - 1)
+    assert alpha_eq(trace.snapshots()[1], apps(ident, [ident] * (n - 1)
                                                      + [a]))
 
 
@@ -652,14 +652,14 @@ def test_replay_compares_snapshots_too_deep_for_eq():
     # times the recursion limit long, on which == overflows
     a, n = Global("a"), 3 * sys.getrecursionlimit()
     rules = RuleSet()
-    trace = whnf(GlobalEnv(), (), build_apps(Lam(PROP, Var(0), name="x"), [a] * n),
+    trace = whnf(GlobalEnv(), (), apps(Lam(PROP, Var(0), name="x"), [a] * n),
                  rules)
     assert trace.status == NORMAL_FORM and len(trace.steps) == 1
     assert replay_trace(GlobalEnv(), (), trace, rules)
     bad = _tampered(trace)
     args = [a] * (n - 1)
     args[1] = Global("b")  # next to the head, the deepest argument but one
-    bad.steps[0] = TraceStep(trace.steps[0].kind, build_apps(a, args), None)
+    bad.steps[0] = TraceStep(trace.steps[0].kind, apps(a, args), None)
     with pytest.raises(RecursionError):  # so alpha_eq takes its own walk
         _ = bad.steps[0].term == trace.steps[0].term
     assert not replay_trace(GlobalEnv(), (), bad, rules)
@@ -774,7 +774,7 @@ def test_stable_spine_answers_at_once(monkeypatch, head, unfold_heads, args):
     # asks head_step nothing; the globals are defined, so unfolding would
     # step them
     _, env, rules = _env("counterexample1")
-    t = build_apps(head, args)
+    t = apps(head, args)
     budget = Fuel(10, rules)
 
     def no_step(*_):
@@ -811,7 +811,7 @@ def _looped_whnf(env, ctx, t, budget, unfold_heads, states):
     its Brent check; it holds Delta back by stopping at a global head, and
     appends each state it reaches to ``states``."""
     states.append(t)
-    while unfold_heads or not isinstance(unwind_apps(t)[0], Global):
+    while unfold_heads or not isinstance(spine_head(t), Global):
         if (r := step_term(env, ctx, t, budget)) is None:
             break
         t = r[0]

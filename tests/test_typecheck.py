@@ -12,6 +12,7 @@ from itt import (
     parse_term, pretty,
 )
 from itt.convert import convert
+from itt.typecheck import PI_RULES
 from helpers import case_env, kernel, recorded_budgets, spent_fuel, workloads
 
 
@@ -28,6 +29,13 @@ def test_pts_ladder():
                        match=r"no Pi-formation rule for \(Type, Kind\)"):
         infer(env, (), parse_term("forall (A : Prop), Type"),
               DEFAULT_RULES.new_budget())
+
+
+def test_a_pi_type_lives_in_the_sort_of_its_codomain():
+    # every Pi-formation rule (s1, s2) |-> s has s == s2, so a term's level
+    # can be read from its head; a predicative Prop (ROADMAP item 12's
+    # variant B, a (Type, Prop) rule to Type) would break this
+    assert PI_RULES and all(s == s2 for (_, s2), s in PI_RULES.items())
 
 
 def test_kind_has_no_type():
