@@ -14,11 +14,15 @@ and their median:
         --workload check-chain --tree parent=../itt-parent --tree change=.
 
 A tree is a checkout to run, named ``label=path``; the default is this one,
-named ``change``.  Runs of several trees alternate, one per tree for each
-workload and seed, and the tree that runs first rotates from seed to seed,
-so that a drift in machine speed hits every tree alike.  With two or more
-trees the script ends by comparing each with the first: one line per
-workload and end-to-end metric.  Only the standard library is used.
+named ``change``.  Each tree runs from a copy without ``.git`` or caches,
+at a temporary path as long as every other tree's, since ``peak_rss_mb``
+moves with the length of the path a tree runs from; the record labels each
+tree by its own path, and names the copies.  Runs of several trees
+alternate, one per tree for each workload and seed, and the tree that runs
+first rotates from seed to seed, so that a drift in machine speed hits
+every tree alike.  With two or more trees the script ends by comparing
+each with the first: one line per workload and end-to-end metric.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -27,12 +31,17 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# what a tree's copy leaves out: its history and what runs leave behind
+_NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                     ".hypothesis", ".bench_out")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -88,6 +97,18 @@ def parse_trees(ap: argparse.ArgumentParser, items: list[str] | None) -> dict[st
             ap.error(f"--tree wants LABEL=PATH, got {item!r}")
         trees[label] = Path(path).resolve()
     return trees
+
+
+def copied(trees: dict[str, Path], into: Path) -> dict[str, Path]:
+    """A copy of each tree at ``into/<i>``, ``i`` its place among the trees,
+    all written at one width, so that every copy's path has the same
+    length; without ``.git`` and caches."""
+    width = len(str(len(trees) - 1))
+    copies = {}
+    for i, (label, tree) in enumerate(trees.items()):
+        copies[label] = into / f"{i:0{width}}"
+        shutil.copytree(tree, copies[label], ignore=_NOT_COPIED)
+    return copies
 
 
 def rotated(order: list, i: int) -> list:
@@ -147,18 +168,23 @@ def main(argv: list[str] | None = None) -> int:
     runs = {label: {w: {m: [] for m in metrics} for w in names}
             for label in trees}
     wrong = []
-    order = list(trees.items())
-    for i, seed in enumerate(args.seeds):
-        for workload in names:
-            for label, tree in rotated(order, i):
-                result = run_once(tree, workload, seed, args.seconds)
-                if result["correct"] is not True:
-                    wrong.append(f"{label} {workload} seed {seed}: "
-                                 f"{result['failed']} of {result['attempted']} failed")
-                for m in metrics:
-                    runs[label][workload][m].append(result["metrics"][m]["value"])
-                print(f"{label:8} {workload:12} seed {seed}: wall_s "
-                      f"{result['metrics']['wall_s']['value']:.4f}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        copies = copied(trees, Path(tmp))
+        order = list(copies.items())
+        for i, seed in enumerate(args.seeds):
+            for workload in names:
+                for label, tree in rotated(order, i):
+                    result = run_once(tree, workload, seed, args.seconds)
+                    if result["correct"] is not True:
+                        wrong.append(f"{label} {workload} seed {seed}: "
+                                     f"{result['failed']} of "
+                                     f"{result['attempted']} failed")
+                    for m in metrics:
+                        runs[label][workload][m].append(
+                            result["metrics"][m]["value"])
+                    print(f"{label:8} {workload:12} seed {seed}: wall_s "
+                          f"{result['metrics']['wall_s']['value']:.4f}",
+                          flush=True)
 
     medians = {label: {w: {m: statistics.median(v) for m, v in per.items()}
                        for w, per in by_w.items()}
@@ -170,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count(), "system": platform.system()},
             "trees": {label: describe(tree) for label, tree in trees.items()},
+            "copies": {label: str(copy) for label, copy in copies.items()},
             "median": medians,
             "runs": runs,
         }, indent=2) + "\n")

@@ -21,7 +21,7 @@ from .rules import (
 )
 from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
 from .parser import (
-    Declaration, Def, ParseError, PragmaCheck, PragmaReduce, Program,
+    Declaration, ParseError, PragmaCheck, PragmaReduce, Program,
     parse_program, parse_term,
 )
 from .reduce import (

@@ -25,9 +25,11 @@ def ctx_lookup(ctx: Context, index: int) -> Term:
 
 @dataclass
 class EnvEntry:
-    """A ``def``, ``axiom`` or ``assume``: its name, its type, a ``def``'s body."""
+    """A ``def``, ``axiom`` or ``assume``: its name, its type, a ``def``'s body.
+    ``type_`` is None only in the parsed record of a ``def`` without a stated
+    type; checking adds a new entry with the inferred type in its place."""
     name: str
-    type_: Term
+    type_: Term | None
     body: Term | None  # absent for axioms and assumptions
     kind: str  # the declaration's keyword: "def", "axiom" or "assume"
 

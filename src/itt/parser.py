@@ -29,9 +29,9 @@ So every occurrence of a name in one parse is the same object, and
 conversion answers two of them by identity.  An arrow ``A -> B`` is
 ``forall (_ : A), B``: its codomain is parsed under an unnamed binder that
 no name resolves to, so the parser's terms are final and nothing rebuilds
-them.  A declaration without a body, ``axiom`` or ``assume``, parses to the
-``EnvEntry`` that checking adds to the environment, its keyword as the
-entry's kind.
+them.  A global declaration parses to the ``EnvEntry`` that checking adds
+to the environment, its keyword as the entry's kind; a ``def`` without a
+stated type has ``type_`` None, and checking adds a new entry in its place.
 
 Lexing: a token is its text.  One ``findall`` of ``_TOKEN_RE`` matches
 every token's text and every comment; comments are dropped, EOF's ``""`` is
@@ -68,14 +68,6 @@ class ParseError(Exception):
 
 
 @dataclass
-class Def:
-    """A ``def`` declaration: a name, its stated type if any, and its body."""
-    name: str
-    stated_type: Term | None
-    body: Term
-
-
-@dataclass
 class PragmaCheck:
     """A ``#check`` pragma: infer the type of ``term``."""
     term: Term
@@ -87,7 +79,7 @@ class PragmaReduce:
     term: Term
 
 
-Declaration = Def | EnvEntry | PragmaCheck | PragmaReduce
+Declaration = EnvEntry | PragmaCheck | PragmaReduce
 
 
 @dataclass(frozen=True)
@@ -301,17 +293,14 @@ def _parse_declarations(p: _Parser) -> Program:
             name = p.name("declaration name")
             if name in p.globals:
                 raise _Failure(f"duplicate name {name!r}", p.pos - 1)
+            ty = body = None
+            if tok != "def" or toks[p.pos] == ":":
+                p.expect(":", "':'")
+                ty = p.parse_term()
             if tok == "def":
-                stated: Term | None = None
-                if toks[p.pos] == ":":
-                    p.pos += 1
-                    stated = p.parse_term()
                 p.expect(":=", "':='")
                 body = p.parse_term()
-                decls.append(Def(name, stated, body))
-            else:
-                p.expect(":", "':'")
-                decls.append(EnvEntry(name, p.parse_term(), None, tok))
+            decls.append(EnvEntry(name, ty, body, tok))
             p.globals[name] = None  # in scope from the next declaration
         elif tok == "#check" or tok == "#reduce":
             p.pos += 1

@@ -30,6 +30,11 @@ distinguishable FuelExhausted instead of hanging.  A rule that needs the
 shape of a type (a sort, a Pi) reads it from the weak-head form
 (``reduce.whnf_term``) of the type that ``infer`` gives.
 
+``elaborate`` adds each parsed ``EnvEntry`` itself to the environment once
+it checks; only a ``def`` without a stated type gets a new entry, with its
+inferred type.  Elaborations of one ``Program`` share its records, so none
+is assigned to.
+
 ``infer`` picks a term's rule, and ``elaborate`` a declaration's, by its
 class: ``type(x) is`` tests, the most frequent classes first.  They run once
 per node and declaration, and on CPython a ``match`` of class patterns costs
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from . import convert as _convert
 from . import reduce as _reduce
 from .env import Context, EnvEntry, GlobalEnv, ctx_extend, ctx_lookup
-from .parser import Declaration, Def, PragmaCheck, PragmaReduce, Program
+from .parser import Declaration, PragmaCheck, PragmaReduce, Program
 from .rules import DEFAULT_RULES, Fuel, FuelExhausted, RuleSet
 from .syntax import (
     KIND, PROP, TYPE,
@@ -212,18 +217,16 @@ def elaborate(program: Program, rules: RuleSet = DEFAULT_RULES, *,
         budget = rules.new_budget()
         try:
             cls = type(decl)
-            if cls is Def:
-                name, stated = decl.name, decl.stated_type
-                if stated is not None:
-                    _sort_of_type(env, (), stated, budget,
-                                  f"stated type of {name}")
-                    check(env, (), decl.body, stated, budget)
-                    ty = stated
+            if cls is EnvEntry:
+                name, ty, body = decl.name, decl.type_, decl.body
+                if ty is None:  # a new entry: the parsed one is shared
+                    decl = EnvEntry(name, infer(env, (), body, budget), body,
+                                    "def")
+                elif body is None:
+                    _sort_of_type(env, (), ty, budget, f"type of {name}")
                 else:
-                    ty = infer(env, (), decl.body, budget)
-                env.add(EnvEntry(name, ty, decl.body, "def"))
-            elif cls is EnvEntry:
-                _sort_of_type(env, (), decl.type_, budget, f"type of {decl.name}")
+                    _sort_of_type(env, (), ty, budget, f"stated type of {name}")
+                    check(env, (), body, ty, budget)
                 env.add(decl)
             elif cls is PragmaCheck:
                 ty = infer(env, (), decl.term, budget)

@@ -4,8 +4,9 @@ against, the binder name ``pretty`` should show, a closure check over a
 global environment, and counts over corpus cases; the budgets a run is
 handed, the fuel it spends and what it shows; the calls a kernel function
 gets; one head step of a whole term; a spine built from a head and its
-arguments, and a spine's head; the benchmark's program generators; and the
-inputs that several test files share."""
+arguments, and a spine's head; the benchmark's program generators and the
+writer of the expected tables; and the inputs that several test files
+share."""
 
 from __future__ import annotations
 
@@ -31,14 +32,23 @@ from itt.syntax import CHILDREN, subterms
 
 R = TypeVar("R")
 
-# The benchmark's program generators, loaded by path; the module uses only
-# the standard library and reaches the kernel through the namespace it is
-# given (``kernel``).
-_WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               _WORKLOADS_PATH)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+def _load(name: str, path: str):
+    """The module at ``path`` in the repository, loaded by path as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's program generators; the module uses only the standard
+# library and reaches the kernel through the namespace it is given
+# (``kernel``).
+workloads = _load("perfbench_workloads", "perfbench/workloads.py")
+# The writer of the ``expected/`` tables, and the rule variants (``VARIANTS``)
+# whose reductions they record.
+record_expected = _load("record_expected", "scripts/record_expected.py")
 
 
 def kernel(*modules: str) -> SimpleNamespace:

@@ -14,7 +14,7 @@ from itt import (
     pretty, replay_trace, trace_to_json_lines, whnf,
 )
 from itt.convert import convert
-from itt.parser import Def, EnvEntry, PragmaCheck, PragmaReduce
+from itt.parser import PragmaCheck, PragmaReduce
 from helpers import parse_trace_json, spine_head
 from reference import step
 
@@ -164,11 +164,8 @@ def test_criterion_7_kernel_self_consistency():
         corpus_terms = []
         for decl in case.program.declarations:
             match decl:
-                case Def(_, stated, body):
-                    corpus_terms.extend([stated, body] if stated is not None
-                                        else [body])
-                case EnvEntry(_, ty):
-                    corpus_terms.append(ty)
+                case EnvEntry(_, ty, body):
+                    corpus_terms.extend(t for t in (ty, body) if t is not None)
                 case PragmaCheck(term) | PragmaReduce(term):
                     corpus_terms.append(term)
         for entry in env:

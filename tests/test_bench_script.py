@@ -66,16 +66,19 @@ def test_workload_option_picks_workloads_in_benchmark_order(
         monkeypatch, capsys, tmp_path):
     calls = _stub_runs(monkeypatch)
     out = tmp_path / "bench.json"
+    for tree in "pc":
+        (tmp_path / tree).mkdir()
     assert bench.main(["--seconds", "1", "--seeds", "3", "4",
                        "--workload", "check-chain", "--workload", "church-nf",
                        "--tree", f"a={tmp_path / 'p'}",
                        "--tree", f"b={tmp_path / 'c'}",
                        "--out", str(out)]) == 0
-    # per seed and workload, one run per tree, the first tree rotating
-    assert calls == [("p", "church-nf", 3), ("c", "church-nf", 3),
-                     ("p", "check-chain", 3), ("c", "check-chain", 3),
-                     ("c", "church-nf", 4), ("p", "church-nf", 4),
-                     ("c", "check-chain", 4), ("p", "check-chain", 4)]
+    # per seed and workload, one run per tree (from its copy, named by the
+    # tree's place), the first tree rotating
+    assert calls == [("0", "church-nf", 3), ("1", "church-nf", 3),
+                     ("0", "check-chain", 3), ("1", "check-chain", 3),
+                     ("1", "church-nf", 4), ("0", "church-nf", 4),
+                     ("1", "check-chain", 4), ("0", "check-chain", 4)]
     record = json.loads(out.read_text())
     assert [list(record["median"][t]) for t in "ab"] == [
         ["church-nf", "check-chain"]] * 2
@@ -123,3 +126,36 @@ def test_each_tree_is_labelled_by_its_own_commit_or_its_path(
         "inner": str(inner.resolve()),
         "copy": str(copy.resolve()),
     }
+
+
+def test_every_tree_runs_from_a_copy_at_a_path_of_one_length(
+        monkeypatch, tmp_path):
+    # peak_rss_mb moves with the length of the path a tree runs from, so
+    # trees whose paths differ in length run from copies whose paths do
+    # not; a copy has the tree's files but not its history or caches
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    seen = {}
+
+    def run_once(tree, workload, seed, seconds):
+        seen[tree] = sorted(p.name for p in tree.iterdir())
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0}
+                            for m in spec["end_to_end"]}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    trees = [tmp_path / "p", tmp_path / "a-much-longer-name"]
+    for tree in trees:
+        for sub in (".git", "__pycache__", "src"):
+            (tree / sub).mkdir(parents=True)
+        (tree / "file").write_text("x\n")
+    out = tmp_path / "bench.json"
+    labels = [f"--tree={label}={tree}" for label, tree in zip("ab", trees)]
+    assert bench.main(["--seconds", "1", "--workload", "church-nf", *labels,
+                       "--out", str(out)]) == 0
+    assert len(seen) == 2 and not set(seen) & set(trees)
+    assert len({len(str(copy)) for copy in seen}) == 1
+    assert list(seen.values()) == [["file", "src"]] * 2
+    assert not any(copy.exists() for copy in seen)
+    record = json.loads(out.read_text())
+    assert record["trees"] == {"a": str(trees[0]), "b": str(trees[1])}
+    assert sorted(record["copies"].values()) == sorted(map(str, seen))

@@ -9,7 +9,6 @@ the packaged ``expected/`` tables, which must already hold what it writes.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -19,13 +18,9 @@ from pathlib import Path
 import pytest
 
 from itt import CASE_NAMES
+from helpers import record_expected
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-_spec = importlib.util.spec_from_file_location(
-    "record_expected", SCRIPTS / "record_expected.py")
-record_expected = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record_expected)
 
 
 def _dumps(*hash_seeds: str) -> list[bytes]:

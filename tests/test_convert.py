@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -26,7 +24,7 @@ from itt.reduce import FIRINGS
 from itt.syntax import CHILDREN
 from helpers import (
     CE2_DEFS, CE2_G, CE2_I, FLAG_VARIANTS, INLINE_OMEGA, UNFOLDING_CYCLE,
-    case_env, recorded_budgets,
+    case_env, record_expected, recorded_budgets,
 )
 from term_strategies import GLOBAL_POOL, open_terms
 
@@ -219,12 +217,6 @@ def test_conversion_is_an_equivalence_on_corpus_terms(name):
                 for k in range(len(roots)):
                     if known.get((j, k)) and (i, k) in known:
                         assert known[i, k], (irrelevance, i, j, k)
-
-
-_RECORD_PATH = Path(__file__).resolve().parents[1] / "scripts" / "record_expected.py"
-_spec = importlib.util.spec_from_file_location("record_expected", _RECORD_PATH)
-record_expected = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record_expected)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

@@ -8,15 +8,17 @@ import pytest
 
 from itt import DEFAULT_RULES, EnvEntry, Global, elaborate, parse_program
 from itt.convert import convert
-from itt.parser import Def, PragmaCheck, PragmaReduce
+from itt.parser import PragmaCheck, PragmaReduce
 from itt.typecheck import PragmaResult
 from helpers import counting_calls
 
 
-@pytest.mark.parametrize("record", [Def, PragmaCheck, PragmaReduce, EnvEntry,
+@pytest.mark.parametrize("record", [PragmaCheck, PragmaReduce, EnvEntry,
                                     PragmaResult])
 def test_per_declaration_records_are_not_frozen(record):
-    # Each declaration builds two or three of these records.  A frozen
+    # Parsing builds one of these records per declaration; checking builds
+    # one more for a ``def`` without a stated type (its entry, with the
+    # inferred type) and for each pragma it runs (its result).  A frozen
     # dataclass sets every field through object.__setattr__: building a
     # frozen 3-field record took 652 ns on CPython 3.11, against 244 ns for
     # a plain one (``timeit``, best of 7).  Nothing hashes these records

@@ -12,7 +12,7 @@ from hypothesis import given
 
 from itt import (
     CASE_NAMES, PROP,
-    App, Def, EnvEntry, Global, Lam, ParseError, Pi, PragmaCheck,
+    App, EnvEntry, Global, Lam, ParseError, Pi, PragmaCheck,
     PragmaReduce, Var, alpha_eq, canonical_key, load_example, parse_program,
     parse_term, pretty, syntax,
 )
@@ -116,7 +116,7 @@ def test_one_global_per_name_per_parse():
         "def g : T -> T -> T := fun (x : T), fun (y : T), f y.\n"
         "#check g (f T).\n").declarations
     terms = [t for d in decls[1:] for t in
-             ((d.stated_type, d.body) if type(d) is Def else (d.term,))]
+             ((d.type_, d.body) if type(d) is EnvEntry else (d.term,))]
     for name, count in [("T", 9), ("f", 2), ("g", 1)]:
         uses = [g for t in terms for g in _globals_named(t, name)]
         assert len(uses) == count and all(g is uses[0] for g in uses)
@@ -330,7 +330,7 @@ def _grammar_program(rng):
 
 def test_successful_parses_are_pinned():
     # The digest is the one of the parser that shifted each arrow's codomain
-    # and had a class each for ``axiom`` and ``assume``, with those two
+    # and had a class each for ``def``, ``axiom`` and ``assume``, with those
     # classes' reprs mapped to their ``EnvEntry``'s, so a change to how a
     # successful parse builds terms is checked against it.
     rng = random.Random(16)
@@ -340,7 +340,7 @@ def test_successful_parses_are_pinned():
         assert outcome.startswith("Program(")
         digest.update(outcome.encode() + b"\0")
     assert digest.hexdigest() == (
-        "06dbea1498af0f5631dd5f18043ef2522d0a11051d05702ac233eb33ebad94c5")
+        "c1c6a1637dc19dbea4a721124d2b0e7824fb78f597abac473a073452235e9c78")
 
 
 DEEP = "(" * 400 + "Prop" + ")" * 400
@@ -398,8 +398,8 @@ def test_counterexample1_declaration_shape():
     program = load_example("counterexample1").program
     # Bot, Neg, Top, delta, omega, Omega, #check, assume h, #reduce
     assert len(program.declarations) == 9
-    kinds = [type(d).__name__ for d in program.declarations]
-    assert kinds == ["Def"] * 6 + ["PragmaCheck", "EnvEntry", "PragmaReduce"]
+    kinds = [getattr(d, "kind", type(d).__name__) for d in program.declarations]
+    assert kinds == ["def"] * 6 + ["PragmaCheck", "assume", "PragmaReduce"]
     assert program.declarations[7] == EnvEntry(
         "h", parse_term("forall (A : Prop), forall (B : Prop), Eq Prop A B"),
         None, "assume")
@@ -408,7 +408,8 @@ def test_counterexample1_declaration_shape():
 def test_def_without_stated_type():
     program = parse_program("def P := forall (A : Prop), A.")
     decl = program.declarations[0]
-    assert isinstance(decl, Def) and decl.stated_type is None
+    assert decl == EnvEntry("P", None, parse_term("forall (A : Prop), A"),
+                            "def")
 
 
 def test_axiom_requires_type():

@@ -183,14 +183,41 @@ def test_j_enabled_types_at_target():
 
 
 def test_elaborate_reports_failing_declaration_index():
+    # one message per path of a global declaration: a stated def's body, its
+    # stated type, an axiom's or assumption's type, an untyped def's body
     for src, message in [
         ("def Bot : Prop := forall (A : Prop), A.\n"
-         "def bad : Bot := Prop.\n", r"declaration 1 \(bad\)"),
+         "def bad : Bot := Prop.\n", r"^declaration 1 \(bad\): type mismatch: "
+         r"expected Bot, inferred Type for Prop$"),
+        ("axiom p : Prop. axiom h : p. def x : h := h.",
+         r"^declaration 2 \(x\): stated type of x is not a type: h : p$"),
         ("axiom p : Prop. axiom h : p. axiom x : h.",
          r"^declaration 2 \(x\): type of x is not a type: h : p$"),
+        ("axiom p : Prop. axiom h : p. assume x : h.",
+         r"^declaration 2 \(x\): type of x is not a type: h : p$"),
+        ("def x := Kind.", r"^declaration 0 \(x\): sort Kind has no type$"),
     ]:
         with pytest.raises(TypeCheckError, match=message):
             elaborate(parse_program(src))
+
+
+def test_checking_shares_parsed_records_and_never_changes_them():
+    # every elaboration of one Program shares its records: a declared
+    # global's entry is its parsed record, except a def without a stated
+    # type, whose entry is new and holds the inferred type
+    program = parse_program(
+        "axiom A : Prop. def a : A -> A := fun (x : A), x. def b := a.")
+    A, a, b = program.declarations
+    fields = [dict(vars(d)) for d in program.declarations]
+    for rules in (DEFAULT_RULES, DEFAULT_RULES.updated(cast_rule=False)):
+        env, _ = elaborate(program, rules)
+        assert env.lookup("A") is A and env.lookup("a") is a
+        entry = env.lookup("b")
+        assert entry is not b and (entry.body, entry.kind) == (b.body, "def")
+        assert alpha_eq(entry.type_, parse_term("A -> A", ("A",)))
+    assert b.type_ is None
+    assert all(vars(d)[f] is v for d, before in zip(program.declarations, fields)
+               for f, v in before.items())
 
 
 def test_fuel_exhaustion_is_distinct_from_type_error():
