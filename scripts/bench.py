@@ -174,7 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(args.seeds):
             for workload in names:
                 for label, tree in rotated(order, i):
-                    result = run_once(tree, workload, seed, args.seconds)
+                    try:
+                        result = run_once(tree, workload, seed, args.seconds)
+                    except SystemExit as exc:  # it names only the copy
+                        raise SystemExit(f"tree {label}: {exc}") from None
                     if result["correct"] is not True:
                         wrong.append(f"{label} {workload} seed {seed}: "
                                      f"{result['failed']} of "

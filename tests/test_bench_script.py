@@ -159,3 +159,15 @@ def test_every_tree_runs_from_a_copy_at_a_path_of_one_length(
     record = json.loads(out.read_text())
     assert record["trees"] == {"a": str(trees[0]), "b": str(trees[1])}
     assert sorted(record["copies"].values()) == sorted(map(str, seen))
+
+
+def test_a_failed_run_names_its_tree_not_its_copy(monkeypatch, tmp_path):
+    def run_once(tree, workload, seed, seconds):
+        raise SystemExit(f"{workload} seed {seed} in {tree.name}: exit 1")
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    (tmp_path / "p").mkdir()
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--seconds", "1", "--workload", "church-nf",
+                    "--tree", f"parent={tmp_path / 'p'}"])
+    assert str(exit_.value) == "tree parent: church-nf seed 1 in 0: exit 1"
