@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Time the front door: what a fresh process pays to start and run ``itt``.
 
-Three commands run, each in a fresh process, ``--runs`` times (default 11):
+Six commands run, each in a fresh process, ``--runs`` times (default 11):
 
     python -c pass                       the interpreter alone
     python -c "import itt"               and the import of the package
     python -m itt check counterexample2  and a check of a corpus program
+    python -m itt reduce church-2-8.itt --strategy nf --trace off|text|json
+                                         and the normalization of Church
+                                         2^8 (1,025 steps), with no trace,
+                                         a text trace or a JSON trace
+
+The Church program is written to a temporary file that the script removes
+when it ends.
 
 The script prints the children's ``sys.dont_write_bytecode``, then one line
 per tree and command with the median of its wall times and the distance
@@ -31,16 +38,35 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from bench import iqr, parse_trees, rotated  # scripts/bench.py, beside this file
 
+CHURCH = "church-2-8.itt"  # in the temporary directory
 COMMANDS = {
     "pass": ["-c", "pass"],
     "import itt": ["-c", "import itt"],
     "itt check": ["-m", "itt", "check", "src/itt/corpus/examples/counterexample2.itt"],
+    **{f"reduce {trace}": ["-m", "itt", "reduce", CHURCH, "--strategy", "nf",
+                           "--trace", trace] for trace in ("off", "text", "json")},
 }
+
+
+def numeral(k: int) -> str:
+    """The Church numeral ``k``."""
+    return "fun (A : Prop), fun (s : A -> A), fun (z : A), " + "s (" * k + "z" + ")" * k
+
+
+def church_program(m: int, n: int) -> str:
+    """A program that normalizes the Church numeral ``m ** n``."""
+    return ("def Nat : Prop := forall (A : Prop), (A -> A) -> A -> A.\n"
+            f"def m : Nat := {numeral(m)}.\n"
+            f"def n : Nat := {numeral(n)}.\n"
+            "def exp : Nat -> Nat -> Nat :=\n"
+            "  fun (m : Nat), fun (n : Nat), fun (A : Prop), n (A -> A) (m A).\n"
+            "#reduce exp m n.\n")
 
 
 def run_once(tree: Path, args: list[str]) -> float:
@@ -71,10 +97,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"children's sys.dont_write_bytecode: {flag}")
     times = {label: {name: [] for name in COMMANDS} for label in trees}
     order = list(trees.items())
-    for i in range(args.runs):
-        for name, command in COMMANDS.items():
-            for label, tree in rotated(order, i):
-                times[label][name].append(run_once(tree, command))
+    with tempfile.TemporaryDirectory() as tmp:
+        church = Path(tmp) / CHURCH
+        church.write_text(church_program(2, 8))
+        commands = {name: [str(church) if a == CHURCH else a for a in command]
+                    for name, command in COMMANDS.items()}
+        for i in range(args.runs):
+            for name, command in commands.items():
+                for label, tree in rotated(order, i):
+                    times[label][name].append(run_once(tree, command))
     for label, per in times.items():
         for name, values in per.items():
             print(f"{label:8} {name:11} median {statistics.median(values):.4f} s"

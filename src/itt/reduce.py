@@ -31,6 +31,11 @@ A traced spine then certifies, as when the budget or the stack runs out:
 ``CycleDetector`` replays its states by ``_same_state`` too, building no spine,
 reports the first repeat and its period, and drops the later steps.  So the
 first repeat is exact, and only ``alpha_eq`` confirms a reported cycle.
+
+A trace renders each step's snapshot as ``pretty`` prints it, but a run of
+steps at one deep frame prints that frame once, around a hole at the
+spine, and then only each step's spine (``itt.render``), so a line costs
+what its step changed.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ Frame = tuple[Term, str, "Frame"] | None
 def _with_child(node: Term, attr: str, child: Term) -> Term:
     """``node`` with ``child`` in its field ``attr``, built by one
     constructor call."""
+    if type(node) is App:
+        return App(child, node.arg) if attr == "fn" else App(node.fn, child)
     return rebuild(node, [child if a == attr else getattr(node, a)
                           for a, _ in CHILDREN[type(node)]])
 
@@ -393,17 +400,20 @@ def reduce_with(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
 
 def trace_to_text(trace: Trace) -> str:
     """One step per line: ``<index> <kind> <pretty term>``, then STATUS."""
-    lines = [f"{i} {s.kind} {s.text}"
-             for i, s in enumerate(trace.steps, start=1)]
+    lines = [f"{i} {s.kind} {text}"
+             for i, (s, text) in enumerate(zip(trace.steps, texts(trace.steps)), 1)]
     lines.append(trace.status_line())
     return "\n".join(lines)
 
 
 def trace_to_json_lines(trace: Trace) -> list[str]:
-    import json  # here, not at the top: only JSON traces need it
-    lines = [json.dumps({"index": i, "kind": s.kind,
-                         "term": s.text, "key": s.key})
-             for i, s in enumerate(trace.steps, start=1)]
+    """One JSON object per step, with the ``index``, ``kind``, ``term`` and
+    ``key`` fields as ``json.dumps`` writes them, then STATUS."""
+    # here, not at the top: only JSON traces need it
+    from json.encoder import encode_basestring_ascii as quote
+    lines = [f'{{"index": {i}, "kind": {quote(s.kind)}, "term": {quote(text)}, '
+             f'"key": "{s.key}"}}'
+             for i, (s, text) in enumerate(zip(trace.steps, texts(trace.steps)), 1)]
     lines.append(trace.status_line())
     return lines
 
@@ -423,3 +433,7 @@ def replay_trace(env: GlobalEnv, ctx: Context, trace: Trace,
             and len(fresh.steps) == len(trace.steps)
             and all(s.kind == r.kind and alpha_eq(s.term, r.term)
                     for s, r in zip(fresh.steps, trace.steps)))
+
+
+# At the end: ``render`` imports the names above.
+from .render import texts  # noqa: E402

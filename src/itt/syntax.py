@@ -5,7 +5,8 @@ alpha-equivalence.  Binder names are kept on ``Pi``/``Lam`` nodes for display
 only and are excluded from comparison and hashing.  A term has one
 structural fingerprint: a SHA-256 Merkle digest, memoized on each node and
 computed without recursion.  It gives both ``canonical_key`` and the hash
-(``Term.__hash__``), so terms are cheap dictionary keys.
+(``Term.__hash__``), so terms are cheap dictionary keys.  The walk that
+computes it also records what ``pretty`` reads of each node.
 
 The equality primitives (``Eq``, ``Refl``, ``EqRec``), the coercion ``Cast``
 and the type-equality decider ``J`` are dedicated node forms rather than
@@ -201,9 +202,8 @@ CHILDREN: dict[type, tuple[tuple[str, bool], ...]] = {
                if f.type == "Term")
     for cls in _TAGS
 }
-# The one field of each leaf, its compared payload; the child names of each node.
+# The one field of each leaf, its compared payload.
 _PAYLOAD = {cls: fields(cls)[0].name for cls, kids in CHILDREN.items() if not kids}
-_KID_NAMES = {cls: tuple(a for a, _ in kids) for cls, kids in CHILDREN.items()}
 _KEYWORD = {cls: kw for kw, cls in PRIMITIVES.items()}
 
 
@@ -300,16 +300,21 @@ def subst(t: Term, target: int, value: Term) -> Term:
     return _map_vars(t, target, replaced)
 
 
-# The digest's memo slot in a node's __dict__, outside its fields: equality
-# is unchanged, and a node built anew, by ``rebuild`` too, starts without it.
-_DIGEST = "_digest"
+# Memo slots in a node's __dict__, outside its fields: equality is unchanged,
+# and a node built anew, by ``rebuild`` too, starts without them.  Besides
+# the digest, the key walk records what the printer reads of a node: the mask
+# of its free indices (bit ``i`` for a free ``Var(i)``), an int, and its
+# global names, a frozenset shared with a child whenever the node adds none.
+_DIGEST, _FREE, _NAMES = "_digest", "_free", "_names"
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def _digest(t: Term) -> bytes:
     """SHA-256 of ``t``'s tag followed by its leaf payload or by its
     children's digests.  Without recursion, one loop over a node's children
-    pushes those not yet digested or collects their digests; each digest is
-    memoized in its node's ``_DIGEST`` slot, so a digest costs only new nodes."""
+    pushes those not yet digested or folds in their memos: the digest, the
+    free mask (shifted once out of a binder) and the names.  Each is
+    memoized in its node's slot, so a walk costs only new nodes."""
     todo = [t]
     while todo:
         cur = todo[-1]
@@ -318,18 +323,27 @@ def _digest(t: Term) -> bytes:
             todo.pop()
             continue
         cls = type(cur)
-        parts, pending = [], len(todo)
-        for name in _KID_NAMES[cls]:
-            if (d := memo[name].__dict__.get(_DIGEST)) is None:
+        parts, pending, free, names = [], len(todo), 0, _NO_NAMES
+        for name, under in CHILDREN[cls]:
+            kid = memo[name].__dict__
+            if (d := kid.get(_DIGEST)) is None:
                 todo.append(memo[name])  # digest the children first
-            else:
-                parts.append(d)
+                continue
+            parts.append(d)
+            free |= kid[_FREE] >> under
+            if (more := kid[_NAMES]) is not names and not more <= names:
+                names = more if names <= more else names | more
         if len(todo) > pending:
             continue
-        if not parts:  # a leaf
-            parts = [str(memo[_PAYLOAD[cls]]).encode()]
-        memo[_DIGEST] = hashlib.sha256(_TAGS[cls] + b"".join(parts)).digest()
         todo.pop()
+        if not parts:  # a leaf
+            if cls is Var:
+                free = 1 << cur.index
+            elif cls is Global:
+                names = frozenset((cur.name,))
+            parts = [str(memo[_PAYLOAD[cls]]).encode()]
+        memo[_FREE], memo[_NAMES] = free, names
+        memo[_DIGEST] = hashlib.sha256(_TAGS[cls] + b"".join(parts)).digest()
     return t.__dict__[_DIGEST]
 
 
@@ -352,44 +366,6 @@ def canonical_key(t: Term) -> str:
 _TERM, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
 
-def _print_scan(t: Term) -> tuple[set[str], set[int]]:
-    """The global names in ``t``, and the ids of its ``Pi`` nodes whose
-    binder no variable refers to, which print as arrows.
-
-    One depth-first walk by an explicit stack.  ``binders[k]`` is set to the
-    binder at binder depth ``k`` when the walk enters that binder's bound
-    child; depth-first order keeps every slot below the current depth on the
-    current path, so ``Var(i)`` at depth ``d`` refers to ``binders[d-1-i]``.
-    """
-    names: set[str] = set()
-    pis: list[Term] = []
-    used: set[int] = set()
-    binders: list[Term] = []
-    todo: list[tuple[Term, int, Term | None]] = [(t, 0, None)]
-    while todo:
-        cur, depth, binder = todo.pop()
-        if binder is not None:  # cur is binder's bound child
-            if depth > len(binders):
-                binders.append(binder)
-            else:
-                binders[depth - 1] = binder
-        cls = type(cur)
-        if cls is Var:
-            if cur.index < depth:
-                used.add(id(binders[depth - 1 - cur.index]))
-        elif cls is Global:
-            names.add(cur.name)
-        else:
-            if cls is Pi:
-                pis.append(cur)
-            for attr, under in CHILDREN[cls]:
-                if under:
-                    todo.append((getattr(cur, attr), depth + 1, cur))
-                else:
-                    todo.append((getattr(cur, attr), depth, None))
-    return names, {id(p) for p in pis if id(p) not in used}
-
-
 def pretty(t: Term) -> str:
     """Render ``t`` in the surface syntax; ``parse_term(pretty(t))`` is
     alpha-equal to ``t``.
@@ -397,14 +373,25 @@ def pretty(t: Term) -> str:
     Binder names that would shadow an enclosing name or a referenced global
     are freshened with a numeric suffix.  A free variable has no name to
     print; it shows as ``_x<k>``, where ``k`` is its index at the top level.
-    One pre-pass finds the globals and the arrows, so each node is visited
-    twice, not once more for each ``Pi`` above it.
+    The globals, and the ``Pi`` nodes whose binder is unused, which print as
+    arrows, are read from what the key walk (``_digest``) records on each
+    node, so a print keys the nodes not keyed before, then visits each node
+    once.
     """
-    taken, arrows = _print_scan(t)
-    stack: list[str] = []
-    # base name -> the suffix a binder tries first (0: none); every lower one
-    # is taken, by a global or an enclosing binder
-    first: dict[str, int] = {}
+    _digest(t)
+    return _show(t, _TERM, set(t.__dict__[_NAMES]), [], {})
+
+
+def _show(t: Term, pos: int, taken: set[str], stack: list[str],
+          first: dict[str, int], hole: Term | None = None,
+          at_hole: Callable[..., None] | None = None) -> str:
+    """``t``, already keyed, printed at precedence ``pos`` under
+    the shown names ``stack`` of its enclosing binders; ``taken`` holds the
+    names a binder may not show, and ``first`` maps a base name to the
+    suffix a binder tries first (0: none; every lower one is taken).  Each
+    is restored on return.  On reaching the sort ``hole``, ``go`` calls
+    ``at_hole(pos, taken, stack, first)``, so that a subterm can be printed
+    in that context later."""
 
     def go(t: Term, pos: int) -> str:
         cls = type(t)
@@ -417,9 +404,11 @@ def pretty(t: Term) -> str:
         if cls is Global:
             return t.name
         if cls is SortT:
+            if t is hole:
+                at_hole(pos, taken, stack, first)
             return t.sort
         if cls is Pi:
-            if id(t) in arrows:
+            if not t.codomain.__dict__[_FREE] & 1:
                 dom = go(t.domain, _APP)
                 stack.append("_")  # codomain sits under the unused binder
                 try:
@@ -456,4 +445,4 @@ def pretty(t: Term) -> str:
             first[base] = outer
         return f"({s})" if pos > _TERM else s
 
-    return go(t, _TERM)
+    return go(t, pos)

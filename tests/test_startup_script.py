@@ -19,4 +19,5 @@ def test_startup_reports_each_command_once_per_run():
                     "children's sys.dont_write_bytecode: False")
     names = [re.fullmatch(r"change   (.{11}) median \d+\.\d{4} s  iqr 0\.0000 s  \(1 runs\)",
                           line).group(1).rstrip() for line in lines]
-    assert names == ["pass", "import itt", "itt check"]
+    assert names == ["pass", "import itt", "itt check",
+                     "reduce off", "reduce text", "reduce json"]

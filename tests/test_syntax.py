@@ -18,7 +18,7 @@ from itt import (
 )
 from itt.reduce import BETA
 from itt.syntax import (
-    CHILDREN, PRIMITIVES, _print_scan, rebuild, subterms, var,
+    CHILDREN, PRIMITIVES, _digest, rebuild, subterms, var,
 )
 import reference
 from helpers import collect_globals, has_free_var, smallest_free_name
@@ -225,6 +225,7 @@ def test_node_classes_behave_as_frozen_dataclasses(cls):
     assert type(changed) is cls and changed == cls(first, *args[1:])
     assert [getattr(changed, n) for n in names] == [first, *args[1:]]
     assert "_digest" not in vars(changed) and changed != node
+    assert not {"_free", "_names"} & vars(changed).keys()
     with pytest.raises(TypeError):
         cls()
     with pytest.raises(TypeError):
@@ -324,6 +325,7 @@ def test_key_of_a_term_whose_children_were_keyed_before(t, data):
 # node that ``normalize`` rebuilt from ``t``.
 _REBUILT = {
     "replace": lambda t: dataclasses.replace(t, arg=Var(1)),
+    "rebuild": lambda t: rebuild(t, [t.fn, Var(1)]),
     "plug": lambda t: TraceStep(BETA, Var(1), (t, "arg", None)).term,
     "normalize": lambda t: normalize(
         GlobalEnv(), (), App(t, t.arg), DEFAULT_RULES).final.fn,
@@ -340,6 +342,7 @@ def test_key_memo_is_not_carried_by_replace(rebuilt):
     before = canonical_key(t)
     changed = rebuilt(t)
     assert "_digest" not in vars(changed)  # the rebuilt node starts unkeyed
+    assert not {"_free", "_names"} & vars(changed).keys()  # and without facts
     assert canonical_key(changed) == canonical_key(App(Global("f"), Var(1)))
     assert canonical_key(changed) != before
     # the memo sits outside the fields: equality and hashing are unchanged
@@ -356,6 +359,7 @@ def test_hash_memo_is_not_carried_by_replace(rebuilt):
     assert before == hash(bytes.fromhex(canonical_key(t)))  # one fingerprint
     changed = rebuilt(t)
     assert "_digest" not in vars(changed)
+    assert not {"_free", "_names"} & vars(changed).keys()
     assert hash(changed) == hash(App(Global("f"), Var(1)))
     assert hash(changed) != before
     assert hash(t) == before
@@ -439,11 +443,13 @@ def test_alpha_eq_past_the_recursion_limit_agrees_with_eq(a, b, data):
 
 @given(open_terms)
 @example(App(Pi(PROP, Var(0)), Pi(PROP, Var(0))))  # two binders in slot 0
-def test_print_scan_agrees_with_the_tree_walks(t):
-    # pretty's one pre-pass against a walk per question: the globals, and
-    # each Pi whose codomain has no free index 0
-    names, arrows = _print_scan(t)
-    assert names == collect_globals(t)
+def test_print_facts_agree_with_the_tree_walks(t):
+    # the facts that the key walk records for pretty, against a walk per
+    # question: the globals, and each Pi whose codomain has no free index 0
+    _digest(t)
+    assert vars(t)["_names"] == collect_globals(t)
+    arrows = {id(p) for p in _nodes(t)
+              if type(p) is Pi and not vars(p.codomain)["_free"] & 1}
     assert arrows == {id(p) for p in _nodes(t)
                       if type(p) is Pi and not has_free_var(p.codomain, 0, 1)}
 
