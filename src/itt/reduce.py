@@ -35,7 +35,8 @@ first repeat is exact, and only ``alpha_eq`` confirms a reported cycle.
 A trace renders each step's snapshot as ``pretty`` prints it, but a run of
 steps at one deep frame prints that frame once, around a hole at the
 spine, and then only each step's spine (``itt.render``), so a line costs
-what its step changed.
+what its step changed.  Such a step's JSON key is folded up its frame from
+its spine's digest, one SHA-256 per level, and its snapshot is not built.
 """
 
 from __future__ import annotations
@@ -400,6 +401,7 @@ def reduce_with(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet,
 
 def trace_to_text(trace: Trace) -> str:
     """One step per line: ``<index> <kind> <pretty term>``, then STATUS."""
+    from .render import texts  # here: only a printed trace needs it
     lines = [f"{i} {s.kind} {text}"
              for i, (s, text) in enumerate(zip(trace.steps, texts(trace.steps)), 1)]
     lines.append(trace.status_line())
@@ -409,10 +411,10 @@ def trace_to_text(trace: Trace) -> str:
 def trace_to_json_lines(trace: Trace) -> list[str]:
     """One JSON object per step, with the ``index``, ``kind``, ``term`` and
     ``key`` fields as ``json.dumps`` writes them, then STATUS."""
-    # here, not at the top: only JSON traces need it
     from json.encoder import encode_basestring_ascii as quote
+    from .render import key, texts
     lines = [f'{{"index": {i}, "kind": {quote(s.kind)}, "term": {quote(text)}, '
-             f'"key": "{s.key}"}}'
+             f'"key": "{key(s)}"}}'
              for i, (s, text) in enumerate(zip(trace.steps, texts(trace.steps)), 1)]
     lines.append(trace.status_line())
     return lines
@@ -433,7 +435,3 @@ def replay_trace(env: GlobalEnv, ctx: Context, trace: Trace,
             and len(fresh.steps) == len(trace.steps)
             and all(s.kind == r.kind and alpha_eq(s.term, r.term)
                     for s, r in zip(fresh.steps, trace.steps)))
-
-
-# At the end: ``render`` imports the names above.
-from .render import texts  # noqa: E402

@@ -4,20 +4,26 @@ Consecutive snapshots of a run of steps at one spine share everything but
 the spine: its frame, the path from the spine to the root with the
 subterms beside it.  ``texts`` prints a deep frame once, around a hole at
 the spine, and then each step's spine alone, in the names and precedence
-recorded at the hole.
+recorded at the hole; ``key`` keys such a step up its frame, without
+building its snapshot.
 """
 
 from __future__ import annotations
 
 import sys
+from hashlib import sha256
 from typing import Any, Iterator
 
 from .reduce import Frame, TraceStep, _with_child
-from .syntax import _FREE, _NAMES, _TERM, CHILDREN, Pi, SortT, _digest, _show
+from .syntax import (
+    _DIGEST, _FREE, _NAMES, _NO_NAMES, _TAGS, _TERM, CHILDREN, App, Pi, SortT,
+    _digest, _show,
+)
 
 # The spine's place in a frame printed with a hole: a sort that prints as
 # NUL, a character no parsed name holds.
 _HOLE = SortT("\0")
+_digest(_HOLE)
 _BOUND = frozenset(a for kids in CHILDREN.values() for a, under in kids if under)
 # A frame this many levels deep, or more, is printed once per run of steps.
 # A shallower one prints again for less than a cut costs: cutting every
@@ -42,17 +48,26 @@ def _cut(frame: Frame, spine_names: frozenset[str]) -> tuple:
     and how many more stack frames the hole sat under than a print of the
     spine by the caller would."""
     depth = _depth(sys._getframe(1)) + 2  # the caller's _show, then go
-    t, pis, binders = _HOLE, [], 0
+    # The path is rebuilt around the hole, and each new node gets the facts
+    # the key walk would fold from its children, but no digest: no key is
+    # read of a frame with a hole.
+    t, free, names, arrows, binders = _HOLE, 0, _NO_NAMES, 0, 0
     while frame is not None:
         node, attr, frame = frame
         t = _with_child(node, attr, t)
         if attr in _BOUND:
-            if type(t) is Pi:
-                pis.append((t, binders))
-            binders += 1
-    _digest(t)
-    arrows = sum(1 << k for p, k in pis if not vars(p.codomain)[_FREE] & 1)
-    names = vars(t)[_NAMES] | spine_names
+            if type(t) is Pi and not free & 1:
+                arrows |= 1 << binders
+            free, binders = free >> 1, binders + 1
+        for name, under in CHILDREN[type(t)]:
+            if name != attr:
+                _digest(kid := getattr(t, name))
+                free |= vars(kid)[_FREE] >> under
+                if (more := vars(kid)[_NAMES]) is not names and more:
+                    names = more if not names or names <= more else (
+                        names if more <= names else names | more)
+        vars(t)[_FREE], vars(t)[_NAMES] = free, names
+    names = names | spine_names
     at: list = []
 
     def record(pos: int, taken: set[str], stack: list[str],
@@ -100,3 +115,24 @@ def texts(steps: list[TraceStep]) -> Iterator[str]:
                 finally:
                     sys.setrecursionlimit(limit)
         yield s.text
+
+
+def key(s: TraceStep) -> str:
+    """``s.key``.  A snapshot not yet built, as a text cut at a deep frame
+    builds none, is keyed from its spine's digest up its frame, one SHA-256
+    per level, as ``_digest`` would key the path, without building it."""
+    if "key" not in vars(s) and "term" not in vars(s):
+        d, frame = _digest(s.sub), s.frame
+        while frame is not None:
+            node, attr, frame = frame
+            if type(node) is App:  # most levels: one sibling
+                kid = node.arg if attr == "fn" else node.fn
+                kid = vars(kid).get(_DIGEST) or _digest(kid)
+                d = sha256(_TAGS[App] + (d + kid if attr == "fn" else kid + d))
+                d = d.digest()
+                continue
+            d = sha256(_TAGS[type(node)] + b"".join(
+                [d if a == attr else _digest(getattr(node, a))
+                 for a, _ in CHILDREN[type(node)]])).digest()
+        vars(s)["key"] = d.hex()
+    return s.key

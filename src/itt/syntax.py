@@ -331,8 +331,9 @@ def _digest(t: Term) -> bytes:
                 continue
             parts.append(d)
             free |= kid[_FREE] >> under
-            if (more := kid[_NAMES]) is not names and not more <= names:
-                names = more if names <= more else names | more
+            if (more := kid[_NAMES]) is not names and more:
+                names = more if not names or names <= more else (
+                    names if more <= names else names | more)
         if len(todo) > pending:
             continue
         todo.pop()

@@ -133,6 +133,18 @@ def test_text_at_a_deep_frame_prints_the_spine_only(monkeypatch, source):
         assert len(whole) == sum(not d for d in deep)
 
 
+def test_json_at_a_deep_frame_keys_the_path_without_building_it(monkeypatch):
+    # a step whose text was cut is keyed up its frame: no snapshot is built
+    # and canonical_key is not called; the keys are compared above
+    _, (trace,) = _traces(church_exp_program(2, 6), "nf", None)
+    calls = counting_calls(monkeypatch, "canonical_key")
+    trace_to_json_lines(trace)
+    deep = _cut_steps(trace)
+    assert sum(deep) > 1
+    assert ["term" in vars(s) for s in trace.steps] == [not d for d in deep]
+    assert len(calls) == sum(not d for d in deep)
+
+
 def test_a_frame_holding_nul_prints_whole():
     # NUL marks the hole in a frame's text, and no parsed name holds it; a
     # built one does, so its frame cannot be cut there
