@@ -21,7 +21,8 @@ from .syntax import (
 )
 
 # The spine's place in a frame printed with a hole: a sort that prints as
-# NUL, a character no parsed name holds.
+# NUL, a character no parsed name holds.  It is keyed once, so that a Pi
+# whose codomain is the hole reads its facts.
 _HOLE = SortT("\0")
 _digest(_HOLE)
 _BOUND = frozenset(a for kids in CHILDREN.values() for a, under in kids if under)
