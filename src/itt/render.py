@@ -123,14 +123,13 @@ def key(s: TraceStep) -> str:
     builds none, is keyed from its spine's digest up its frame, one SHA-256
     per level, as ``_digest`` would key the path, without building it."""
     if "key" not in vars(s) and "term" not in vars(s):
-        d, frame = _digest(s.sub), s.frame
+        d, frame, app = _digest(s.sub), s.frame, _TAGS[App]
         while frame is not None:
             node, attr, frame = frame
             if type(node) is App:  # most levels: one sibling
                 kid = node.arg if attr == "fn" else node.fn
-                kid = vars(kid).get(_DIGEST) or _digest(kid)
-                d = sha256(_TAGS[App] + (d + kid if attr == "fn" else kid + d))
-                d = d.digest()
+                kid = kid.__dict__.get(_DIGEST) or _digest(kid)
+                d = sha256(app + (d + kid if attr == "fn" else kid + d)).digest()
                 continue
             d = sha256(_TAGS[type(node)] + b"".join(
                 [d if a == attr else _digest(getattr(node, a))
