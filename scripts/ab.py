@@ -3,15 +3,19 @@
 
 Both trees' ``src/itt`` are imported into this process, one after the other,
 with ``itt`` and its submodules cleared from ``sys.modules`` between the two
-loads, so each tree keeps its own modules.  Each tree gets its own instance
-of each workload of ``perfbench/workloads.py`` that ``--workload`` names (by
-default all of them), built from the same seed right after its kernel is
-loaded.  A pass runs every program of the workload's set on both trees, one
-tree right after the other, and the tree that runs first flips from pass to
-pass.  Every verdict is checked, outside the timed region; the script exits
-1 if one is wrong.  For each workload in turn it prints a block: the
-workload's name, each tree's median pass time, then the second tree's
-median per-pass ratio to the first and the passes it won:
+loads, so each tree keeps its own modules.  The kernel imports some modules
+on first use, through ``sys.modules`` (the trace printers import
+``itt.render``), so each tree's ``itt`` modules are put back into
+``sys.modules`` before each of its programs runs.  Each tree gets its own
+instance of each workload of ``perfbench/workloads.py`` that ``--workload``
+names (by default all of them), built from the same seed right after its
+kernel is loaded.  A pass runs every program of the workload's set on both
+trees, one tree right after the other, and the tree that runs first flips
+from pass to pass.  Every verdict is checked, outside the timed region; the
+script exits 1 if one is wrong or a warm-up raises.  For each workload in
+turn it prints a block: the workload's name, each tree's median pass time,
+then the second tree's median per-pass ratio to the first and the passes
+it won:
 
     python3 scripts/ab.py --tree parent=../itt-parent --tree change=. \\
         --workload check-chain --workload church-nf --passes 6
@@ -38,7 +42,7 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import Any
 
 from bench import ROOT, parse_trees  # scripts/bench.py, beside this file
@@ -48,30 +52,45 @@ from workloads import WORKLOADS, Suffixes  # noqa: E402
 
 KERNEL_MODULES = ("syntax", "parser", "rules", "env", "convert", "reduce",
                   "typecheck", "corpus")
+# imported by the kernel on first use, so loaded here with the rest
+LAZY_MODULES = ("render",)
 
 
-def load_kernel(tree: Path) -> SimpleNamespace:
+def _itt_modules() -> dict[str, ModuleType]:
+    """``itt`` and its submodules, as ``sys.modules`` holds them now."""
+    return {n: m for n, m in sys.modules.items()
+            if n == "itt" or n.startswith("itt.")}
+
+
+def load_kernel(tree: Path) -> tuple[SimpleNamespace, dict[str, ModuleType]]:
     """A namespace of the kernel modules of ``tree``'s ``src/itt``, imported
-    afresh."""
+    afresh, and every ``itt`` module of that tree by its ``sys.modules``
+    name."""
     src = tree / "src"
     if not (src / "itt" / "__init__.py").is_file():
         raise SystemExit(f"{tree}: no src/itt to load")
-    for name in [n for n in sys.modules if n == "itt" or n.startswith("itt.")]:
+    for name in _itt_modules():
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
-        importlib.import_module("itt")
+        for m in ("itt", *(f"itt.{m}" for m in LAZY_MODULES)):
+            importlib.import_module(m)
     finally:
         sys.path.remove(str(src))
-    k = SimpleNamespace(**{m: sys.modules[f"itt.{m}"] for m in KERNEL_MODULES})
-    if not Path(k.syntax.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"itt was imported from {k.syntax.__file__}, not {src}")
-    return k
+    modules = _itt_modules()
+    for m in modules.values():
+        if not Path(m.__file__).resolve().is_relative_to(src):
+            raise SystemExit(f"itt was imported from {m.__file__}, not {src}")
+    k = SimpleNamespace(**{m: modules[f"itt.{m}"] for m in KERNEL_MODULES})
+    return k, modules
 
 
-def run_one(wl: Any, prog: Any) -> tuple[float, str | None]:
+def run_one(wl: Any, prog: Any,
+            modules: dict[str, ModuleType]) -> tuple[float, str | None]:
     """The seconds from source text to verdict, and what is wrong with the
-    verdict (None if it is right)."""
+    verdict (None if it is right), with the ``itt`` modules of the
+    workload's tree in ``sys.modules``."""
+    sys.modules.update(modules)
     gc.collect()  # the previous program's garbage is not this one's cost
     t0 = perf_counter()
     try:
@@ -85,11 +104,12 @@ def run_one(wl: Any, prog: Any) -> tuple[float, str | None]:
         return seconds, f"raw {type(exc).__name__} in check: {exc}"
 
 
-def screen(name: str, workloads: dict[str, Any], passes: int, seed: int,
+def screen(name: str, workloads: dict[str, Any],
+           modules: dict[str, dict[str, ModuleType]], passes: int, seed: int,
            wrong: list[str]) -> None:
     """Run ``passes`` passes of the workload ``name``, given per tree label
-    in ``workloads``, and print its block; each wrong verdict is appended
-    to ``wrong``."""
+    in ``workloads`` with the tree's ``itt`` modules in ``modules``, and
+    print its block; each wrong verdict is appended to ``wrong``."""
     first, second = workloads
     spent_by: dict[str, list[float]] = {first: [], second: []}
     suffix = Suffixes(seed)
@@ -101,7 +121,7 @@ def screen(name: str, workloads: dict[str, Any], passes: int, seed: int,
             for label in order:
                 wl = workloads[label]
                 prog = wl.make(spec, sfx)
-                seconds, error = run_one(wl, prog)
+                seconds, error = run_one(wl, prog, modules[label])
                 spent[label] += seconds
                 if error is not None:
                     wrong.append(f"{name} {label} pass {i}: {error}")
@@ -135,14 +155,19 @@ def main(argv: list[str] | None = None) -> int:
 
     # per workload, per tree label: that tree's instance of the workload
     workloads: dict[str, dict[str, Any]] = {name: {} for name in names}
+    modules: dict[str, dict[str, ModuleType]] = {}  # per tree label
+    wrong: list[str] = []
     for label, tree in trees.items():
-        kernel = load_kernel(tree)
+        kernel, modules[label] = load_kernel(tree)
         for name in names:
             workloads[name][label] = wl = WORKLOADS[name](kernel, args.seed)
-            wl.warm_up()
-    wrong: list[str] = []
+            try:
+                wl.warm_up()
+            except Exception as exc:
+                wrong.append(f"{name} {label} warm-up: raw "
+                             f"{type(exc).__name__}: {exc}")
     for name in names:
-        screen(name, workloads[name], args.passes, args.seed, wrong)
+        screen(name, workloads[name], modules, args.passes, args.seed, wrong)
     for line in wrong:
         print(f"verdict failed: {line}", file=sys.stderr)
     return 1 if wrong else 0

@@ -23,6 +23,11 @@ first rotates from seed to seed, so that a drift in machine speed hits
 every tree alike.  With two or more trees the script ends by comparing
 each with the first: one line per workload and end-to-end metric.  Only
 the standard library is used.
+
+Run length decides what a comparison can show.  At ``--seconds 1`` the
+parent's own interquartile range of ``wall_s`` reaches 8-9% of its median
+on ``paper-loops``, so a gain under 10% needs pairs of ``--seconds 10`` or
+more to clear it.
 """
 
 from __future__ import annotations

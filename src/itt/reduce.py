@@ -25,8 +25,9 @@ same stack), so traces keep named forms as long as possible.
 
 Divergence is not observed as a timeout but *detected*.  Every head
 reduction, traced or not, runs Brent's check in ``whnf_term``: each state is
-compared, by argument count and then ``alpha_eq`` at any depth, with one
-state re-saved at each power of two steps; a repeat raises ``ConversionCycle``.
+compared with one state re-saved at each power of two steps, by head class
+and argument count, then ``alpha_eq`` at any depth; a repeat raises
+``ConversionCycle``.
 A traced spine then certifies, as when the budget or the stack runs out:
 ``CycleDetector`` replays its states by ``_same_state`` too, building no spine,
 reports the first repeat and its period, and drops the later steps.  So the
@@ -257,12 +258,15 @@ def delta_whnf(env: GlobalEnv, ctx: Context, w: Term, budget: Fuel) -> Term:
 # Heads on which no rule fires, whatever the arguments and the rule set.
 _STABLE = frozenset({SortT, Pi, Eq, Refl, Var})
 _HELD = _STABLE | {Global}  # and a Global, when Delta is held back
+_LEAVES = frozenset({SortT, Var})  # stable nodes without children
 
 
 def _same_state(head: Term, args: Stack, head2: Term, args2: Stack) -> bool:
-    """Alpha-equal spines?  Counts, then heads, then arguments to a shared tail."""
-    if ((args[2] if args else 0) != (args2[2] if args2 else 0)
-            or not alpha_eq(head, head2)):
+    """Alpha-equal spines of one argument count?  The heads, then the
+    arguments to a shared tail, by ``alpha_eq``.  Callers compare the class
+    and the argument count first: ``whnf_term`` both, ``CycleDetector`` the
+    count by its key."""
+    if not alpha_eq(head, head2):
         return False
     while args is not args2:
         if not alpha_eq(args[0], args2[0]):
@@ -292,17 +296,24 @@ def whnf_term(env: GlobalEnv, ctx: Context, t: Term, budget: Fuel,
         return t
     head, args = _unwind(t, None)
     saved, power, since, last = (head, args), 1, 0, None
+    saved_cls, saved_n = type(head), args[2] if args else 0
     while type(head) not in stable and (
             r := head_step(env, ctx, head, args, budget)) is not None:
         last, kind = r
         if steps is not None:
             steps.append(TraceStep(kind, last[0], frame, last[1]))
-        head, args = _unwind(*last)
+        head, args = last
+        if type(head) is App:
+            head, args = _unwind(head, args)
         since += 1
-        if _same_state(head, args, *saved):
+        # class and count: both necessary for a repeat, checked with no call
+        cls, n = type(head), args[2] if args else 0
+        if cls is saved_cls and n == saved_n and _same_state(head, args,
+                                                             *saved):
             raise ConversionCycle(since, "reduction")
         if since == power:
             saved, power, since = (head, args), 2 * power, 0
+            saved_cls, saved_n = cls, n
     return (t if last is None else steps[-1].sub if steps is not None
             else _apply(*last))
 
@@ -362,7 +373,9 @@ def whnf(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
 def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     """Strong normalization: head-reduce, then recurse under binders and into
     arguments.  Every snapshot is the whole term, so consecutive snapshots
-    are related by exactly one step.
+    are related by exactly one step.  A leaf (``Var``, ``SortT``) is not
+    visited, and a spine whose head is stable is not head-reduced: no rule
+    can step either.
 
     Cycle detection restarts per reduction spine: a repeat on one spine is
     already a divergence proof, while repeats across spines are not cycles.
@@ -371,12 +384,17 @@ def normalize(env: GlobalEnv, ctx: Context, t: Term, rules: RuleSet) -> Trace:
     trace = Trace(t, [], "nf")
 
     def rec(sub: Term, frame: Frame, sctx: Context) -> Term:
-        # a stable node is its own head, so already head-normal
-        cur = (sub if type(sub) in _STABLE
+        # a spine with a stable head is head-normal: whnf_term would return it
+        head = sub
+        while type(head) is App:
+            head = head.fn
+        cur = (sub if type(head) in _STABLE
                else _spine(env, sctx, sub, frame, budget, trace.steps))
         for attr, under_binder in CHILDREN[type(cur)]:
-            child_ctx = ctx_extend(sctx, cur.domain) if under_binder else sctx  # type: ignore[attr-defined]
             child = getattr(cur, attr)
+            if type(child) in _LEAVES:  # normal, and no rule steps inside
+                continue
+            child_ctx = ctx_extend(sctx, cur.domain) if under_binder else sctx  # type: ignore[attr-defined]
             new_child = rec(child, (cur, attr, frame), child_ctx)
             if new_child is not child:
                 # rebuilt at each changed child: the frames of the later

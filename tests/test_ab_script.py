@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,26 @@ def test_a_path_without_a_kernel_is_refused(tmp_path):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert f"{tmp_path}: no src/itt to load" in proc.stderr
+
+
+def test_each_tree_runs_its_own_lazily_imported_printer(tmp_path):
+    # the trace printers import itt.render on first use, through
+    # sys.modules: a tree whose printer is broken fails its own verdicts
+    # and no other tree's
+    shutil.copytree(_ROOT / "src" / "itt", tmp_path / "src" / "itt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "itt" / "render.py", "a",
+              encoding="utf-8") as render:
+        render.write("\n\ndef texts(steps):\n"
+                     "    raise RuntimeError('broken printer')\n")
+    proc = _ab("--tree", f"a={_ROOT}", "--tree", f"b={tmp_path}",
+               "--workload", "paper-loops", "--passes", "2")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4, proc.stdout
+    _block(lines, "paper-loops", 2)
+    failed = proc.stderr.splitlines()
+    assert failed, proc.stderr
+    assert all(line.startswith("verdict failed: paper-loops b ")
+               and "RuntimeError: broken printer" in line
+               for line in failed), proc.stderr

@@ -137,7 +137,7 @@ import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from ab import load_kernel
-first, second = (load_kernel(Path(tree)) for tree in sys.argv[2:])
+first, second = (load_kernel(Path(tree))[0] for tree in sys.argv[2:])
 print(json.dumps([k.corpus.load_example("sanity-church").source
                   for k in (first, second)]))
 """

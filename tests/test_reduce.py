@@ -801,6 +801,46 @@ def test_held_back_delta_asks_head_step_once(monkeypatch):
     assert got == Global("delta") and asked == [t]
 
 
+@pytest.mark.parametrize("t", [
+    PROP, Var(0), App(Var(0), PROP), Pi(PROP, apps(Var(0), [Var(1), PROP])),
+    Eq(PROP, App(Var(0), PROP), PROP), Refl(PROP, App(Var(0), Var(0))),
+], ids=["sort", "var", "var-spine", "pi-over-spine", "eq", "refl"])
+def test_normalize_head_reduces_no_leaf_and_no_stable_spine(monkeypatch, t):
+    # no rule steps a leaf or a spine with a stable head, so normalize asks
+    # whnf_term about neither
+    asked = counting_calls(monkeypatch, "whnf_term")
+    trace = normalize(GlobalEnv(), (PROP,), t, RuleSet())
+    assert trace.status == NORMAL_FORM and trace.final is t
+    assert asked == []
+
+
+def _count(args):
+    return args[2] if args else 0
+
+
+def test_brent_check_compares_states_of_one_class_and_count(monkeypatch):
+    # Omega |> omega omega |> (fun z, z z) omega |> omega omega: the saved
+    # state omega omega is compared only with the state of its own class
+    # and argument count, and that compare finds the cycle
+    compared, same_state = [], itt.reduce._same_state
+
+    def recording(head, args, head2, args2):
+        compared.append(((type(head), _count(args)),
+                         (type(head2), _count(args2))))
+        return same_state(head, args, head2, args2)
+
+    monkeypatch.setattr(itt.reduce, "_same_state", recording)
+    with pytest.raises(ConversionCycle) as cycle:
+        whnf_term(_loop_env(), (), Global("Omega"),
+                  RuleSet(fuel=50).new_budget())
+    assert cycle.value.period == 2
+    assert compared == [((Global, 1), (Global, 1))]
+    compared.clear()
+    with pytest.raises(ConversionCycle):
+        whnf_term(_loop_env(), (), _loop(5), RuleSet(fuel=50).new_budget())
+    assert compared == [((Lam, 6), (Lam, 6))]
+
+
 @functools.cache
 def _case_env(name):
     return _env(name)[1]
